@@ -1,0 +1,69 @@
+"""Accordion optical lattices: simulation, camera rendering and fringe metrology.
+
+Two parallel laser beams brought together by a lens interfere at its focal
+plane; translating a retroreflecting mirror changes the beam separation and
+sweeps the fringe period in real time without moving the center fringe.
+This package synthesizes the lattice fields and camera frames for such a
+setup and measures period, phase, contrast, drift and calibration from the
+digital frames.
+"""
+
+from .geometry import (
+    OpticalParams,
+    beam_angle,
+    beam_angle_thin_lens,
+    separation_for_spacing,
+    spacing_fourier,
+    spacing_thin_lens,
+)
+from .fields import (
+    BeamSpec,
+    FieldGrid,
+    GridSpec,
+    IntensityFrame,
+    LatticeConfig,
+    center_fringe_position,
+    center_fringe_shift,
+    conjugate_waist,
+    default_grid,
+    fields_intensity,
+    focal_envelope,
+    focal_field,
+    fold_to_period,
+    fringe_contrast,
+    interference_intensity,
+    lattice_fields,
+    shifted_field,
+)
+from .instrument import (
+    CameraModel,
+    FrameRecord,
+    MirrorDrive,
+    Trajectory,
+    bs_translation_path_difference,
+    build_trajectory,
+    mirror_to_separation,
+    render_frame,
+    render_sequence,
+    spacetime_composite,
+    static_sweep,
+)
+from .analysis import (
+    AnalysisError,
+    CalibrationFit,
+    DriftTrace,
+    FringeMeasurement,
+    KnifeEdgeFit,
+    NoFringeError,
+    calibrate_pixel_scale,
+    extract_fringe_phase,
+    extract_period,
+    fit_knife_edge,
+    fringe_profile,
+    knife_edge_waist,
+    measure_contrast,
+    measure_frame,
+    track_center_fringe,
+)
+
+__version__ = "0.1.0"

@@ -1,0 +1,367 @@
+"""Fringe metrology on digital frames.
+
+The pipeline mirrors how the lattice images are actually measured: average
+a band of rows around the sensor center, find the fringe period from the
+windowed spectrum with sub-bin refinement, then read fringe phase and
+contrast by projecting the same profile onto quadratures at the known
+frequency.  Pixel-scale calibration and knife-edge waist fitting close the
+loop between pixel and physical units.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+from scipy.optimize import curve_fit
+from scipy.special import erf
+
+from .fields import fold_to_period
+
+PEAK_GATE_DB = 6.0
+MIN_PERIODS = 3
+MIN_SAMPLES_PER_PERIOD = 4
+
+
+class AnalysisError(ValueError):
+    """A frame or dataset could not be measured."""
+
+
+class NoFringeError(AnalysisError):
+    """No spectral peak rose far enough above the floor."""
+
+
+class PeriodEstimate(NamedTuple):
+    period_px: float
+    uncertainty_px: float
+
+
+class PhaseEstimate(NamedTuple):
+    phase: float
+    center_px: float
+
+
+@dataclass(frozen=True)
+class FringeMeasurement:
+    """Everything measured on one frame.  period_um and center_um are None
+    when no pixel scale was supplied."""
+
+    period_px: float
+    period_uncertainty_px: float
+    fringe_phase: float
+    center_px: float
+    contrast: float
+    period_um: float | None = None
+    center_um: float | None = None
+
+
+@dataclass(frozen=True)
+class CalibrationFit:
+    """Single-parameter fit of measured periods against lam*f/D."""
+
+    pixel_scale: float
+    pixel_scale_uncertainty: float
+    residuals: np.ndarray
+
+
+@dataclass(frozen=True)
+class KnifeEdgeFit:
+    waist: float
+    center: float
+    total_power: float
+    rms_residual: float
+
+
+@dataclass(frozen=True)
+class DriftTrace:
+    """Per-frame center-fringe positions (um), unwrapped across frames."""
+
+    positions_um: np.ndarray
+    max_drift_um: float
+    flagged: tuple[int, ...]
+
+
+def fringe_profile(image, window_rows: int | None = None) -> np.ndarray:
+    """Average a band of rows about the image center into one profile.
+
+    window_rows defaults to a quarter of the image height, trading noise
+    against envelope curvature.
+    """
+    img = np.atleast_2d(np.asarray(image, dtype=float))
+    ny = img.shape[0]
+    rows = window_rows if window_rows is not None else max(1, ny // 4)
+    rows = int(min(max(rows, 1), ny))
+    start = ny // 2 - rows // 2
+    return img[start:start + rows].mean(axis=0)
+
+
+def _windowed(profile: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    h = np.hanning(profile.size)
+    mean = (h * profile).sum() / h.sum()
+    return h, h * (profile - mean)
+
+
+def _dominant_peak(spec: np.ndarray, total: float) -> tuple[int, float, float]:
+    """Dominant non-DC bin of a magnitude spectrum, 6 dB-gated vs the median.
+
+    `total` is the windowed sum of the profile; a peak whose implied
+    modulation depth is below 1e-9 of it is rounding dust, not a fringe.
+    """
+    k = 1 + int(np.argmax(spec[1:-1]))
+    floor = float(np.median(spec[1:]))
+    peak = float(spec[k])
+    if peak <= 0 or floor <= 0 or peak < 1e-9 * abs(total) \
+            or 20 * math.log10(peak / floor) < PEAK_GATE_DB:
+        raise NoFringeError("no fringe found")
+    return k, peak, floor
+
+
+def extract_period(image, window_rows: int | None = None) -> PeriodEstimate:
+    """Fringe period of an image in pixels, with sub-bin refinement.
+
+    Parameters
+    ----------
+    image : 2-D array
+        Digital frame; at least 3 full periods and 4 samples per period
+        must fit across its width.
+    window_rows : int, optional
+        Rows averaged about the center (default: a quarter of the height).
+
+    Returns
+    -------
+    PeriodEstimate
+        Period in pixels and a heuristic 1-sigma uncertainty propagated
+        from the spectral floor through the interpolation curvature.
+
+    Raises
+    ------
+    NoFringeError
+        If the best non-DC peak is less than 6 dB above the median
+        spectrum magnitude.
+    AnalysisError
+        If the dominant peak implies fewer than 3 periods in the window
+        or fewer than 4 samples per period.
+    """
+    profile = fringe_profile(image, window_rows)
+    h, sw = _windowed(profile)
+    n = sw.size
+    spec = np.abs(np.fft.rfft(sw))
+    if spec.size < 5:
+        raise AnalysisError(f"profile of {n} samples is too short to analyze")
+    k, peak, floor = _dominant_peak(spec, float((h * profile).sum()))
+    if k < MIN_PERIODS:
+        raise AnalysisError(
+            f"dominant peak at bin {k}: fewer than {MIN_PERIODS} fringe "
+            f"periods fit in the window"
+        )
+    if k > n // MIN_SAMPLES_PER_PERIOD:
+        raise AnalysisError(
+            f"dominant peak at bin {k} of {n}: fewer than "
+            f"{MIN_SAMPLES_PER_PERIOD} samples per fringe period"
+        )
+    lm, l0, lp = np.log(np.maximum(spec[k - 1:k + 2], peak * 1e-15))
+    curvature = lm - 2 * l0 + lp
+    delta = 0.5 * (lm - lp) / curvature
+    period = n / (k + delta)
+    sigma_delta = math.sqrt(1.5) * (floor / peak) / abs(curvature)
+    return PeriodEstimate(float(period), float(period * sigma_delta / (k + delta)))
+
+
+def extract_fringe_phase(image, period_px: float,
+                         window_rows: int | None = None) -> PhaseEstimate:
+    """Fringe phase and center position at a known period.
+
+    Projects the averaged profile onto quadratures at 1/period_px (pixel
+    origin at the sensor center), so the phase is free of spectral-bin
+    scalloping.  The period should be known to a couple of percent, e.g.
+    from extract_period or from the run manifest.
+
+    Returns the phase in (-pi, pi] and the bright-fringe position nearest
+    the axis, center_px = -phase * period / 2 pi, reduced to
+    (-period/2, period/2].
+    """
+    if not (period_px > 0 and math.isfinite(period_px)):
+        raise AnalysisError(f"period must be positive, got {period_px!r}")
+    profile = fringe_profile(image, window_rows)
+    h, sw = _windowed(profile)
+    n = profile.size
+    # same 6 dB guard as extract_period, and the dominant peak must sit at
+    # the supplied period (quantization contouring of a fringe-free beam
+    # otherwise passes a bare floor test)
+    k, _, _ = _dominant_peak(np.abs(np.fft.rfft(sw)), float((h * profile).sum()))
+    expected_bin = n / period_px
+    if abs(k - expected_bin) > max(0.25 * expected_bin, 1.5):
+        raise NoFringeError(
+            f"no fringe found at the expected period ({period_px:.3g} px)")
+    x = np.arange(n) - (n - 1) / 2
+    projection = np.sum(sw * np.exp(-2j * math.pi * x / period_px))
+    phase = float(np.angle(projection))
+    center = fold_to_period(-phase * period_px / (2 * math.pi), period_px)
+    return PhaseEstimate(phase, float(center))
+
+
+def measure_contrast(image, period_px: float,
+                     window_rows: int | None = None) -> float:
+    """Michelson contrast of the fringe at a known period.
+
+    Ratio of the fitted fundamental amplitude to the local mean, both
+    taken with the same center-weighted window so the beam envelope
+    cancels; clipped into [0, 1].
+    """
+    if not (period_px > 0 and math.isfinite(period_px)):
+        raise AnalysisError(f"period must be positive, got {period_px!r}")
+    profile = fringe_profile(image, window_rows)
+    h, sw = _windowed(profile)
+    n = profile.size
+    x = np.arange(n) - (n - 1) / 2
+    projection = np.sum(sw * np.exp(-2j * math.pi * x / period_px))
+    mean = np.sum(h * profile)
+    if mean <= 0:
+        raise NoFringeError("no fringe found")
+    return float(min(max(2 * abs(projection) / mean, 0.0), 1.0))
+
+
+def measure_frame(image, pixel_scale: float | None = None,
+                  window_rows: int | None = None) -> FringeMeasurement:
+    """Full single-frame measurement: period, phase, center and contrast."""
+    period, sigma = extract_period(image, window_rows)
+    phase, center_px = extract_fringe_phase(image, period, window_rows)
+    contrast = measure_contrast(image, period, window_rows)
+    period_um = center_um = None
+    if pixel_scale is not None:
+        period_um = period * pixel_scale
+        center_um = center_px * pixel_scale
+    return FringeMeasurement(period, sigma, phase, center_px, contrast,
+                             period_um, center_um)
+
+
+def calibrate_pixel_scale(points, wavelength: float,
+                          focal_length: float) -> CalibrationFit:
+    """Fit the pixel scale from (separation, measured period) pairs.
+
+    The model period_px = (lam*f/D) / s has the single parameter s, so the
+    least-squares solution is closed-form in b = 1/s.  Needs at least 3
+    points whose separations span at least a factor of 2.
+
+    Returns the scale in um/pixel, its standard error, and the per-point
+    relative residuals of the fit.
+    """
+    pts = [(float(d), float(p)) for d, p in points]
+    if len(pts) < 3:
+        raise AnalysisError(f"ill-conditioned: need at least 3 points, got {len(pts)}")
+    seps = np.array([d for d, _ in pts])
+    periods = np.array([p for _, p in pts])
+    if np.any(seps <= 0) or np.any(periods <= 0):
+        raise AnalysisError("separations and periods must be positive")
+    if seps.max() / seps.min() < 2.0:
+        raise AnalysisError(
+            f"ill-conditioned: separations span only {seps.max() / seps.min():.2f}x; "
+            f"need at least 2x"
+        )
+    u = wavelength * focal_length / seps  # physical spacing per point
+    b = float((u * periods).sum() / (u * u).sum())
+    predicted = u * b
+    residuals = (periods - predicted) / predicted
+    scale = 1.0 / b
+    if len(pts) > 2:
+        var_period = float(((periods - predicted) ** 2).sum() / (len(pts) - 1))
+        sigma_b = math.sqrt(var_period / float((u * u).sum()))
+        sigma_scale = sigma_b / b**2
+    else:
+        sigma_scale = 0.0
+    return CalibrationFit(scale, sigma_scale, residuals)
+
+
+def _erf_edge(x, total, center, waist):
+    return total / 2 * (1 + erf(math.sqrt(2) * (x - center) / waist))
+
+
+def fit_knife_edge(positions, powers) -> KnifeEdgeFit:
+    """Fit a knife-edge transmission curve P(x) = (P/2)(1 + erf(sqrt2 (x-x0)/w)).
+
+    Parameters
+    ----------
+    positions, powers : sequences
+        Knife positions (um) and transmitted powers; at least 8 points
+        spanning the transition, increasing with position up to noise.
+
+    Returns
+    -------
+    KnifeEdgeFit
+        Fitted 1/e^2 intensity radius w, edge center x0, total power and
+        the rms fit residual.
+
+    Raises
+    ------
+    AnalysisError
+        "fit failed" when the optimizer does not converge or the residual
+        rms exceeds 5% of the total power.
+    """
+    x = np.asarray(positions, dtype=float)
+    p = np.asarray(powers, dtype=float)
+    if x.size != p.size or x.size < 8:
+        raise AnalysisError(f"need at least 8 knife-edge points, got {x.size}")
+    total0 = float(p.max())
+    if total0 <= 0:
+        raise AnalysisError("fit failed: powers are not positive")
+    center0 = float(x[np.argmin(np.abs(p - total0 / 2))])
+    hi = float(np.interp(0.84 * total0, p, x))
+    lo = float(np.interp(0.16 * total0, p, x))
+    waist0 = max(hi - lo, (x.max() - x.min()) / 20)
+    try:
+        popt, _ = curve_fit(_erf_edge, x, p, p0=[total0, center0, waist0])
+    except RuntimeError as err:
+        raise AnalysisError(f"fit failed: {err}") from err
+    total, center, waist = popt
+    rms = float(np.sqrt(np.mean((_erf_edge(x, *popt) - p) ** 2)))
+    if not math.isfinite(rms) or rms > 0.05 * abs(total):
+        raise AnalysisError(
+            f"fit failed: residual rms {rms:.3g} exceeds 5% of total power "
+            f"{abs(total):.3g}"
+        )
+    return KnifeEdgeFit(abs(float(waist)), float(center), float(total), rms)
+
+
+def knife_edge_waist(positions, powers) -> float:
+    """1/e^2 intensity radius from a knife-edge scan, micrometers."""
+    return fit_knife_edge(positions, powers).waist
+
+
+def track_center_fringe(frames, spacings_um, pixel_scale: float,
+                        window_rows: int | None = None) -> DriftTrace:
+    """Track the center fringe across a frame sequence.
+
+    Parameters
+    ----------
+    frames : sequence of 2-D arrays
+    spacings_um : sequence of floats
+        Per-frame analytic spacing (from the run manifest); the phase is
+        measured at this period rather than re-extracted per frame.
+    pixel_scale : float
+        um per pixel, converting fringe positions to micrometers.
+
+    Each frame's reduced position is continued onto the branch nearest
+    the previous frame's position; a frame is flagged when even the best
+    branch jumps by more than a quarter period.  max_drift_um is the
+    largest |position| over the sequence.
+    """
+    spacings = np.asarray(spacings_um, dtype=float)
+    if len(frames) != spacings.size:
+        raise AnalysisError("frames and spacings differ in length")
+    if spacings.size == 0:
+        raise AnalysisError("nothing to track")
+    positions = np.empty(spacings.size)
+    flagged: list[int] = []
+    prev: float | None = None
+    for i, (image, d_um) in enumerate(zip(frames, spacings)):
+        _, center_px = extract_fringe_phase(image, d_um / pixel_scale, window_rows)
+        pos = center_px * pixel_scale
+        if prev is not None:
+            pos += d_um * round((prev - pos) / d_um)
+            if abs(pos - prev) > d_um / 4:
+                flagged.append(i)
+        positions[i] = pos
+        prev = pos
+    return DriftTrace(positions, float(np.max(np.abs(positions))), tuple(flagged))

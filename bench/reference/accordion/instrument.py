@@ -1,0 +1,329 @@
+"""Accordion mechanics and the camera that digitizes the lattice.
+
+The beam separation D is swept by translating a retroreflecting mirror:
+a mirror displacement m changes the separation by 2*m while leaving the
+optical path difference between the beams untouched, which is what keeps
+the center fringe still during a sweep.  The rival scheme of translating
+the beam-splitter pair is modeled only through its path-length penalty:
+a perpendicular deviation delta costs 2*delta of path difference.
+
+Rendering maps a simulated IntensityFrame onto a pixel grid by bilinear
+interpolation, applies gain, optional Gaussian read noise and quantization.
+The noise stream is keyed by (seed, frame_index) so that frames rendered
+in parallel, serially, or in any order are bit-identical.
+"""
+
+from __future__ import annotations
+
+import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from .fields import GridSpec, IntensityFrame, LatticeConfig, default_grid, interference_intensity
+from .geometry import spacing_fourier
+
+
+@dataclass(frozen=True)
+class MirrorDrive:
+    """Constant-velocity out / dwell / back sweep of the folding mirror.
+
+    initial_separation is D at rest; the mirror moves `travel` micrometers
+    at `speed` um/s, pauses `dwell` seconds, and returns at the same speed.
+    D must stay positive through the sweep.
+    """
+
+    initial_separation: float
+    speed: float
+    travel: float
+    dwell: float = 0.0
+    frame_rate: float = 30.0
+
+    def __post_init__(self):
+        for name in ("initial_separation", "speed", "travel", "frame_rate"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be positive, got {v!r}")
+        if self.dwell < 0:
+            raise ValueError(f"dwell must be >= 0, got {self.dwell!r}")
+        if self.initial_separation - 2 * self.travel <= 0:
+            raise ValueError(
+                f"travel {self.travel} um drives the separation to "
+                f"{self.initial_separation - 2 * self.travel} um; it must stay positive"
+            )
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Uniformly sampled sweep: time, mirror position, separation and
+    path difference per frame (seconds / micrometers)."""
+
+    times: np.ndarray
+    mirror_positions: np.ndarray
+    separations: np.ndarray
+    path_differences: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.times)
+        for name in ("mirror_positions", "separations", "path_differences"):
+            if len(getattr(self, name)) != n:
+                raise ValueError(f"{name} length does not match times ({n})")
+        if n > 1:
+            dt = np.diff(self.times)
+            if np.any(dt <= 0):
+                raise ValueError("times must be strictly increasing")
+            if not np.allclose(dt, dt[0], rtol=1e-6, atol=1e-12):
+                raise ValueError("times must be uniformly spaced")
+        if np.any(self.separations <= 0):
+            raise ValueError("all separations must be positive")
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def with_path_difference(self, path_difference) -> "Trajectory":
+        """Copy of the trajectory with path differences replaced.
+
+        Accepts a scalar, an array of per-frame values, or a callable of
+        time returning the path difference in micrometers.
+        """
+        if callable(path_difference):
+            pd = np.asarray([float(path_difference(t)) for t in self.times])
+        else:
+            pd = np.broadcast_to(np.asarray(path_difference, dtype=float),
+                                 self.times.shape).copy()
+        return replace(self, path_differences=pd)
+
+
+def mirror_to_separation(mirror_displacement: float,
+                         initial_separation: float) -> float:
+    """Separation after moving the mirror: D0 - 2*m (retroreflection doubles
+    the lateral shift).  Raises if the result is not positive."""
+    d = initial_separation - 2.0 * mirror_displacement
+    if d <= 0:
+        raise ValueError(
+            f"mirror displacement {mirror_displacement} um gives separation "
+            f"{d} um; must stay positive"
+        )
+    return d
+
+
+def bs_translation_path_difference(perpendicular_deviation: float) -> float:
+    """Path-length difference caused by a perpendicular deviation of the
+    translated beam-splitter pair: exactly twice the deviation."""
+    return 2.0 * perpendicular_deviation
+
+
+def build_trajectory(drive: MirrorDrive) -> Trajectory:
+    """Sample the out / dwell / back sweep at the drive's frame rate.
+
+    Samples sit at k/frame_rate with both endpoints included; the mirror
+    motion does not alter the path difference, so it is zero throughout.
+    """
+    t_out = drive.travel / drive.speed
+    total = 2 * t_out + drive.dwell
+    n = int(math.floor(total * drive.frame_rate + 1e-9)) + 1
+    t = np.arange(n) / drive.frame_rate
+    m = np.where(
+        t <= t_out,
+        drive.speed * t,
+        np.where(t <= t_out + drive.dwell,
+                 drive.travel,
+                 drive.travel - drive.speed * (t - t_out - drive.dwell)),
+    )
+    m = np.maximum(m, 0.0)
+    sep = drive.initial_separation - 2.0 * m
+    return Trajectory(t, m, sep, np.zeros(n))
+
+
+def static_sweep(separations, frame_rate: float = 30.0,
+                 initial_separation: float | None = None) -> Trajectory:
+    """Trajectory visiting a fixed list of separations, one per frame.
+
+    Useful for calibration sweeps that hit exact separation values rather
+    than whatever a constant-velocity drive passes through.
+    """
+    sep = np.asarray(separations, dtype=float)
+    if sep.ndim != 1 or sep.size == 0:
+        raise ValueError("separations must be a non-empty 1-D sequence")
+    d0 = float(initial_separation) if initial_separation is not None else float(sep[0])
+    t = np.arange(sep.size) / frame_rate
+    m = (d0 - sep) / 2.0
+    return Trajectory(t, m, sep, np.zeros(sep.size))
+
+
+@dataclass(frozen=True)
+class CameraModel:
+    """Pixel scale (focal-plane um per pixel, objective magnification folded
+    in), sensor size, bit depth, additive Gaussian read noise in counts,
+    gain in counts per intensity unit, and the noise seed."""
+
+    pixel_scale: float = 0.0853
+    sensor: tuple[int, int] = (640, 120)
+    bit_depth: int = 8
+    read_noise: float = 0.0
+    exposure_gain: float = 1.0
+    seed: int = 0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.pixel_scale) and self.pixel_scale > 0):
+            raise ValueError(f"pixel_scale must be positive, got {self.pixel_scale!r}")
+        if self.bit_depth not in (8, 16):
+            raise ValueError(f"bit_depth must be 8 or 16, got {self.bit_depth!r}")
+        if self.read_noise < 0:
+            raise ValueError(f"read_noise must be >= 0, got {self.read_noise!r}")
+        if self.exposure_gain <= 0:
+            raise ValueError(f"exposure_gain must be positive, got {self.exposure_gain!r}")
+        nx, ny = self.sensor
+        if nx < 2 or ny < 1:
+            raise ValueError(f"sensor must be at least 2 x 1 pixels, got {self.sensor!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+
+    @property
+    def full_scale(self) -> int:
+        return (1 << self.bit_depth) - 1
+
+    @property
+    def dtype(self):
+        return np.uint8 if self.bit_depth == 8 else np.uint16
+
+    def pixel_x(self) -> np.ndarray:
+        nx = self.sensor[0]
+        return (np.arange(nx) - (nx - 1) / 2) * self.pixel_scale
+
+    def pixel_y(self) -> np.ndarray:
+        ny = self.sensor[1]
+        return (np.arange(ny) - (ny - 1) / 2) * self.pixel_scale
+
+
+def _bilinear(values: np.ndarray, gx: np.ndarray, gy: np.ndarray,
+              px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    fx = (px - gx[0]) / (gx[1] - gx[0])
+    fy = (py - gy[0]) / (gy[1] - gy[0])
+    ix = np.clip(fx.astype(int), 0, gx.size - 2)
+    iy = np.clip(fy.astype(int), 0, gy.size - 2)
+    tx = fx - ix
+    ty = fy - iy
+    return (values[np.ix_(iy, ix)] * np.outer(1 - ty, 1 - tx)
+            + values[np.ix_(iy, ix + 1)] * np.outer(1 - ty, tx)
+            + values[np.ix_(iy + 1, ix)] * np.outer(ty, 1 - tx)
+            + values[np.ix_(iy + 1, ix + 1)] * np.outer(ty, tx))
+
+
+def render_frame(frame: IntensityFrame, cam: CameraModel,
+                 frame_index: int = 0) -> np.ndarray:
+    """Digitize one intensity frame.
+
+    Parameters
+    ----------
+    frame : IntensityFrame
+        Simulated focal-plane intensity; the camera field of view must lie
+        inside its grid (the frame is resampled by bilinear interpolation).
+    cam : CameraModel
+    frame_index : int
+        Keys the per-frame noise stream together with cam.seed.
+
+    Returns
+    -------
+    ndarray of uint8 or uint16, shape (ny_px, nx_px)
+        clamp(round(gain * I + N(0, read_noise))) to the bit depth.  With
+        read_noise 0 and a gain mapping the intensity maximum to full
+        scale, the image is exact up to quantization.
+    """
+    gx = frame.grid.x_coords()
+    gy = frame.grid.y_coords()
+    px = cam.pixel_x()
+    py = cam.pixel_y()
+    slack_x = 1e-9 * frame.grid.width
+    slack_y = 1e-9 * frame.grid.height
+    if px[0] < gx[0] - slack_x or px[-1] > gx[-1] + slack_x \
+            or py[0] < gy[0] - slack_y or py[-1] > gy[-1] + slack_y:
+        raise ValueError(
+            f"camera field of view ({px[-1] - px[0]:.4g} x {py[-1] - py[0]:.4g} um) "
+            f"exceeds the simulated grid ({frame.grid.width:.4g} x "
+            f"{frame.grid.height:.4g} um)"
+        )
+    counts = cam.exposure_gain * _bilinear(frame.values, gx, gy, px, py)
+    if cam.read_noise > 0:
+        rng = np.random.default_rng([cam.seed, frame_index])
+        counts = counts + rng.normal(0.0, cam.read_noise, counts.shape)
+    return np.clip(np.rint(counts), 0, cam.full_scale).astype(cam.dtype)
+
+
+@dataclass(frozen=True)
+class FrameRecord:
+    """One manifest row: file name plus the ground truth of the frame."""
+
+    frame: str
+    time_s: float
+    mirror_um: float
+    separation_um: float
+    analytic_spacing_um: float
+    path_difference_um: float
+
+
+def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
+                    cam: CameraModel, grid: GridSpec | None = None,
+                    workers: int = 1) -> tuple[list[np.ndarray], list[FrameRecord]]:
+    """Render one digital frame per trajectory sample.
+
+    Each sample substitutes its separation and path difference into
+    base_cfg.  Returns the frames and the matching manifest records; with
+    workers > 1 the frames are rendered in a thread pool, with output
+    guaranteed identical to the serial render.
+    """
+    grid = grid or default_grid(base_cfg)
+
+    def one(i: int) -> tuple[np.ndarray, FrameRecord]:
+        cfg = replace(
+            base_cfg,
+            optics=replace(base_cfg.optics, separation=float(trajectory.separations[i])),
+            path_difference=float(trajectory.path_differences[i]),
+        )
+        image = render_frame(interference_intensity(cfg, grid), cam, frame_index=i)
+        rec = FrameRecord(
+            frame=f"frame_{i:04d}.pgm",
+            time_s=float(trajectory.times[i]),
+            mirror_um=float(trajectory.mirror_positions[i]),
+            separation_um=float(trajectory.separations[i]),
+            analytic_spacing_um=spacing_fourier(cfg.optics),
+            path_difference_um=float(trajectory.path_differences[i]),
+        )
+        return image, rec
+
+    results: list[tuple[np.ndarray, FrameRecord]] = []
+    indices = range(len(trajectory))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(one, i) for i in indices]
+            for i, fut in enumerate(futures):
+                try:
+                    results.append(fut.result())
+                except ValueError as err:
+                    raise ValueError(f"rendering failed at sample {i}: {err}") from err
+    else:
+        for i in indices:
+            try:
+                results.append(one(i))
+            except ValueError as err:
+                raise ValueError(f"rendering failed at sample {i}: {err}") from err
+    frames = [r[0] for r in results]
+    records = [r[1] for r in results]
+    return frames, records
+
+
+def spacetime_composite(frames) -> np.ndarray:
+    """Stack the central row of each frame into a position-vs-time image.
+
+    Row k of the result is the central sensor row of frame k, so a still
+    lattice yields identical rows and a sweep shows the fringes fanning
+    out and back.
+    """
+    if len(frames) < 2:
+        raise ValueError("composite needs at least 2 frames")
+    widths = {f.shape[1] for f in frames}
+    if len(widths) != 1:
+        raise ValueError(f"frames have mismatched widths: {sorted(widths)}")
+    rows = [f[f.shape[0] // 2] for f in frames]
+    return np.stack(rows)
