@@ -31,6 +31,7 @@ from .fields import (
     focal_field,
     fold_to_period,
     fringe_contrast,
+    intensity_at,
     interference_intensity,
     lattice_fields,
     shifted_field,
@@ -66,4 +67,4 @@ from .analysis import (
     track_center_fringe,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

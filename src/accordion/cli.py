@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, geometry, instrument, runfiles
-from .fields import BeamSpec, GridSpec, LatticeConfig, default_grid
+from .fields import BeamSpec, LatticeConfig
 
 # Bundled experiment presets: static single shots / separation ladders at
 # f = 30 mm, and the two timed sweeps at f = 80 mm (out 1 s or 2 s, dwell
@@ -40,8 +40,7 @@ SWEEP_DEFAULTS: dict[str, object] = dict(
     travel=20000.0, dwell=0.5, frame_rate=30.0, separations=None,
     waist=36.0, waist2=None, amplitude=1.0, amplitude2=1.0,
     path_difference=0.0, pixel_scale=0.0853, sensor="640x120", bit_depth=8,
-    read_noise=0.0, gain="auto", seed=0, grid_nx=1024, grid_ny=256,
-    grid_width=None, grid_height=None, workers=1,
+    read_noise=0.0, gain="auto", seed=0, workers=1,
 )
 
 
@@ -161,15 +160,7 @@ def _build_run(params: dict):
         exposure_gain=gain_value,
         seed=int(params["seed"]),
     )
-
-    grid = default_grid(base_cfg, nx=int(params["grid_nx"]), ny=int(params["grid_ny"]))
-    if params["grid_width"] is not None or params["grid_height"] is not None:
-        grid = GridSpec(
-            width=float(params["grid_width"] or grid.width),
-            height=float(params["grid_height"] or grid.height),
-            nx=grid.nx, ny=grid.ny,
-        )
-    return trajectory, base_cfg, cam, grid
+    return trajectory, base_cfg, cam
 
 
 def _echo_config(params: dict, preset: str | None) -> dict:
@@ -181,9 +172,9 @@ def _echo_config(params: dict, preset: str | None) -> dict:
 
 def cmd_sweep(args) -> int:
     params = _resolve_sweep_params(args)
-    trajectory, base_cfg, cam, grid = _build_run(params)
+    trajectory, base_cfg, cam = _build_run(params)
     frames, records = instrument.render_sequence(
-        trajectory, base_cfg, cam, grid, workers=int(params["workers"]))
+        trajectory, base_cfg, cam, workers=int(params["workers"]))
     composite = instrument.spacetime_composite(frames) if len(frames) >= 2 else None
 
     out_root = Path(os.environ.get("ACCORDION_OUT_DIR", "runs"))
@@ -277,8 +268,10 @@ def cmd_analyze(args) -> int:
               + (f"; unwrap flagged at frames {list(trace.flagged)}" if trace.flagged else ""))
 
     if args.calibrate:
-        wavelength = float(config.get("wavelength", 0) or args.wavelength or 0)
-        focal = float(config.get("focal", 0) or args.focal or 0)
+        # an explicit flag wins over config.txt, as in sweep
+        wavelength = (args.wavelength if args.wavelength is not None
+                      else float(config.get("wavelength") or 0))
+        focal = args.focal if args.focal is not None else float(config.get("focal") or 0)
         if wavelength <= 0 or focal <= 0:
             return _fail_usage("--calibrate needs wavelength and focal length "
                                "(from config.txt or --wavelength/--focal)")
@@ -364,10 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--read-noise", dest="read_noise", type=float, default=None)
     sw.add_argument("--gain", default=None, help="counts per intensity unit, or 'auto'")
     sw.add_argument("--seed", type=int, default=None)
-    sw.add_argument("--grid-nx", dest="grid_nx", type=int, default=None)
-    sw.add_argument("--grid-ny", dest="grid_ny", type=int, default=None)
-    sw.add_argument("--grid-width", dest="grid_width", type=float, default=None)
-    sw.add_argument("--grid-height", dest="grid_height", type=float, default=None)
     sw.add_argument("--workers", type=int, default=None)
     sw.add_argument("--out", default=None, help="output directory")
     sw.set_defaults(func=cmd_sweep)

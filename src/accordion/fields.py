@@ -153,14 +153,14 @@ def _warn_if_uncovered(beam: BeamSpec, grid: GridSpec):
             UserWarning, stacklevel=3)
 
 
-def _envelope(beam: BeamSpec, grid: GridSpec, power: float = 2.0) -> np.ndarray:
-    # separable Gaussian; power=2 gives intensity, power=1 the field modulus
-    x = grid.x_coords() - beam.center_offset[0]
-    y = grid.y_coords() - beam.center_offset[1]
+def _profiles(beam: BeamSpec, x: np.ndarray, y: np.ndarray,
+              power: float) -> tuple[np.ndarray, np.ndarray]:
+    # x and y factors of the separable Gaussian; power=2 gives intensity,
+    # power=1 the field modulus
+    u = x - beam.center_offset[0]
+    v = y - beam.center_offset[1]
     w2 = beam.focal_waist**2
-    gx = np.exp(-power * x * x / w2)
-    gy = np.exp(-power * y * y / w2)
-    return np.outer(gy, gx)
+    return np.exp(-power * u * u / w2), np.exp(-power * v * v / w2)
 
 
 def focal_envelope(beam: BeamSpec, grid: GridSpec) -> IntensityFrame:
@@ -170,14 +170,15 @@ def focal_envelope(beam: BeamSpec, grid: GridSpec) -> IntensityFrame:
     since downstream fits assume the envelope is substantially sampled.
     """
     _warn_if_uncovered(beam, grid)
-    return IntensityFrame(grid, beam.amplitude**2 * _envelope(beam, grid, 2.0))
+    gx, gy = _profiles(beam, grid.x_coords(), grid.y_coords(), 2.0)
+    return IntensityFrame(grid, beam.amplitude**2 * np.outer(gy, gx))
 
 
 def focal_field(beam: BeamSpec, grid: GridSpec) -> FieldGrid:
     """Single-beam complex field amplitude * exp(-r^2 / w^2), zero phase."""
     _warn_if_uncovered(beam, grid)
-    vals = beam.amplitude * _envelope(beam, grid, 1.0)
-    return FieldGrid(grid, vals.astype(complex))
+    gx, gy = _profiles(beam, grid.x_coords(), grid.y_coords(), 1.0)
+    return FieldGrid(grid, (beam.amplitude * np.outer(gy, gx)).astype(complex))
 
 
 def shifted_field(envelope_field: FieldGrid, shift_sign: int,
@@ -218,50 +219,49 @@ def fields_intensity(*fields: FieldGrid) -> IntensityFrame:
     return IntensityFrame(grid, np.abs(total) ** 2)
 
 
-def interference_intensity(cfg: LatticeConfig,
-                           grid: GridSpec | None = None) -> IntensityFrame:
-    """Two-beam fringe pattern on the grid, computed in closed form.
+def intensity_at(cfg: LatticeConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Two-beam fringe pattern at the points (x, y), in closed form.
 
-    Parameters
-    ----------
-    cfg : LatticeConfig
-        Optics, the two beams, and their path-length difference.
-    grid : GridSpec, optional
-        Sampling grid; defaults to default_grid(cfg).
-
-    Returns
-    -------
-    IntensityFrame
-        A1^2 G1 + A2^2 G2 + 2 A1 A2 sqrt(G1 G2) cos(2 pi D x/(lam f)
-        + 2 pi dL/lam).  For identical beams and zero path difference this
-        reduces exactly to 2 (cos(2 pi D x/(lam f)) + 1) I0.
-
-    Raises
-    ------
-    ValueError
-        If the grid resolves the fringe with fewer than 4 samples per
-        period; an undersampled lattice would alias silently otherwise.
+    x and y are uniformly spaced coordinates in micrometers, at least two
+    in x.  Returns the module's formula with shape (len(y), len(x)); every
+    term factors into an x and a y profile, so it is a sum of three outer
+    products.  For identical beams and zero path difference it reduces
+    exactly to 2 (cos(2 pi D x/(lam f)) + 1) I0.  Raises ValueError if the
+    x spacing resolves the fringe with fewer than 4 samples per period; an
+    undersampled lattice would alias silently otherwise.
     """
-    grid = grid or default_grid(cfg)
     d = spacing_fourier(cfg.optics)
-    if d / grid.dx < MIN_SAMPLES_PER_FRINGE:
+    dx = abs(float(x[1] - x[0]))
+    if d / dx < MIN_SAMPLES_PER_FRINGE:
         raise ValueError(
-            f"grid resolves only {d / grid.dx:.2f} samples per fringe "
-            f"(period {d:.4g} um, dx {grid.dx:.4g} um); need at least "
+            f"sampling resolves only {d / dx:.2f} samples per fringe "
+            f"(period {d:.4g} um, dx {dx:.4g} um); need at least "
             f"{MIN_SAMPLES_PER_FRINGE}"
         )
     a1, a2 = cfg.beam_plus.amplitude, cfg.beam_minus.amplitude
-    g1 = _envelope(cfg.beam_plus, grid, 2.0)
-    g2 = _envelope(cfg.beam_minus, grid, 2.0)
-    x = grid.x_coords()
+    # field-modulus profiles: the intensities are their squares, and
+    # sqrt(G1 G2) is the product of the two fields
+    f1x, f1y = _profiles(cfg.beam_plus, x, y, 1.0)
+    f2x, f2y = _profiles(cfg.beam_minus, x, y, 1.0)
     phase = (2 * math.pi * cfg.optics.separation
              / (cfg.optics.wavelength * cfg.optics.focal_length) * x
              + 2 * math.pi * cfg.path_difference / cfg.optics.wavelength)
-    cross = 2 * a1 * a2 * np.sqrt(g1 * g2) * np.cos(phase)[None, :]
-    vals = a1 * a1 * g1 + a2 * a2 * g2 + cross
+    vals = np.multiply.outer((a1 * f1y) ** 2, f1x * f1x)
+    term = np.multiply.outer((a2 * f2y) ** 2, f2x * f2x)
+    vals += term
+    np.multiply.outer(f1y * f2y, 2 * a1 * a2 * f1x * f2x * np.cos(phase), out=term)
+    vals += term
     # the closed form is >= 0 analytically; clamp rounding dust
     np.maximum(vals, 0.0, out=vals)
-    return IntensityFrame(grid, vals)
+    return vals
+
+
+def interference_intensity(cfg: LatticeConfig,
+                           grid: GridSpec | None = None) -> IntensityFrame:
+    """Two-beam fringe pattern on the grid (default_grid(cfg) if omitted);
+    see intensity_at for the formula and the sampling check."""
+    grid = grid or default_grid(cfg)
+    return IntensityFrame(grid, intensity_at(cfg, grid.x_coords(), grid.y_coords()))
 
 
 def center_fringe_shift(cfg: LatticeConfig) -> float:

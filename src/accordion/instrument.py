@@ -7,10 +7,12 @@ the center fringe still during a sweep.  The rival scheme of translating
 the beam-splitter pair is modeled only through its path-length penalty:
 a perpendicular deviation delta costs 2*delta of path difference.
 
-Rendering maps a simulated IntensityFrame onto a pixel grid by bilinear
-interpolation, applies gain, optional Gaussian read noise and quantization.
-The noise stream is keyed by (seed, frame_index) so that frames rendered
-in parallel, serially, or in any order are bit-identical.
+A sweep is rendered by evaluating the closed-form lattice at the pixel
+centres.  render_frame digitizes an arbitrary sampled IntensityFrame
+instead, resampling it onto the pixels by bilinear interpolation.  Both
+then apply gain, optional Gaussian read noise and quantization in one
+shared digitizer.  The noise stream is keyed by (seed, frame_index) so that
+frames rendered in parallel, serially, or in any order are bit-identical.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import GridSpec, IntensityFrame, LatticeConfig, default_grid, interference_intensity
+from .fields import IntensityFrame, LatticeConfig, intensity_at
 from .geometry import spacing_fourier
 
 
@@ -211,6 +213,17 @@ def _bilinear(values: np.ndarray, gx: np.ndarray, gy: np.ndarray,
             + values[np.ix_(iy + 1, ix + 1)] * np.outer(ty, tx))
 
 
+def _digitize(counts: np.ndarray, cam: CameraModel, frame_index: int) -> np.ndarray:
+    # works in place on `counts`: every caller passes a fresh intensity array
+    counts *= cam.exposure_gain
+    if cam.read_noise > 0:
+        rng = np.random.default_rng([cam.seed, frame_index])
+        counts += rng.normal(0.0, cam.read_noise, counts.shape)
+    np.rint(counts, out=counts)
+    np.clip(counts, 0, cam.full_scale, out=counts)
+    return counts.astype(cam.dtype)
+
+
 def render_frame(frame: IntensityFrame, cam: CameraModel,
                  frame_index: int = 0) -> np.ndarray:
     """Digitize one intensity frame.
@@ -244,11 +257,7 @@ def render_frame(frame: IntensityFrame, cam: CameraModel,
             f"exceeds the simulated grid ({frame.grid.width:.4g} x "
             f"{frame.grid.height:.4g} um)"
         )
-    counts = cam.exposure_gain * _bilinear(frame.values, gx, gy, px, py)
-    if cam.read_noise > 0:
-        rng = np.random.default_rng([cam.seed, frame_index])
-        counts = counts + rng.normal(0.0, cam.read_noise, counts.shape)
-    return np.clip(np.rint(counts), 0, cam.full_scale).astype(cam.dtype)
+    return _digitize(_bilinear(frame.values, gx, gy, px, py), cam, frame_index)
 
 
 @dataclass(frozen=True)
@@ -264,24 +273,29 @@ class FrameRecord:
 
 
 def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
-                    cam: CameraModel, grid: GridSpec | None = None,
-                    workers: int = 1) -> tuple[list[np.ndarray], list[FrameRecord]]:
+                    cam: CameraModel, workers: int = 1
+                    ) -> tuple[list[np.ndarray], list[FrameRecord]]:
     """Render one digital frame per trajectory sample.
 
     Each sample substitutes its separation and path difference into
-    base_cfg.  Returns the frames and the matching manifest records; with
-    workers > 1 the frames are rendered in a thread pool, with output
-    guaranteed identical to the serial render.
+    base_cfg; the lattice is evaluated in closed form at the pixel centres
+    and digitized like render_frame does.  Returns the frames and the
+    matching manifest records; with workers > 1 the frames are rendered in
+    a thread pool, with output guaranteed identical to the serial render.
     """
-    grid = grid or default_grid(base_cfg)
+    px = cam.pixel_x()
+    py = cam.pixel_y()
 
     def one(i: int) -> tuple[np.ndarray, FrameRecord]:
-        cfg = replace(
-            base_cfg,
-            optics=replace(base_cfg.optics, separation=float(trajectory.separations[i])),
-            path_difference=float(trajectory.path_differences[i]),
-        )
-        image = render_frame(interference_intensity(cfg, grid), cam, frame_index=i)
+        try:
+            cfg = replace(
+                base_cfg,
+                optics=replace(base_cfg.optics, separation=float(trajectory.separations[i])),
+                path_difference=float(trajectory.path_differences[i]),
+            )
+            image = _digitize(intensity_at(cfg, px, py), cam, i)
+        except ValueError as err:
+            raise ValueError(f"rendering failed at sample {i}: {err}") from err
         rec = FrameRecord(
             frame=f"frame_{i:04d}.pgm",
             time_s=float(trajectory.times[i]),
@@ -292,25 +306,13 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
         )
         return image, rec
 
-    results: list[tuple[np.ndarray, FrameRecord]] = []
     indices = range(len(trajectory))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(one, i) for i in indices]
-            for i, fut in enumerate(futures):
-                try:
-                    results.append(fut.result())
-                except ValueError as err:
-                    raise ValueError(f"rendering failed at sample {i}: {err}") from err
+            results = list(pool.map(one, indices))
     else:
-        for i in indices:
-            try:
-                results.append(one(i))
-            except ValueError as err:
-                raise ValueError(f"rendering failed at sample {i}: {err}") from err
-    frames = [r[0] for r in results]
-    records = [r[1] for r in results]
-    return frames, records
+        results = [one(i) for i in indices]
+    return [r[0] for r in results], [r[1] for r in results]
 
 
 def spacetime_composite(frames) -> np.ndarray:

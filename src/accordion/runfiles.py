@@ -14,11 +14,17 @@ byte-identical.
 from __future__ import annotations
 
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
 
 from .instrument import FrameRecord
+
+# width, height and maxval, separated by whitespace and '#' comment lines,
+# then the single whitespace byte that precedes the samples
+_SEP = rb"(?:\s|#[^\n]*\n)+"
+_PGM_HEADER = re.compile(rb"P5%s(\d+)%s(\d+)%s(\d+)\s" % (_SEP, _SEP, _SEP))
 
 MANIFEST_FIELDS = ("frame", "time_s", "mirror_um", "separation_um",
                    "analytic_spacing_um", "path_difference_um")
@@ -42,31 +48,31 @@ def write_pgm(path, pixels: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary P5 graymap into uint8 (maxval <= 255) or uint16."""
+    """Read a binary P5 graymap into uint8 (maxval <= 255) or uint16.
+
+    Raises ValueError naming the path when the header lacks width, height
+    or maxval, maxval is outside 1..65535, the payload is short, or a
+    sample exceeds maxval.
+    """
     data = Path(path).read_bytes()
-    if not data.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary P5 graymap")
-    # header tokens may be separated by whitespace and '#' comment lines
-    tokens: list[int] = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        tokens.append(int(data[start:pos]))
-    pos += 1  # single whitespace byte after maxval
-    w, h, maxval = tokens
-    if maxval <= 255:
-        img = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos)
-    else:
-        img = np.frombuffer(data, dtype=">u2", count=w * h, offset=pos).astype(np.uint16)
-    return img.reshape(h, w)
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ValueError(f"{path}: not a binary P5 graymap with three integers "
+                         f"(width, height, maxval) in its header")
+    w, h, maxval = map(int, header.groups())
+    pos = header.end()
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"{path}: maxval {maxval} outside 1..65535")
+    dtype = np.dtype(np.uint8) if maxval <= 255 else np.dtype(">u2")
+    need = w * h * dtype.itemsize
+    if len(data) - pos < need:
+        raise ValueError(f"{path}: payload holds {len(data) - pos} bytes, "
+                         f"{w}x{h} samples need {need}")
+    img = np.frombuffer(data, dtype=dtype, count=w * h, offset=pos)
+    if maxval not in (255, 65535) and img.size and img.max() > maxval:
+        raise ValueError(f"{path}: sample {img.max()} exceeds maxval {maxval}")
+    # big-endian 16-bit samples become native uint16; 8-bit ones stay a view
+    return img.astype(dtype.newbyteorder("="), copy=False).reshape(h, w)
 
 
 def write_manifest(path, records) -> None:

@@ -128,6 +128,15 @@ class TestSweepCommand:
         cfg.write_text("focal=30000\nnonsense=1\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
 
+    def test_grid_options_are_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("focal=30000\nseparations=19250\ngrid_nx=2048\n")
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "grid_nx" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--preset", "fig4a", "--grid-nx", "2048"])
+        assert exc.value.code == 2
+
     def test_env_var_sets_default_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ACCORDION_OUT_DIR", str(tmp_path / "elsewhere"))
         assert main(["sweep", "--preset", "fig4a"]) == 0
@@ -169,6 +178,21 @@ class TestAnalyzeCommand:
         first = (ladder_run / "calibration.csv").read_text().splitlines()[1]
         scale = float(first.split(",")[0])
         assert scale == pytest.approx(0.0853, abs=5e-4)
+
+    def test_calibrate_flag_beats_config(self, ladder_run, tmp_path):
+        scales = {}
+        for name, flags in (("config", []), ("flag", ["--focal", "60000"])):
+            assert main(["analyze", str(ladder_run), "--calibrate",
+                         "--out", str(tmp_path / name), *flags]) == 0
+            row = (tmp_path / name / "calibration.csv").read_text().splitlines()[1]
+            scales[name] = float(row.split(",")[0])
+        # config.txt says f = 30 mm; the fitted scale is proportional to f
+        assert scales["flag"] == pytest.approx(2 * scales["config"], rel=1e-12)
+
+    def test_malformed_pgm_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "short.pgm").write_bytes(b"P5\n3 2\n255\n" + bytes(5))
+        assert main(["analyze", str(tmp_path / "short.pgm")]) == 2
+        assert "short.pgm" in capsys.readouterr().err
 
     def test_single_image(self, ladder_run, capsys):
         assert main(["analyze", str(ladder_run / "frame_0000.pgm"),

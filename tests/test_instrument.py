@@ -10,6 +10,7 @@ from accordion import (
     build_trajectory,
     center_fringe_shift,
     interference_intensity,
+    measure_contrast,
     mirror_to_separation,
     render_frame,
     render_sequence,
@@ -18,7 +19,7 @@ from accordion import (
     static_sweep,
 )
 from accordion.runfiles import read_manifest, read_pgm, write_manifest, write_pgm
-from conftest import make_camera, make_config, render_simple
+from conftest import PIXEL_SCALE, make_camera, make_config, render_simple
 
 FIG6B_DRIVE = MirrorDrive(initial_separation=43810.0, speed=20000.0,
                           travel=20000.0, dwell=0.5, frame_rate=30.0)
@@ -184,7 +185,11 @@ class TestRenderSequence:
         traj = static_sweep([20000.0])
         frames, records = render_sequence(traj, cfg, cam)
         assert len(frames) == 1
-        direct = render_frame(interference_intensity(cfg), cam, frame_index=0)
+        # a grid whose nodes are the pixel centres: the resampling is exact
+        nx, ny = cam.sensor
+        ps = cam.pixel_scale
+        grid = GridSpec((nx - 1) * ps, (ny - 1) * ps, nx, ny)
+        direct = render_frame(interference_intensity(cfg, grid), cam, frame_index=0)
         assert np.array_equal(frames[0], direct)
         assert records[0].frame == "frame_0000.pgm"
         assert records[0].analytic_spacing_um == pytest.approx(
@@ -197,6 +202,15 @@ class TestRenderSequence:
         serial, _ = render_sequence(traj, cfg, cam, workers=1)
         parallel, _ = render_sequence(traj, cfg, cam, workers=4)
         assert all(np.array_equal(s, p) for s, p in zip(serial, parallel))
+
+    def test_fine_fringes_keep_full_contrast(self):
+        # fig4b optics: 9.7 px fringes at D = 19.25 mm, equal beams
+        cfg = make_config(focal=30000.0, separation=19250.0)
+        frames, records = render_sequence(static_sweep([19250.0, 5000.0]), cfg,
+                                          make_camera())
+        for image, rec in zip(frames, records):
+            d_px = rec.analytic_spacing_um / PIXEL_SCALE
+            assert measure_contrast(image, d_px) >= 0.99
 
     def test_half_wave_shift_moves_fringes_half_period(self):
         from accordion import extract_fringe_phase
@@ -212,8 +226,8 @@ class TestRenderSequence:
 
     def test_failure_reports_sample_index(self):
         cfg = make_config()
-        # second separation gives d = 0.4 um: undersampled on the default grid
-        traj = static_sweep([43810.0, 106400.0])
+        # second separation gives d = 0.28 um, 3.3 px: undersampled
+        traj = static_sweep([43810.0, 150000.0])
         with pytest.raises(ValueError, match="sample 1"):
             render_sequence(traj, cfg, make_camera())
 
@@ -266,6 +280,24 @@ class TestRunFiles:
         raw = (tmp_path / "t.pgm").read_bytes()
         assert raw.startswith(b"P5\n3 2\n255\n")
         assert len(raw) == len(b"P5\n3 2\n255\n") + 6
+
+    @pytest.mark.parametrize("raw, problem", [
+        (b"P5\n3 2\n", "three integers"),
+        (b"P5\n3 x 255\n" + bytes(6), "three integers"),
+        (b"P5\n3 2\n0\n" + bytes(6), "outside 1..65535"),
+        (b"P5\n3 2\n70000\n" + bytes(12), "outside 1..65535"),
+        (b"P5\n3 2\n255\n" + bytes(5), "payload"),
+        (b"P5\n3 2\n1000\n" + bytes(11), "payload"),
+        (b"P5\n3 2\n100\n" + bytes([0, 1, 2, 3, 4, 101]), "exceeds maxval"),
+        (b"P5\n3 2\n1000\n" + bytes(10) + b"\x03\xe9", "exceeds maxval"),
+    ], ids=["two-tokens", "non-integer", "maxval-0", "maxval-70000", "short-8bit",
+            "short-16bit", "sample-over-maxval-8bit", "sample-over-maxval-16bit"])
+    def test_malformed_pgm_rejected_with_path(self, tmp_path, raw, problem):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=problem) as err:
+            read_pgm(path)
+        assert str(path) in str(err.value)
 
     def test_manifest_round_trip(self, tmp_path):
         cfg = make_config()
