@@ -89,12 +89,12 @@ def fringe_profile(image, window_rows: int | None = None) -> np.ndarray:
     window_rows defaults to a quarter of the image height, trading noise
     against envelope curvature.
     """
-    img = np.atleast_2d(np.asarray(image, dtype=float))
+    img = np.atleast_2d(np.asarray(image))
     ny = img.shape[0]
     rows = window_rows if window_rows is not None else max(1, ny // 4)
     rows = int(min(max(rows, 1), ny))
     start = ny // 2 - rows // 2
-    return img[start:start + rows].mean(axis=0)
+    return img[start:start + rows].astype(float).mean(axis=0)
 
 
 def _windowed(profile: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

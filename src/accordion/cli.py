@@ -99,6 +99,9 @@ def _resolve_sweep_params(args) -> dict:
                 continue
             default = SWEEP_DEFAULTS[key]
             if raw == "None" or raw == "":
+                # as sweep echoes them: only keys unset by default may be empty
+                if default is not None:
+                    raise ValueError(f"config key {key!r} needs a value")
                 resolved[key] = None
             elif key in ("sensor", "gain", "separations"):
                 resolved[key] = raw

@@ -230,6 +230,30 @@ def intensity_at(cfg: LatticeConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray
     x spacing resolves the fringe with fewer than 4 samples per period; an
     undersampled lattice would alias silently otherwise.
     """
+    return fringes_at(cfg, x, beam_envelopes(cfg, x, y))
+
+
+def beam_envelopes(cfg: LatticeConfig, x: np.ndarray, y: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Envelope sum A1^2 G1 + A2^2 G2 at (x, y), read-only, and the y and x
+    factors f1y*f2y, 2*a1*a2*f1x*f2x of the cross-term amplitude: the part
+    of intensity_at that reads only cfg's beams, not D or dL."""
+    a1, a2 = cfg.beam_plus.amplitude, cfg.beam_minus.amplitude
+    # field-modulus profiles: the intensities are their squares, and
+    # sqrt(G1 G2) is the product of the two fields
+    f1x, f1y = _profiles(cfg.beam_plus, x, y, 1.0)
+    f2x, f2y = _profiles(cfg.beam_minus, x, y, 1.0)
+    envelope = np.multiply.outer((a1 * f1y) ** 2, f1x * f1x)
+    envelope += np.multiply.outer((a2 * f2y) ** 2, f2x * f2x)
+    envelope.flags.writeable = False
+    return envelope, f1y * f2y, 2 * a1 * a2 * f1x * f2x
+
+
+def fringes_at(cfg: LatticeConfig, x: np.ndarray,
+               envelopes: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """intensity_at(cfg, x, y), given beam_envelopes(c, x, y) of any config c
+    with cfg's beams: adds the cos(2 pi D x/(lam f) + 2 pi dL/lam) cross
+    term to the envelope sum in one outer product, into a fresh array."""
     d = spacing_fourier(cfg.optics)
     dx = abs(float(x[1] - x[0]))
     if d / dx < MIN_SAMPLES_PER_FRINGE:
@@ -238,19 +262,12 @@ def intensity_at(cfg: LatticeConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray
             f"(period {d:.4g} um, dx {dx:.4g} um); need at least "
             f"{MIN_SAMPLES_PER_FRINGE}"
         )
-    a1, a2 = cfg.beam_plus.amplitude, cfg.beam_minus.amplitude
-    # field-modulus profiles: the intensities are their squares, and
-    # sqrt(G1 G2) is the product of the two fields
-    f1x, f1y = _profiles(cfg.beam_plus, x, y, 1.0)
-    f2x, f2y = _profiles(cfg.beam_minus, x, y, 1.0)
+    envelope, cross_y, cross_x = envelopes
     phase = (2 * math.pi * cfg.optics.separation
              / (cfg.optics.wavelength * cfg.optics.focal_length) * x
              + 2 * math.pi * cfg.path_difference / cfg.optics.wavelength)
-    vals = np.multiply.outer((a1 * f1y) ** 2, f1x * f1x)
-    term = np.multiply.outer((a2 * f2y) ** 2, f2x * f2x)
-    vals += term
-    np.multiply.outer(f1y * f2y, 2 * a1 * a2 * f1x * f2x * np.cos(phase), out=term)
-    vals += term
+    vals = np.multiply.outer(cross_y, cross_x * np.cos(phase))
+    vals += envelope
     # the closed form is >= 0 analytically; clamp rounding dust
     np.maximum(vals, 0.0, out=vals)
     return vals

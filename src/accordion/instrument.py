@@ -7,12 +7,13 @@ the center fringe still during a sweep.  The rival scheme of translating
 the beam-splitter pair is modeled only through its path-length penalty:
 a perpendicular deviation delta costs 2*delta of path difference.
 
-A sweep is rendered by evaluating the closed-form lattice at the pixel
-centres.  render_frame digitizes an arbitrary sampled IntensityFrame
-instead, resampling it onto the pixels by bilinear interpolation.  Both
-then apply gain, optional Gaussian read noise and quantization in one
-shared digitizer.  The noise stream is keyed by (seed, frame_index) so that
-frames rendered in parallel, serially, or in any order are bit-identical.
+A sweep evaluates the closed-form lattice at the pixel centres: the beam
+envelopes once per sweep, then each frame's fringes.  render_frame
+digitizes an arbitrary sampled IntensityFrame instead, resampling it onto
+the pixels by bilinear interpolation.  Both then apply gain, optional
+Gaussian read noise and quantization in one shared digitizer.  The noise
+stream is keyed by (seed, frame_index) so that frames rendered in
+parallel, serially, or in any order are bit-identical.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import IntensityFrame, LatticeConfig, intensity_at
+from .fields import IntensityFrame, LatticeConfig, beam_envelopes, fringes_at
 from .geometry import spacing_fourier
 
 
@@ -279,12 +280,14 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
 
     Each sample substitutes its separation and path difference into
     base_cfg; the lattice is evaluated in closed form at the pixel centres
-    and digitized like render_frame does.  Returns the frames and the
-    matching manifest records; with workers > 1 the frames are rendered in
-    a thread pool, with output guaranteed identical to the serial render.
+    and digitized like render_frame does, the beam envelopes once per sweep.
+    Returns the frames and the matching manifest records; with workers > 1
+    the frames are rendered in a thread pool, with output guaranteed
+    identical to the serial render.
     """
     px = cam.pixel_x()
     py = cam.pixel_y()
+    envelopes = beam_envelopes(base_cfg, px, py)
 
     def one(i: int) -> tuple[np.ndarray, FrameRecord]:
         try:
@@ -293,7 +296,7 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
                 optics=replace(base_cfg.optics, separation=float(trajectory.separations[i])),
                 path_difference=float(trajectory.path_differences[i]),
             )
-            image = _digitize(intensity_at(cfg, px, py), cam, i)
+            image = _digitize(fringes_at(cfg, px, envelopes), cam, i)
         except ValueError as err:
             raise ValueError(f"rendering failed at sample {i}: {err}") from err
         rec = FrameRecord(

@@ -12,6 +12,7 @@ from accordion import (
     extract_period,
     fit_knife_edge,
     focal_envelope,
+    fringe_profile,
     interference_intensity,
     knife_edge_waist,
     measure_contrast,
@@ -144,6 +145,17 @@ class TestMeasureContrast:
     def test_single_beam_near_zero(self):
         img = render_simple(6864.5, amp2=0.0)
         assert measure_contrast(img, self.d_px) <= 0.05
+
+
+class TestFringeProfile:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    @pytest.mark.parametrize("window_rows", [None, 1, 3, 60, 500])
+    def test_matches_mean_of_full_frame_conversion(self, rng, dtype, window_rows):
+        img = rng.integers(0, np.iinfo(dtype).max, size=(240, 1280), dtype=dtype)
+        rows = min(window_rows or 240 // 4, 240)
+        start = 120 - rows // 2
+        expected = np.asarray(img, dtype=float)[start:start + rows].mean(axis=0)
+        assert np.array_equal(fringe_profile(img, window_rows), expected)
 
 
 class TestMeasureFrame:

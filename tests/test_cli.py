@@ -137,6 +137,40 @@ class TestSweepCommand:
             main(["sweep", "--preset", "fig4a", "--grid-nx", "2048"])
         assert exc.value.code == 2
 
+    def test_empty_config_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("focal=30000\nseparations=19250\nseed=\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "'seed'" in capsys.readouterr().err
+
+    def test_echoed_config_round_trips(self, tmp_path):
+        # waist2 and initial_separation are unset, so config.txt leaves them empty
+        assert main(["sweep", "--separations", "19250,12000", "--focal", "30000",
+                     "--amplitude2", "0.8", "--read-noise", "2", "--seed", "3",
+                     "--out", str(tmp_path / "a")]) == 0
+        echoed = read_config(tmp_path / "a" / "config.txt")
+        assert echoed["waist2"] == "" and echoed["initial_separation"] == ""
+        assert main(["sweep", "--config", str(tmp_path / "a" / "config.txt"),
+                     "--out", str(tmp_path / "b")]) == 0
+        assert dir_digest(tmp_path / "a") == dir_digest(tmp_path / "b")
+
+    # SHA-256 of the frame_*.pgm bytes in name order, pinned at 0.2.0
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("args, digest", [
+        (["--preset", "fig6b", "--seed", "7"],
+         "0dceed77579ecde48bf6bb78ed12dfaed59b70913ef3cc306602f8bb0bd31cd3"),
+        (["--separations", "19250,12000,8000", "--focal", "30000", "--waist", "36",
+          "--waist2", "40", "--amplitude2", "0.8", "--sensor", "1280x240",
+          "--bit-depth", "16", "--read-noise", "40", "--path-difference", "0.1",
+          "--seed", "7"],
+         "dd1b7db1cf17739d5bc7764e7ffc8e5211b681f32016ec1fba06960546253fb6"),
+    ], ids=["fig6b", "ladder-16bit-noise"])
+    def test_frame_bytes_are_pinned(self, tmp_path, args, digest, workers):
+        out = tmp_path / "run"
+        assert main(["sweep", *args, "--workers", workers, "--out", str(out)]) == 0
+        frames = b"".join(p.read_bytes() for p in sorted(out.glob("frame_*.pgm")))
+        assert hashlib.sha256(frames).hexdigest() == digest
+
     def test_env_var_sets_default_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ACCORDION_OUT_DIR", str(tmp_path / "elsewhere"))
         assert main(["sweep", "--preset", "fig4a"]) == 0

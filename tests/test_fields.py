@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from accordion import (
     fold_to_period,
     fringe_contrast,
     interference_intensity,
+    intensity_at,
     lattice_fields,
     shifted_field,
     spacing_fourier,
 )
+from accordion.fields import beam_envelopes, fringes_at
 from conftest import make_config
 
 
@@ -150,6 +153,33 @@ class TestInterferenceIntensity:
         u_plus, u_minus = lattice_fields(cfg, grid)
         squared = fields_intensity(u_plus, u_minus).values
         assert np.allclose(closed, squared, rtol=1e-11, atol=1e-12 * closed.max())
+
+    @pytest.mark.parametrize("plus, minus, path_difference", [
+        (BeamSpec(36.0, 1.0, (6.0, -4.0)), BeamSpec(36.0, 1.0, (-5.0, 3.0)), 0.0),
+        (BeamSpec(30.0, 1.0), BeamSpec(45.0, 0.6), 0.0),
+        (BeamSpec(36.0), BeamSpec(36.0), 0.37),
+        (BeamSpec(30.0, 0.9, (4.0, 2.5)), BeamSpec(42.0, 0.5, (-3.0, -6.0)), -0.21),
+    ], ids=["off-axis", "unequal-beams", "path-difference", "all"])
+    def test_intensity_at_matches_complex_fields(self, plus, minus, path_difference):
+        cfg = LatticeConfig(OpticalParams(0.532, 80000.0, 20000.0), plus, minus,
+                            path_difference)
+        grid = GridSpec(width=200.0, height=120.0, nx=1501, ny=64)
+        closed = intensity_at(cfg, grid.x_coords(), grid.y_coords())
+        squared = fields_intensity(*lattice_fields(cfg, grid)).values
+        assert np.allclose(closed, squared, rtol=1e-11, atol=1e-12 * closed.max())
+
+    def test_envelopes_are_shared_across_separations_and_path_differences(self):
+        base = LatticeConfig(OpticalParams(0.532, 80000.0, 20000.0),
+                             BeamSpec(30.0, 0.9, (4.0, 2.5)), BeamSpec(42.0, 0.5))
+        x = np.linspace(-80.0, 80.0, 801)
+        y = np.linspace(-30.0, 30.0, 40)
+        envelopes = beam_envelopes(base, x, y)
+        assert not envelopes[0].flags.writeable
+        for separation, path_difference in ((20000.0, 0.0), (35000.0, 0.19),
+                                             (9000.0, -0.4)):
+            cfg = replace(base, optics=replace(base.optics, separation=separation),
+                          path_difference=path_difference)
+            assert np.array_equal(fringes_at(cfg, x, envelopes), intensity_at(cfg, x, y))
 
     @pytest.mark.filterwarnings("ignore:grid extent")
     def test_common_phase_invariance(self, rng):

@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from accordion import (
+    BeamSpec,
     CameraModel,
     GridSpec,
+    LatticeConfig,
     MirrorDrive,
+    OpticalParams,
     Trajectory,
     bs_translation_path_difference,
     build_trajectory,
@@ -194,6 +199,26 @@ class TestRenderSequence:
         assert records[0].frame == "frame_0000.pgm"
         assert records[0].analytic_spacing_um == pytest.approx(
             spacing_fourier(cfg.optics))
+
+    def test_each_frame_equals_render_frame_of_its_own_config(self):
+        # the beam envelopes are computed once per sweep; D and dL differ per
+        # frame and must not leak into them
+        base = LatticeConfig(OpticalParams(0.532, 80000.0, 43810.0),
+                             BeamSpec(30.0, 1.0, (5.0, -3.0)), BeamSpec(42.0, 0.7))
+        cam = make_camera(read_noise=1.5, seed=4, gain=255 / 1.7 ** 2)
+        traj = Trajectory(np.array([0.0, 0.1]), np.array([0.0, 6905.0]),
+                          np.array([43810.0, 30000.0]), np.array([0.0, 0.19]))
+        frames, _ = render_sequence(traj, base, cam)
+        nx, ny = cam.sensor
+        ps = cam.pixel_scale
+        grid = GridSpec((nx - 1) * ps, (ny - 1) * ps, nx, ny)
+        for i, image in enumerate(frames):
+            cfg = replace(base, optics=replace(base.optics,
+                                               separation=float(traj.separations[i])),
+                          path_difference=float(traj.path_differences[i]))
+            direct = render_frame(interference_intensity(cfg, grid), cam, frame_index=i)
+            assert np.array_equal(image, direct)
+        assert not np.array_equal(frames[0], frames[1])
 
     def test_parallel_matches_serial(self):
         cfg = make_config()
