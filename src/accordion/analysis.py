@@ -1,12 +1,11 @@
 """Fringe metrology on digital frames.
 
-The pipeline mirrors how the lattice images are actually measured: average
-a band of rows around the sensor center, find the fringe period from the
-windowed spectrum with sub-bin refinement, then read fringe phase and
-contrast by projecting the same profile onto quadratures at the known
-frequency.  Pixel-scale calibration and knife-edge waist fitting close the
-loop between pixel and physical units.
-"""
+Each frame gets one spectral pass: one profile averaged over a band of rows
+around the sensor center, one Hann window and one FFT.  The period comes
+from the dominant peak with sub-bin refinement; phase and contrast come from
+one projection of the windowed profile onto quadratures at that period.
+Pixel-scale calibration and knife-edge waist fitting close the loop between
+pixel and physical units."""
 
 from __future__ import annotations
 
@@ -97,25 +96,69 @@ def fringe_profile(image, window_rows: int | None = None) -> np.ndarray:
     return img[start:start + rows].astype(float).mean(axis=0)
 
 
-def _windowed(profile: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _Spectrum(NamedTuple):
+    total: float          # Hann-weighted sum of the profile
+    windowed: np.ndarray  # Hann-weighted profile minus its weighted mean
+    spec: np.ndarray      # |rfft(windowed)|
+
+
+def _spectrum(image, window_rows: int | None) -> _Spectrum:
+    """One profile, Hann window and FFT: all that period, phase and contrast read."""
+    profile = fringe_profile(image, window_rows)
     h = np.hanning(profile.size)
-    mean = (h * profile).sum() / h.sum()
-    return h, h * (profile - mean)
+    total = (h * profile).sum()
+    windowed = h * (profile - total / h.sum())
+    return _Spectrum(float(total), windowed, np.abs(np.fft.rfft(windowed)))
 
 
-def _dominant_peak(spec: np.ndarray, total: float) -> tuple[int, float, float]:
-    """Dominant non-DC bin of a magnitude spectrum, 6 dB-gated vs the median.
-
-    `total` is the windowed sum of the profile; a peak whose implied
-    modulation depth is below 1e-9 of it is rounding dust, not a fringe.
-    """
-    k = 1 + int(np.argmax(spec[1:-1]))
-    floor = float(np.median(spec[1:]))
-    peak = float(spec[k])
-    if peak <= 0 or floor <= 0 or peak < 1e-9 * abs(total) \
+def _dominant_peak(s: _Spectrum) -> tuple[int, float, float]:
+    """Dominant non-DC bin, 6 dB-gated vs the median.  A peak whose implied
+    modulation depth is below 1e-9 of the windowed sum is rounding dust."""
+    k = 1 + int(np.argmax(s.spec[1:-1]))
+    floor = float(np.median(s.spec[1:]))
+    peak = float(s.spec[k])
+    if peak <= 0 or floor <= 0 or peak < 1e-9 * abs(s.total) \
             or 20 * math.log10(peak / floor) < PEAK_GATE_DB:
         raise NoFringeError("no fringe found")
     return k, peak, floor
+
+
+def _period(s: _Spectrum) -> PeriodEstimate:
+    n, spec = s.windowed.size, s.spec
+    if spec.size < 5:
+        raise AnalysisError(f"profile of {n} samples is too short to analyze")
+    k, peak, floor = _dominant_peak(s)
+    if k < MIN_PERIODS:
+        raise AnalysisError(f"dominant peak at bin {k}: fewer than {MIN_PERIODS} "
+                            f"fringe periods fit in the window")
+    if k > n // MIN_SAMPLES_PER_PERIOD:
+        raise AnalysisError(f"dominant peak at bin {k} of {n}: fewer than "
+                            f"{MIN_SAMPLES_PER_PERIOD} samples per fringe period")
+    lm, l0, lp = np.log(np.maximum(spec[k - 1:k + 2], peak * 1e-15))
+    curvature = lm - 2 * l0 + lp
+    delta = 0.5 * (lm - lp) / curvature
+    period = n / (k + delta)
+    sigma_delta = math.sqrt(1.5) * (floor / peak) / abs(curvature)
+    return PeriodEstimate(float(period), float(period * sigma_delta / (k + delta)))
+
+
+def _project(s: _Spectrum, period_px: float) -> tuple[PhaseEstimate, float]:
+    """Phase, center and fundamental amplitude from the quadratures of the
+    windowed profile at 1/period_px, pixel origin at the sensor center."""
+    if not (period_px > 0 and math.isfinite(period_px)):
+        raise AnalysisError(f"period must be positive, got {period_px!r}")
+    n = s.windowed.size
+    x = np.arange(n) - (n - 1) / 2
+    projection = np.sum(s.windowed * np.exp(-2j * math.pi * x / period_px))
+    phase = float(np.angle(projection))
+    center = fold_to_period(-phase * period_px / (2 * math.pi), period_px)
+    return PhaseEstimate(phase, float(center)), abs(projection)
+
+
+def _contrast(s: _Spectrum, amplitude: float) -> float:
+    if s.total <= 0:
+        raise NoFringeError("no fringe found")
+    return float(min(max(2 * amplitude / s.total, 0.0), 1.0))
 
 
 def extract_period(image, window_rows: int | None = None) -> PeriodEstimate:
@@ -144,29 +187,7 @@ def extract_period(image, window_rows: int | None = None) -> PeriodEstimate:
         If the dominant peak implies fewer than 3 periods in the window
         or fewer than 4 samples per period.
     """
-    profile = fringe_profile(image, window_rows)
-    h, sw = _windowed(profile)
-    n = sw.size
-    spec = np.abs(np.fft.rfft(sw))
-    if spec.size < 5:
-        raise AnalysisError(f"profile of {n} samples is too short to analyze")
-    k, peak, floor = _dominant_peak(spec, float((h * profile).sum()))
-    if k < MIN_PERIODS:
-        raise AnalysisError(
-            f"dominant peak at bin {k}: fewer than {MIN_PERIODS} fringe "
-            f"periods fit in the window"
-        )
-    if k > n // MIN_SAMPLES_PER_PERIOD:
-        raise AnalysisError(
-            f"dominant peak at bin {k} of {n}: fewer than "
-            f"{MIN_SAMPLES_PER_PERIOD} samples per fringe period"
-        )
-    lm, l0, lp = np.log(np.maximum(spec[k - 1:k + 2], peak * 1e-15))
-    curvature = lm - 2 * l0 + lp
-    delta = 0.5 * (lm - lp) / curvature
-    period = n / (k + delta)
-    sigma_delta = math.sqrt(1.5) * (floor / peak) / abs(curvature)
-    return PeriodEstimate(float(period), float(period * sigma_delta / (k + delta)))
+    return _period(_spectrum(image, window_rows))
 
 
 def extract_fringe_phase(image, period_px: float,
@@ -182,24 +203,16 @@ def extract_fringe_phase(image, period_px: float,
     the axis, center_px = -phase * period / 2 pi, reduced to
     (-period/2, period/2].
     """
-    if not (period_px > 0 and math.isfinite(period_px)):
-        raise AnalysisError(f"period must be positive, got {period_px!r}")
-    profile = fringe_profile(image, window_rows)
-    h, sw = _windowed(profile)
-    n = profile.size
-    # same 6 dB guard as extract_period, and the dominant peak must sit at
-    # the supplied period (quantization contouring of a fringe-free beam
-    # otherwise passes a bare floor test)
-    k, _, _ = _dominant_peak(np.abs(np.fft.rfft(sw)), float((h * profile).sum()))
-    expected_bin = n / period_px
+    s = _spectrum(image, window_rows)
+    estimate, _ = _project(s, period_px)
+    # the 6 dB guard of extract_period, and the peak must sit at the supplied
+    # period: quantization contouring of a fringe-free beam passes a floor test
+    k, _, _ = _dominant_peak(s)
+    expected_bin = s.windowed.size / period_px
     if abs(k - expected_bin) > max(0.25 * expected_bin, 1.5):
         raise NoFringeError(
             f"no fringe found at the expected period ({period_px:.3g} px)")
-    x = np.arange(n) - (n - 1) / 2
-    projection = np.sum(sw * np.exp(-2j * math.pi * x / period_px))
-    phase = float(np.angle(projection))
-    center = fold_to_period(-phase * period_px / (2 * math.pi), period_px)
-    return PhaseEstimate(phase, float(center))
+    return estimate
 
 
 def measure_contrast(image, period_px: float,
@@ -210,25 +223,19 @@ def measure_contrast(image, period_px: float,
     taken with the same center-weighted window so the beam envelope
     cancels; clipped into [0, 1].
     """
-    if not (period_px > 0 and math.isfinite(period_px)):
-        raise AnalysisError(f"period must be positive, got {period_px!r}")
-    profile = fringe_profile(image, window_rows)
-    h, sw = _windowed(profile)
-    n = profile.size
-    x = np.arange(n) - (n - 1) / 2
-    projection = np.sum(sw * np.exp(-2j * math.pi * x / period_px))
-    mean = np.sum(h * profile)
-    if mean <= 0:
-        raise NoFringeError("no fringe found")
-    return float(min(max(2 * abs(projection) / mean, 0.0), 1.0))
+    s = _spectrum(image, window_rows)
+    return _contrast(s, _project(s, period_px)[1])
 
 
 def measure_frame(image, pixel_scale: float | None = None,
                   window_rows: int | None = None) -> FringeMeasurement:
-    """Full single-frame measurement: period, phase, center and contrast."""
-    period, sigma = extract_period(image, window_rows)
-    phase, center_px = extract_fringe_phase(image, period, window_rows)
-    contrast = measure_contrast(image, period, window_rows)
+    """Full single-frame measurement: period, phase, center and contrast,
+    from one spectral pass and one projection at the measured period."""
+    s = _spectrum(image, window_rows)
+    period, sigma = _period(s)
+    # within half a bin of the peak: extract_fringe_phase's peak guard cannot fire
+    (phase, center_px), amplitude = _project(s, period)
+    contrast = _contrast(s, amplitude)
     period_um = center_um = None
     if pixel_scale is not None:
         period_um = period * pixel_scale
@@ -256,22 +263,15 @@ def calibrate_pixel_scale(points, wavelength: float,
     if np.any(seps <= 0) or np.any(periods <= 0):
         raise AnalysisError("separations and periods must be positive")
     if seps.max() / seps.min() < 2.0:
-        raise AnalysisError(
-            f"ill-conditioned: separations span only {seps.max() / seps.min():.2f}x; "
-            f"need at least 2x"
-        )
+        raise AnalysisError(f"ill-conditioned: separations span only "
+                            f"{seps.max() / seps.min():.2f}x; need at least 2x")
     u = wavelength * focal_length / seps  # physical spacing per point
     b = float((u * periods).sum() / (u * u).sum())
     predicted = u * b
     residuals = (periods - predicted) / predicted
-    scale = 1.0 / b
-    if len(pts) > 2:
-        var_period = float(((periods - predicted) ** 2).sum() / (len(pts) - 1))
-        sigma_b = math.sqrt(var_period / float((u * u).sum()))
-        sigma_scale = sigma_b / b**2
-    else:
-        sigma_scale = 0.0
-    return CalibrationFit(scale, sigma_scale, residuals)
+    var_period = float(((periods - predicted) ** 2).sum() / (len(pts) - 1))
+    sigma_b = math.sqrt(var_period / float((u * u).sum()))
+    return CalibrationFit(1.0 / b, sigma_b / b**2, residuals)
 
 
 def _erf_edge(x, total, center, waist):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -148,7 +149,10 @@ def _build_run(params: dict):
         beam_minus=BeamSpec(waist2, amp2),
     )
 
-    nx_px, _, ny_px = str(params["sensor"]).partition("x")
+    sensor = re.fullmatch(r"\s*(\d+)\s*x\s*(\d+)\s*", str(params["sensor"]))
+    if sensor is None:
+        raise ValueError(f"--sensor must be WxH pixels, e.g. 640x120; "
+                         f"got {params['sensor']!r}")
     gain = params["gain"]
     if gain == "auto":
         full = (1 << int(params["bit_depth"])) - 1
@@ -157,7 +161,7 @@ def _build_run(params: dict):
         gain_value = float(gain)
     cam = instrument.CameraModel(
         pixel_scale=float(params["pixel_scale"]),
-        sensor=(int(nx_px), int(ny_px)),
+        sensor=(int(sensor[1]), int(sensor[2])),
         bit_depth=int(params["bit_depth"]),
         read_noise=float(params["read_noise"]),
         exposure_gain=gain_value,
@@ -211,8 +215,12 @@ def _analyze_single(path: Path, pixel_scale, window_rows) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.window_rows is not None and args.window_rows < 1:
+        return _fail_usage(f"--window-rows must be at least 1, got {args.window_rows}")
     target = Path(args.target)
     if target.is_file():
+        if args.calibrate:
+            return _fail_usage(f"--calibrate needs a run directory; {target} is one image")
         return _analyze_single(target, args.pixel_scale, args.window_rows)
     if not target.is_dir():
         return _fail_usage(f"{target}: no such file or directory")

@@ -8,7 +8,8 @@ A run directory holds:
     composite.pgm   space-time composite, when the run has >= 2 frames
 
 Everything is written deterministically so a rerun with the same seed is
-byte-identical.
+byte-identical.  The manifest is written last: a directory without one is
+not a complete run.
 """
 
 from __future__ import annotations
@@ -126,14 +127,18 @@ def read_config(path) -> dict[str, str]:
 
 def write_run(out_dir, frames, records, config: dict | None = None,
               composite: np.ndarray | None = None) -> Path:
-    """Write frames, manifest, optional composite and config into out_dir."""
+    """Write frames, optional composite and config, then the manifest, into
+    out_dir.  An existing manifest is removed before the first frame, so a
+    rerun that fails part-way leaves no manifest beside a mix of old and
+    new frames."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.csv").unlink(missing_ok=True)
     for image, rec in zip(frames, records):
         write_pgm(out / rec.frame, image)
-    write_manifest(out / "manifest.csv", records)
     if composite is not None:
         write_pgm(out / "composite.pgm", composite)
     if config is not None:
         write_config(out / "config.txt", config)
+    write_manifest(out / "manifest.csv", records)
     return out

@@ -5,8 +5,11 @@ import pytest
 
 from accordion import (
     AnalysisError,
+    FringeMeasurement,
     GridSpec,
+    LatticeConfig,
     NoFringeError,
+    OpticalParams,
     calibrate_pixel_scale,
     extract_fringe_phase,
     extract_period,
@@ -174,6 +177,26 @@ class TestMeasureFrame:
         m = measure_frame(img)
         assert m.period_um is None and m.center_um is None
         assert m.period_px > 0
+
+    @pytest.mark.parametrize("bit_depth, read_noise", [(8, 1.5), (16, 40.0)])
+    @pytest.mark.parametrize("window_rows", [None, 3])
+    def test_one_pass_equals_the_public_functions(self, bit_depth, read_noise,
+                                                  window_rows):
+        # measure_frame reads one spectrum; the public functions each make
+        # their own, and every number must come out the same
+        cfg = LatticeConfig(OpticalParams(WAVELENGTH, 30000.0, 19250.0),
+                            BeamSpec(30.0, 1.0, (5.0, -3.0)), BeamSpec(42.0, 0.7))
+        cam = make_camera(read_noise=read_noise, seed=4, sensor=(1280, 240),
+                          bit_depth=bit_depth)
+        traj = static_sweep([19250.0, 12000.0, 5000.0]).with_path_difference(0.13)
+        frames, _ = render_sequence(traj, cfg, cam)
+        for img in frames:
+            period, sigma = extract_period(img, window_rows)
+            phase, center = extract_fringe_phase(img, period, window_rows)
+            contrast = measure_contrast(img, period, window_rows)
+            expected = FringeMeasurement(period, sigma, phase, center, contrast,
+                                         period * PIXEL_SCALE, center * PIXEL_SCALE)
+            assert measure_frame(img, PIXEL_SCALE, window_rows) == expected
 
 
 class TestCalibratePixelScale:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from accordion import runfiles
 from accordion.cli import main
 from accordion.runfiles import read_config, read_manifest, read_pgm, write_pgm
 
@@ -171,6 +172,32 @@ class TestSweepCommand:
         frames = b"".join(p.read_bytes() for p in sorted(out.glob("frame_*.pgm")))
         assert hashlib.sha256(frames).hexdigest() == digest
 
+    @pytest.mark.parametrize("sensor", ["640", "640x", "x120", "axb"])
+    def test_malformed_sensor_is_usage_error(self, tmp_path, capsys, sensor):
+        assert main(["sweep", "--preset", "fig4a", "--sensor", sensor,
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "--sensor" in err and repr(sensor) in err
+
+    def test_interrupted_rerun_leaves_no_manifest(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "run"
+        assert main(["sweep", "--preset", "fig4b", "--out", str(out)]) == 0
+        write = runfiles.write_pgm
+        written = []
+
+        def fail_on_second_frame(path, pixels):
+            written.append(path)
+            if len(written) == 2:
+                raise OSError(f"{path}: disk full")
+            write(path, pixels)
+
+        monkeypatch.setattr(runfiles, "write_pgm", fail_on_second_frame)
+        assert main(["sweep", "--separations", "18000,9000,6000", "--focal", "30000",
+                     "--out", str(out)]) == 2
+        # frame_0000 is new and frames 0001-0005 are old: no run to measure
+        assert main(["analyze", str(out)]) == 2
+        assert "missing manifest.csv" in capsys.readouterr().err
+
     def test_env_var_sets_default_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ACCORDION_OUT_DIR", str(tmp_path / "elsewhere"))
         assert main(["sweep", "--preset", "fig4a"]) == 0
@@ -255,3 +282,36 @@ class TestAnalyzeCommand:
 
     def test_missing_target_is_usage_error(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope")]) == 2
+
+    def test_calibrate_single_image_is_usage_error(self, ladder_run, capsys):
+        assert main(["analyze", str(ladder_run / "frame_0000.pgm"), "--calibrate",
+                     "--pixel-scale", "0.0853"]) == 2
+        assert "--calibrate needs a run directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", ["0", "-5"])
+    def test_nonpositive_window_rows_is_usage_error(self, ladder_run, tmp_path,
+                                                    capsys, rows):
+        assert main(["analyze", str(ladder_run), "--window-rows", rows,
+                     "--out", str(tmp_path)]) == 2
+        assert "--window-rows" in capsys.readouterr().err
+        assert not (tmp_path / "measurements.csv").exists()
+
+    # SHA-256 of measurements.csv and calibration.csv, pinned at 0.2.0: one
+    # spectral pass per frame must not move a single bit of the reports
+    @pytest.mark.parametrize("args, digests", [
+        (["--preset", "fig6b", "--read-noise", "2", "--seed", "7"],
+         ("03a0cfe31c5d5928e4e61d38bec40bea2d745a5bb604f0fe1495b86f13fe70c3",
+          "d38a0ee4cfa3cd2fe88ca5abd4556536b4d777db52b5fd18b0357ff8e984fd26")),
+        (["--separations", "19250,12000,8000", "--focal", "30000", "--waist", "36",
+          "--waist2", "40", "--amplitude2", "0.8", "--sensor", "1280x240",
+          "--bit-depth", "16", "--read-noise", "40", "--path-difference", "0.1",
+          "--seed", "7"],
+         ("ee2b68c4a87ef05e3ef185f2a7a7c76aa8b8ecfdbbdd34aa94b41c999e12bb9c",
+          "c53fa4f52bb5c1f9099c69b87404cbd805e27b4bf4ce25382e642aa3d4f5b81b")),
+    ], ids=["fig6b-noise", "ladder-16bit-noise"])
+    def test_report_bytes_are_pinned(self, tmp_path, args, digests):
+        out = tmp_path / "run"
+        assert main(["sweep", *args, "--out", str(out)]) == 0
+        assert main(["analyze", str(out), "--calibrate"]) == 0
+        assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                     for name in ("measurements.csv", "calibration.csv")) == digests
