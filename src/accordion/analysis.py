@@ -104,6 +104,8 @@ class _Spectrum(NamedTuple):
 
 def _spectrum(image, window_rows: int | None) -> _Spectrum:
     """One profile, Hann window and FFT: all that period, phase and contrast read."""
+    if np.size(image) == 0:
+        raise AnalysisError(f"empty image of shape {np.shape(image)}: no profile to analyze")
     profile = fringe_profile(image, window_rows)
     h = np.hanning(profile.size)
     total = (h * profile).sum()

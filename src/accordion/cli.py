@@ -237,6 +237,14 @@ def cmd_analyze(args) -> int:
         pixel_scale = float(config["pixel_scale"])
     if pixel_scale is None:
         return _fail_usage("no pixel scale: pass --pixel-scale or provide config.txt")
+    if args.calibrate:
+        # an explicit flag wins over config.txt, as in sweep
+        wavelength = (args.wavelength if args.wavelength is not None
+                      else float(config.get("wavelength") or 0))
+        focal = args.focal if args.focal is not None else float(config.get("focal") or 0)
+        if wavelength <= 0 or focal <= 0:
+            return _fail_usage("--calibrate needs wavelength and focal length "
+                               "(from config.txt or --wavelength/--focal)")
 
     frames = []
     measurements: list[analysis.FringeMeasurement | None] = []
@@ -259,7 +267,7 @@ def cmd_analyze(args) -> int:
 
     out_dir = Path(args.out) if args.out else target
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "measurements.csv", "w") as fh:
+    with runfiles.create(out_dir / "measurements.csv") as fh:
         fh.write("frame,time_s,separation_um,period_px,period_um,center_um,contrast\n")
         for i, (rec, m) in enumerate(zip(records, measurements)):
             if m is None:
@@ -279,13 +287,6 @@ def cmd_analyze(args) -> int:
               + (f"; unwrap flagged at frames {list(trace.flagged)}" if trace.flagged else ""))
 
     if args.calibrate:
-        # an explicit flag wins over config.txt, as in sweep
-        wavelength = (args.wavelength if args.wavelength is not None
-                      else float(config.get("wavelength") or 0))
-        focal = args.focal if args.focal is not None else float(config.get("focal") or 0)
-        if wavelength <= 0 or focal <= 0:
-            return _fail_usage("--calibrate needs wavelength and focal length "
-                               "(from config.txt or --wavelength/--focal)")
         points = [(rec.separation_um, m.period_px)
                   for rec, m in zip(records, measurements) if m is not None]
         try:
@@ -293,7 +294,7 @@ def cmd_analyze(args) -> int:
         except analysis.AnalysisError as err:
             errors.append(f"calibration: {err}")
         else:
-            with open(out_dir / "calibration.csv", "w") as fh:
+            with runfiles.create(out_dir / "calibration.csv") as fh:
                 fh.write("pixel_scale_um_px,pixel_scale_uncertainty,"
                          "separation_um,period_px,relative_residual\n")
                 for (sep, period), res in zip(points, fit.residuals):

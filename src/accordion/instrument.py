@@ -8,12 +8,16 @@ the beam-splitter pair is modeled only through its path-length penalty:
 a perpendicular deviation delta costs 2*delta of path difference.
 
 A sweep evaluates the closed-form lattice at the pixel centres: the beam
-envelopes once per sweep, then each frame's fringes.  render_frame
-digitizes an arbitrary sampled IntensityFrame instead, resampling it onto
-the pixels by bilinear interpolation.  Both then apply gain, optional
-Gaussian read noise and quantization in one shared digitizer.  The noise
-stream is keyed by (seed, frame_index) so that frames rendered in
-parallel, serially, or in any order are bit-identical.
+envelopes once per sweep, then each frame's fringes.  Each worker renders
+one share of the frames (every workers-th sample) through two float
+scratch arrays of the sensor's shape, the intensity and the read-noise
+draw, that live for its whole share, so a frame allocates only its
+digitized image.  render_frame digitizes an arbitrary sampled
+IntensityFrame instead, resampling it onto the pixels by bilinear
+interpolation.  Both then apply gain, optional Gaussian read noise and
+quantization in one shared digitizer.  The noise stream is keyed by
+(seed, frame_index) so that frames rendered in parallel, serially, or in
+any order are bit-identical.
 """
 
 from __future__ import annotations
@@ -214,12 +218,17 @@ def _bilinear(values: np.ndarray, gx: np.ndarray, gy: np.ndarray,
             + values[np.ix_(iy + 1, ix + 1)] * np.outer(ty, tx))
 
 
-def _digitize(counts: np.ndarray, cam: CameraModel, frame_index: int) -> np.ndarray:
-    # works in place on `counts`: every caller passes a fresh intensity array
+def _digitize(counts: np.ndarray, cam: CameraModel, frame_index: int,
+              noise: np.ndarray | None = None) -> np.ndarray:
+    # works in place on `counts`, which callers own (fresh or scratch); the
+    # read noise is drawn into `noise`, scratch of the same shape, if given
     counts *= cam.exposure_gain
     if cam.read_noise > 0:
         rng = np.random.default_rng([cam.seed, frame_index])
-        counts += rng.normal(0.0, cam.read_noise, counts.shape)
+        # sigma * z bit for bit equals rng.normal(0.0, sigma)'s 0.0 + sigma * z
+        noise = rng.standard_normal(counts.shape, out=noise)
+        noise *= cam.read_noise
+        counts += noise
     np.rint(counts, out=counts)
     np.clip(counts, 0, cam.full_scale, out=counts)
     return counts.astype(cam.dtype)
@@ -281,40 +290,63 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
     Each sample substitutes its separation and path difference into
     base_cfg; the lattice is evaluated in closed form at the pixel centres
     and digitized like render_frame does, the beam envelopes once per sweep.
-    Returns the frames and the matching manifest records; with workers > 1
-    the frames are rendered in a thread pool, with output guaranteed
-    identical to the serial render.
+    Returns the frames and the matching manifest records.  With workers > 1
+    worker w renders samples w, w + workers, ... in a thread pool, with
+    output guaranteed identical to the serial render; either way a failure
+    names the lowest failing sample.
     """
     px = cam.pixel_x()
     py = cam.pixel_y()
     envelopes = beam_envelopes(base_cfg, px, py)
+    n = len(trajectory)
+    workers = max(1, min(workers, n))
 
-    def one(i: int) -> tuple[np.ndarray, FrameRecord]:
-        try:
-            cfg = replace(
-                base_cfg,
-                optics=replace(base_cfg.optics, separation=float(trajectory.separations[i])),
-                path_difference=float(trajectory.path_differences[i]),
-            )
-            image = _digitize(fringes_at(cfg, px, envelopes), cam, i)
-        except ValueError as err:
-            raise ValueError(f"rendering failed at sample {i}: {err}") from err
-        rec = FrameRecord(
-            frame=f"frame_{i:04d}.pgm",
-            time_s=float(trajectory.times[i]),
-            mirror_um=float(trajectory.mirror_positions[i]),
-            separation_um=float(trajectory.separations[i]),
-            analytic_spacing_um=spacing_fourier(cfg.optics),
-            path_difference_um=float(trajectory.path_differences[i]),
-        )
-        return image, rec
+    # the intensity and read-noise scratch of each worker, allocated here
+    # rather than on the pool threads: the main heap reuses them sweep after
+    # sweep, which keeps the peak resident size steady
+    scratch = [(np.empty(envelopes[0].shape),
+                np.empty(envelopes[0].shape) if cam.read_noise > 0 else None)
+               for _ in range(workers)]
 
-    indices = range(len(trajectory))
+    def share(w: int):
+        """Samples w, w + workers, ..., rendered through worker w's scratch;
+        stops at the share's first failure."""
+        counts, noise = scratch[w]
+        done: list[tuple[np.ndarray, FrameRecord]] = []
+        for i in range(w, n, workers):
+            try:
+                cfg = replace(
+                    base_cfg,
+                    optics=replace(base_cfg.optics,
+                                   separation=float(trajectory.separations[i])),
+                    path_difference=float(trajectory.path_differences[i]),
+                )
+                image = _digitize(fringes_at(cfg, px, envelopes, out=counts),
+                                  cam, i, noise)
+            except ValueError as err:
+                return done, (i, err)
+            done.append((image, FrameRecord(
+                frame=f"frame_{i:04d}.pgm",
+                time_s=float(trajectory.times[i]),
+                mirror_um=float(trajectory.mirror_positions[i]),
+                separation_um=float(trajectory.separations[i]),
+                analytic_spacing_um=spacing_fourier(cfg.optics),
+                path_difference_um=float(trajectory.path_differences[i]),
+            )))
+        return done, None
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, indices))
+            shares = list(pool.map(share, range(workers)))
     else:
-        results = [one(i) for i in indices]
+        shares = [share(0)]
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        i, err = min(failures, key=lambda failure: failure[0])
+        raise ValueError(f"rendering failed at sample {i}: {err}") from err
+    results: list = [None] * n
+    for w, (done, _) in enumerate(shares):
+        results[w::workers] = done
     return [r[0] for r in results], [r[1] for r in results]
 
 

@@ -7,14 +7,23 @@ A run directory holds:
     frame_NNNN.pgm  binary P5 graymaps (maxval 255, or big-endian 65535)
     composite.pgm   space-time composite, when the run has >= 2 frames
 
+analyze adds measurements.csv and, with --calibrate, calibration.csv.
+
 Everything is written deterministically so a rerun with the same seed is
-byte-identical.  The manifest is written last: a directory without one is
-not a complete run.
+byte-identical.  Every file is created new: an existing file of the same
+name is unlinked, never truncated and rewritten in place, so a hard link to
+it keeps the old bytes, and a file system that flushes a truncated and
+rewritten file when it is closed (ext4's auto_da_alloc) has nothing to
+flush.  A rerun into a run directory first removes
+the earlier run's files (its manifest first), so no stale frame, composite
+or report outlives it.  The manifest is written last: a directory without
+one is not a complete run.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 import re
 from pathlib import Path
 
@@ -30,20 +39,38 @@ _PGM_HEADER = re.compile(rb"P5%s(\d+)%s(\d+)%s(\d+)\s" % (_SEP, _SEP, _SEP))
 MANIFEST_FIELDS = ("frame", "time_s", "mirror_um", "separation_um",
                    "analytic_spacing_um", "path_difference_um")
 
+# the files of a run directory that a new run replaces; manifest.csv is
+# removed before all of them
+_RUN_FILE = re.compile(r"frame_\d{4,}\.pgm|composite\.pgm|config\.txt"
+                       r"|measurements\.csv|calibration\.csv")
+
+
+def create(path, mode: str = "x", **kwargs):
+    """Open path as a new file for writing ("x" text or "xb" binary mode;
+    keyword arguments go to open).  An existing file is unlinked first,
+    never truncated."""
+    try:
+        return open(path, mode, **kwargs)
+    except FileExistsError:
+        os.unlink(path)
+        return open(path, mode, **kwargs)
+
 
 def write_pgm(path, pixels: np.ndarray) -> None:
     """Write a 2-D uint8 or uint16 array as a binary P5 graymap."""
     pixels = np.asarray(pixels)
-    if pixels.ndim != 2:
-        raise ValueError(f"expected a 2-D image, got shape {pixels.shape}")
+    if pixels.ndim != 2 or pixels.size == 0:
+        raise ValueError(f"expected a non-empty 2-D image, got shape {pixels.shape}")
+    # row-major samples, big-endian for 16 bits, written from the array's
+    # own buffer (a copy only when the layout or byte order differs)
     if pixels.dtype == np.uint8:
-        maxval, raw = 255, pixels.tobytes()
+        maxval, raw = 255, np.ascontiguousarray(pixels)
     elif pixels.dtype == np.uint16:
-        maxval, raw = 65535, pixels.astype(">u2").tobytes()
+        maxval, raw = 65535, pixels.astype(">u2", order="C", copy=False)
     else:
         raise ValueError(f"unsupported dtype {pixels.dtype}; use uint8 or uint16")
     h, w = pixels.shape
-    with open(path, "wb") as fh:
+    with create(path, "xb") as fh:
         fh.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
         fh.write(raw)
 
@@ -52,8 +79,8 @@ def read_pgm(path) -> np.ndarray:
     """Read a binary P5 graymap into uint8 (maxval <= 255) or uint16.
 
     Raises ValueError naming the path when the header lacks width, height
-    or maxval, maxval is outside 1..65535, the payload is short, or a
-    sample exceeds maxval.
+    or maxval, the width or height is 0, maxval is outside 1..65535, the
+    payload is short, or a sample exceeds maxval.
     """
     data = Path(path).read_bytes()
     header = _PGM_HEADER.match(data)
@@ -62,6 +89,8 @@ def read_pgm(path) -> np.ndarray:
                          f"(width, height, maxval) in its header")
     w, h, maxval = map(int, header.groups())
     pos = header.end()
+    if w == 0 or h == 0:
+        raise ValueError(f"{path}: empty {w}x{h} image")
     if not 1 <= maxval <= 65535:
         raise ValueError(f"{path}: maxval {maxval} outside 1..65535")
     dtype = np.dtype(np.uint8) if maxval <= 255 else np.dtype(">u2")
@@ -70,14 +99,14 @@ def read_pgm(path) -> np.ndarray:
         raise ValueError(f"{path}: payload holds {len(data) - pos} bytes, "
                          f"{w}x{h} samples need {need}")
     img = np.frombuffer(data, dtype=dtype, count=w * h, offset=pos)
-    if maxval not in (255, 65535) and img.size and img.max() > maxval:
+    if maxval not in (255, 65535) and img.max() > maxval:
         raise ValueError(f"{path}: sample {img.max()} exceeds maxval {maxval}")
     # big-endian 16-bit samples become native uint16; 8-bit ones stay a view
     return img.astype(dtype.newbyteorder("="), copy=False).reshape(h, w)
 
 
 def write_manifest(path, records) -> None:
-    with open(path, "w", newline="") as fh:
+    with create(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_FIELDS)
         for r in records:
@@ -107,7 +136,7 @@ def read_manifest(path) -> list[FrameRecord]:
 
 def write_config(path, values: dict) -> None:
     """Write key=value lines; values serialized with repr-stable formatting."""
-    with open(path, "w") as fh:
+    with create(path) as fh:
         for key, value in values.items():
             fh.write(f"{key}={value}\n")
 
@@ -128,12 +157,18 @@ def read_config(path) -> dict[str, str]:
 def write_run(out_dir, frames, records, config: dict | None = None,
               composite: np.ndarray | None = None) -> Path:
     """Write frames, optional composite and config, then the manifest, into
-    out_dir.  An existing manifest is removed before the first frame, so a
-    rerun that fails part-way leaves no manifest beside a mix of old and
-    new frames."""
+    out_dir.  The earlier run's files there are removed first, its manifest
+    before the rest: frames, composite, config and the analyze reports that
+    describe them.  Other files are left alone.  A rerun that fails
+    part-way therefore leaves no manifest, and one that succeeds leaves no
+    stale file of the old run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.csv").unlink(missing_ok=True)
+    with os.scandir(out) as entries:
+        for entry in entries:
+            if _RUN_FILE.fullmatch(entry.name):
+                os.unlink(entry.path)
     for image, rec in zip(frames, records):
         write_pgm(out / rec.frame, image)
     if composite is not None:

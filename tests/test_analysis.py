@@ -161,6 +161,18 @@ class TestFringeProfile:
         assert np.array_equal(fringe_profile(img, window_rows), expected)
 
 
+@pytest.mark.parametrize("shape", [(5, 0), (0, 5)])
+@pytest.mark.parametrize("measure", [
+    extract_period,
+    lambda image: extract_fringe_phase(image, 10.0),
+    lambda image: measure_contrast(image, 10.0),
+    measure_frame,
+], ids=["extract_period", "extract_fringe_phase", "measure_contrast", "measure_frame"])
+def test_empty_image_is_analysis_error(measure, shape):
+    with pytest.raises(AnalysisError, match="empty image"):
+        measure(np.zeros(shape, np.uint8))
+
+
 class TestMeasureFrame:
     def test_combined_measurement(self):
         img = render_simple(8000.0, path_difference=0.1)

@@ -194,9 +194,19 @@ class TestSweepCommand:
         monkeypatch.setattr(runfiles, "write_pgm", fail_on_second_frame)
         assert main(["sweep", "--separations", "18000,9000,6000", "--focal", "30000",
                      "--out", str(out)]) == 2
-        # frame_0000 is new and frames 0001-0005 are old: no run to measure
+        # frame_0000 is new and the old frames are gone: no run to measure
         assert main(["analyze", str(out)]) == 2
         assert "missing manifest.csv" in capsys.readouterr().err
+
+    def test_rerun_replaces_the_earlier_run(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["sweep", "--preset", "fig4b", "--out", str(out)]) == 0
+        assert main(["analyze", str(out), "--calibrate"]) == 0
+        assert main(["sweep", "--preset", "fig4a", "--out", str(out)]) == 0
+        # frames 0001-0005, the composite and the reports described fig4b
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config.txt", "frame_0000.pgm", "manifest.csv"]
+        assert read_config(out / "config.txt")["preset"] == "fig4a"
 
     def test_env_var_sets_default_output_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ACCORDION_OUT_DIR", str(tmp_path / "elsewhere"))
@@ -254,6 +264,23 @@ class TestAnalyzeCommand:
         (tmp_path / "short.pgm").write_bytes(b"P5\n3 2\n255\n" + bytes(5))
         assert main(["analyze", str(tmp_path / "short.pgm")]) == 2
         assert "short.pgm" in capsys.readouterr().err
+
+    def test_empty_pgm_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "empty.pgm").write_bytes(b"P5 0 5 255\n")
+        assert main(["analyze", str(tmp_path / "empty.pgm")]) == 2
+        assert "empty.pgm: empty 0x5 image" in capsys.readouterr().err
+
+    def test_calibrate_without_optics_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["sweep", "--preset", "fig4b", "--out", str(out)]) == 0
+        (out / "config.txt").unlink()
+        capsys.readouterr()
+        assert main(["analyze", str(out), "--calibrate",
+                     "--pixel-scale", "0.0853"]) == 2
+        captured = capsys.readouterr()
+        assert "--calibrate needs wavelength and focal length" in captured.err
+        assert captured.out == ""
+        assert not (out / "measurements.csv").exists()
 
     def test_single_image(self, ladder_run, capsys):
         assert main(["analyze", str(ladder_run / "frame_0000.pgm"),

@@ -1,3 +1,5 @@
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -256,6 +258,42 @@ class TestRenderSequence:
         with pytest.raises(ValueError, match="sample 1"):
             render_sequence(traj, cfg, make_camera())
 
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_pooled_failure_reports_lowest_sample(self, workers):
+        # samples 1 and 2 are undersampled; with two workers sample 2 is the
+        # first failure of worker 0's share, sample 1 that of worker 1's
+        traj = static_sweep([43810.0, 150000.0, 150000.0, 43810.0])
+        with pytest.raises(ValueError, match="sample 1:"):
+            render_sequence(traj, make_config(), make_camera(), workers=workers)
+
+    def test_pool_under_thread_switch_stress(self):
+        # more workers than cores, a thread switch every microsecond: every
+        # pooled render must still equal the serial one byte for byte
+        cfg = make_config(waist2=40.0, amp2=0.8)
+        cam = make_camera(read_noise=3.0, seed=11, sensor=(160, 24), bit_depth=16)
+        traj = static_sweep(np.linspace(43810.0, 20000.0, 13))
+        serial, serial_records = render_sequence(traj, cfg, cam)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 2.0
+            rounds = 0
+            while rounds < 3 or (time.monotonic() < deadline and rounds < 50):
+                frames, records = render_sequence(traj, cfg, cam, workers=5)
+                assert records == serial_records
+                assert all(f.tobytes() == s.tobytes() for f, s in zip(frames, serial))
+                rounds += 1
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_frames_do_not_share_scratch_memory(self):
+        cam = make_camera(read_noise=2.0)
+        frames, _ = render_sequence(static_sweep([43810.0, 30000.0, 20000.0]),
+                                    make_config(), cam, workers=2)
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(frames) for b in frames[i + 1:])
+        assert all(f.flags.owndata for f in frames)
+
 
 class TestComposite:
     def test_stationary_rows_identical(self):
@@ -321,6 +359,15 @@ class TestRunFiles:
         path = tmp_path / "bad.pgm"
         path.write_bytes(raw)
         with pytest.raises(ValueError, match=problem) as err:
+            read_pgm(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("raw", [b"P5 0 5 255\n", b"P5\n3 0\n255\n"],
+                             ids=["zero-width", "zero-height"])
+    def test_empty_pgm_rejected_with_path(self, tmp_path, raw):
+        path = tmp_path / "empty.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="empty") as err:
             read_pgm(path)
         assert str(path) in str(err.value)
 

@@ -1,0 +1,134 @@
+"""Round trips of the run-file formats, and how write_run replaces a run."""
+
+import os
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from accordion import FrameRecord
+from accordion.runfiles import (
+    read_config,
+    read_manifest,
+    read_pgm,
+    write_config,
+    write_manifest,
+    write_pgm,
+    write_run,
+)
+
+dims = st.integers(1, 9)
+
+
+@st.composite
+def images(draw):
+    """uint8 or uint16 images in every memory layout write_pgm may meet:
+    row-major, Fortran order, strided and reversed views, transposes; 1xN
+    and Nx1 shapes included."""
+    dtype = draw(st.sampled_from([np.uint8, np.uint16]))
+    h, w = draw(st.one_of(st.tuples(st.just(1), dims), st.tuples(dims, st.just(1)),
+                          st.tuples(dims, dims)))
+    layout = draw(st.sampled_from(["C", "F", "strided", "reversed", "transposed"]))
+    if layout == "transposed":
+        return draw(hnp.arrays(dtype, (w, h))).T
+    base = draw(hnp.arrays(dtype, (2 * h, 3 * w)))
+    if layout == "strided":
+        return base[::2, ::3]
+    if layout == "reversed":
+        return base[h - 1::-1, :w]
+    return np.asarray(base[:h, :w], order=layout)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("formats")
+
+
+@settings(max_examples=150, deadline=None)
+@given(image=images())
+def test_pgm_round_trip(scratch, image):
+    # one path for every example: each write replaces the previous file
+    path = scratch / "image.pgm"
+    write_pgm(path, image)
+    back = read_pgm(path)
+    assert back.dtype == image.dtype and np.array_equal(back, image)
+    h, w = image.shape
+    maxval = 255 if image.dtype == np.uint8 else 65535
+    assert path.read_bytes() == (f"P5\n{w} {h}\n{maxval}\n".encode()
+                                 + image.astype(image.dtype.newbyteorder(">")).tobytes())
+
+
+numbers = st.floats(allow_nan=False)
+records = st.builds(
+    FrameRecord,
+    frame=st.from_regex(r"frame_[0-9]{4}\.pgm", fullmatch=True),
+    time_s=numbers, mirror_um=numbers, separation_um=numbers,
+    analytic_spacing_um=numbers, path_difference_um=numbers,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(records, max_size=5))
+def test_manifest_round_trip(scratch, rows):
+    path = scratch / "manifest.csv"
+    write_manifest(path, rows)
+    assert read_manifest(path) == rows
+
+
+# values as sweep echoes them: numbers, and text without line breaks or
+# surrounding blanks (read_config strips both)
+texts = st.text(st.sampled_from("abcxyzAZ0129.,:+-=_/ "), max_size=12).map(str.strip)
+values = st.one_of(st.integers(), st.floats(allow_nan=False), texts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=st.dictionaries(st.from_regex(r"[a-z][a-z0-9_]{0,11}", fullmatch=True),
+                              values, max_size=8))
+def test_config_round_trip(scratch, config):
+    path = scratch / "config.txt"
+    write_config(path, config)
+    assert read_config(path) == {key: str(value) for key, value in config.items()}
+
+
+def _run(n, value):
+    frames = [np.full((3, 4), value + i, np.uint8) for i in range(n)]
+    rows = [FrameRecord(f"frame_{i:04d}.pgm", 0.1 * i, 0.0, 1000.0, 1.0, 0.0)
+            for i in range(n)]
+    return frames, rows
+
+
+def test_rerun_removes_the_earlier_runs_files(tmp_path):
+    frames, rows = _run(6, 10)
+    write_run(tmp_path, frames, rows, config={"seed": 1}, composite=frames[0])
+    for name in ("measurements.csv", "calibration.csv", "notes.txt", "frame_a.pgm"):
+        (tmp_path / name).write_text("x\n")
+    frames, rows = _run(1, 50)
+    write_run(tmp_path, frames, rows)
+    # the old frames, composite, config and reports are gone; files a run
+    # does not write are left alone
+    assert sorted(os.listdir(tmp_path)) == ["frame_0000.pgm", "frame_a.pgm",
+                                            "manifest.csv", "notes.txt"]
+    assert np.array_equal(read_pgm(tmp_path / "frame_0000.pgm"), frames[0])
+    assert read_manifest(tmp_path / "manifest.csv") == rows
+
+
+def test_rerun_creates_files_new(tmp_path):
+    out = tmp_path / "run"
+    write_run(out, *_run(2, 10), config={"seed": 1})
+    kept = {}
+    for name in ("frame_0000.pgm", "manifest.csv", "config.txt"):
+        os.link(out / name, tmp_path / name)
+        kept[name] = (out / name).read_bytes()
+    frames, rows = _run(2, 90)
+    rows[0] = replace(rows[0], time_s=7.0)
+    write_run(out, frames, rows, config={"seed": 2})
+    # a hard link to an old file keeps the old bytes: nothing was rewritten
+    # in place, each name now points to a new file
+    for name, old in kept.items():
+        assert (tmp_path / name).read_bytes() == old
+        assert (out / name).read_bytes() != old
+        assert not os.path.samefile(out / name, tmp_path / name)
+    assert np.array_equal(read_pgm(out / "frame_0000.pgm"), frames[0])
