@@ -5,7 +5,9 @@ around the sensor center, one Hann window and one FFT.  The period comes
 from the dominant peak with sub-bin refinement; phase and contrast come from
 one projection of the windowed profile onto quadratures at that period.
 Pixel-scale calibration and knife-edge waist fitting close the loop between
-pixel and physical units."""
+pixel and physical units.  The knife-edge fit is a variable-projection
+least-squares fit in numpy: the total power is solved in closed form and
+only the edge centre and waist are iterated."""
 
 from __future__ import annotations
 
@@ -14,8 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import curve_fit
-from scipy.special import erf
 
 from .fields import fold_to_period
 
@@ -276,12 +276,38 @@ def calibrate_pixel_scale(points, wavelength: float,
     return CalibrationFit(1.0 / b, sigma_b / b**2, residuals)
 
 
-def _erf_edge(x, total, center, waist):
-    return total / 2 * (1 + erf(math.sqrt(2) * (x - center) / waist))
+KNIFE_EDGE_MAX_ITERATIONS = 100
+KNIFE_EDGE_STEP_TOL = 1e-10
+
+
+def _edge_projection(x, p, center: float, waist: float):
+    """Unit-power edge g = (1 + erf(u))/2 with u = sqrt2 (x-x0)/w, the total
+    power that best scales it onto p, the residual p - total*g and the
+    exact Jacobian of that residual over (x0, w) with the total eliminated
+    (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973).  None when the
+    edge lies so far beyond the scan that g vanishes at every point."""
+    u = math.sqrt(2) * (x - center) / waist
+    g = 0.5 * (1.0 + np.array([math.erf(v) for v in u]))
+    gg = float(g @ g)
+    total = float(g @ p) / gg if gg > 0 else math.inf
+    if not math.isfinite(total):
+        return None
+    slope = np.exp(-u * u) / math.sqrt(math.pi)  # dg/du
+    residual = p - total * g
+    jac = np.empty((x.size, 2))
+    for k, dg in enumerate((slope * (-math.sqrt(2) / waist), slope * (-u / waist))):
+        jac[:, k] = -total * (dg - g * float(g @ dg) / gg) - g * float(dg @ residual) / gg
+    return total, residual, jac
 
 
 def fit_knife_edge(positions, powers) -> KnifeEdgeFit:
     """Fit a knife-edge transmission curve P(x) = (P/2)(1 + erf(sqrt2 (x-x0)/w)).
+
+    P enters linearly, so it is solved in closed form at every step and a
+    Levenberg-Marquardt iteration runs over (x0, w) alone, starting from the
+    half-power point and the 16-84% width.  It stops when a step moves the
+    parameters by less than KNIFE_EDGE_STEP_TOL times the waist, and gives
+    up after KNIFE_EDGE_MAX_ITERATIONS steps.
 
     Parameters
     ----------
@@ -298,13 +324,17 @@ def fit_knife_edge(positions, powers) -> KnifeEdgeFit:
     Raises
     ------
     AnalysisError
-        "fit failed" when the optimizer does not converge or the residual
-        rms exceeds 5% of the total power.
+        "fit failed" when the iteration does not converge, ends on a
+        non-finite or non-positive parameter, leaves w unresolved (w -> 0,
+        or an edge outside the scan), or the residual rms exceeds 5% of the
+        total power.  Non-finite input is an AnalysisError too.
     """
     x = np.asarray(positions, dtype=float)
     p = np.asarray(powers, dtype=float)
     if x.size != p.size or x.size < 8:
         raise AnalysisError(f"need at least 8 knife-edge points, got {x.size}")
+    if not (np.isfinite(x).all() and np.isfinite(p).all()):
+        raise AnalysisError("fit failed: knife-edge positions and powers must be finite")
     total0 = float(p.max())
     if total0 <= 0:
         raise AnalysisError("fit failed: powers are not positive")
@@ -312,18 +342,56 @@ def fit_knife_edge(positions, powers) -> KnifeEdgeFit:
     hi = float(np.interp(0.84 * total0, p, x))
     lo = float(np.interp(0.16 * total0, p, x))
     waist0 = max(hi - lo, (x.max() - x.min()) / 20)
-    try:
-        popt, _ = curve_fit(_erf_edge, x, p, p0=[total0, center0, waist0])
-    except RuntimeError as err:
-        raise AnalysisError(f"fit failed: {err}") from err
-    total, center, waist = popt
-    rms = float(np.sqrt(np.mean((_erf_edge(x, *popt) - p) ** 2)))
-    if not math.isfinite(rms) or rms > 0.05 * abs(total):
+    if not waist0 > 0:
+        raise AnalysisError("fit failed: the positions do not span the edge")
+
+    theta = np.array([center0, waist0])
+    fit = _edge_projection(x, p, *theta)  # g >= 1/2 at center0, never None
+    cost = float(fit[1] @ fit[1])
+    damping = 1e-3
+    for _ in range(KNIFE_EDGE_MAX_ITERATIONS):
+        _, residual, jac = fit
+        normal = jac.T @ jac
+        try:
+            step = np.linalg.solve(normal + damping * np.diag(np.diag(normal)),
+                                   -(jac.T @ residual))
+        except np.linalg.LinAlgError:
+            raise AnalysisError("fit failed: the edge shape does not constrain "
+                                "the center and waist") from None
+        if not np.isfinite(step).all():
+            raise AnalysisError("fit failed: a fitted parameter is not finite")
+        # both parameters are lengths on the scale of the waist
+        if math.hypot(*step) <= KNIFE_EDGE_STEP_TOL * theta[1]:
+            break
+        trial = theta + step
+        trial_fit = _edge_projection(x, p, *trial) if trial[1] > 0 else None
+        trial_cost = math.inf if trial_fit is None else float(trial_fit[1] @ trial_fit[1])
+        if trial_cost < cost:
+            theta, fit, cost = trial, trial_fit, trial_cost
+            damping = max(damping / 10, 1e-12)
+        else:
+            damping *= 10
+    else:
+        raise AnalysisError(f"fit failed: no convergence in "
+                            f"{KNIFE_EDGE_MAX_ITERATIONS} iterations")
+    total, _, jac = fit
+    center, waist = (float(v) for v in theta)
+    if total <= 0:
+        raise AnalysisError(f"fit failed: fitted total power {total:.3g} is not positive")
+    # the data pin w down only where the edge has a slope at some scan
+    # point; as w -> 0, or once the edge leaves the scan, g is 0 or 1 at
+    # every point and doubling w moves the model by next to nothing
+    if float(np.linalg.norm(jac[:, 1])) * waist <= 1e-6 * total:
+        raise AnalysisError(f"fit failed: the scan does not resolve the waist "
+                            f"{waist:.3g} at center {center:.4g}: the fitted edge is a "
+                            f"step between two points or lies outside the scan")
+    rms = math.sqrt(cost / x.size)
+    if rms > 0.05 * total:
         raise AnalysisError(
             f"fit failed: residual rms {rms:.3g} exceeds 5% of total power "
-            f"{abs(total):.3g}"
+            f"{total:.3g}"
         )
-    return KnifeEdgeFit(abs(float(waist)), float(center), float(total), rms)
+    return KnifeEdgeFit(waist, center, total, rms)
 
 
 def knife_edge_waist(positions, powers) -> float:

@@ -267,6 +267,9 @@ def cmd_analyze(args) -> int:
 
     out_dir = Path(args.out) if args.out else target
     out_dir.mkdir(parents=True, exist_ok=True)
+    # an earlier calibration.csv describes earlier measurements; only a
+    # calibration fit below may write one beside the new measurements.csv
+    (out_dir / "calibration.csv").unlink(missing_ok=True)
     with runfiles.create(out_dir / "measurements.csv") as fh:
         fh.write("frame,time_s,separation_um,period_px,period_um,center_um,contrast\n")
         for i, (rec, m) in enumerate(zip(records, measurements)):
@@ -312,8 +315,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     deviations = [float(tok) for tok in args.deviations.split(",") if tok]
-    if args.spacing <= 0:
-        raise ValueError(f"spacing must be positive, got {args.spacing}")
+    for flag, value in (("--spacing", args.spacing), ("--wavelength", args.wavelength)):
+        if not (math.isfinite(value) and value > 0):
+            return _fail_usage(f"{flag} must be positive and finite, got {value!r}")
     print(f"# lattice spacing {args.spacing} um, wavelength {args.wavelength} um")
     print(f"{'deviation_um':>14} {'path_diff_um':>14} {'shift_fringes':>14} "
           f"{'shift_um':>12} {'mirror_shift_um':>16}")

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accordion import (
     AnalysisError,
@@ -299,12 +302,97 @@ class TestKnifeEdge:
         with pytest.raises(AnalysisError, match="8"):
             knife_edge_waist(positions, powers)
 
-    @pytest.mark.filterwarnings("ignore::scipy.optimize.OptimizeWarning")
     def test_garbage_fails_cleanly(self, rng):
         positions = np.linspace(-50, 50, 15)
         powers = rng.uniform(0.0, 1.0, 15)
-        with pytest.raises(AnalysisError, match="fit failed"):
-            knife_edge_waist(positions, powers)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(AnalysisError, match="fit failed"):
+                knife_edge_waist(positions, powers)
+        assert caught == []
+
+    # (waist, center, total_power, rms_residual) from scipy.optimize.curve_fit
+    # on these profiles, pinned at version 0.2.0 before the fit moved to numpy
+    CURVE_FIT = {
+        (36.0, 0.0): (36.00022398871057, -6.856002100969535e-08,
+                      2035.7520286430179, 0.0002570659665570787),
+        (40.0, 0.0): (40.00024938456258, 1.362111281264563e-07,
+                      2513.2741257622865, 0.0003172219837133791),
+        (36.0, 7.3): (36.00022423656965, 7.300000247253914,
+                      2035.752047280564, 0.000256915531544652),
+    }
+
+    @pytest.mark.parametrize("waist, offset", sorted(CURVE_FIT))
+    def test_matches_pinned_curve_fit(self, waist, offset):
+        fit = fit_knife_edge(*self._profile(waist, offset=offset))
+        pinned_waist, pinned_center, pinned_total, pinned_rms = self.CURVE_FIT[waist, offset]
+        assert fit.waist == pytest.approx(pinned_waist, rel=1e-6)
+        # the center is relative to the waist, the scale of the edge
+        assert fit.center == pytest.approx(pinned_center, abs=1e-6 * waist)
+        assert fit.total_power == pytest.approx(pinned_total, rel=1e-6)
+        # a converged least-squares fit ends at no larger a residual
+        assert fit.rms_residual <= pinned_rms * (1 + 1e-9)
+
+    @pytest.mark.parametrize("case, message", [
+        ("nan", "must be finite"), ("all-equal", "does not resolve the waist"),
+        ("decreasing", "fit failed"), ("step", "does not resolve the waist"),
+        ("one-position", "do not span the edge"),
+    ], ids=["nan", "all-equal", "decreasing", "step", "one-position"])
+    def test_unfittable_scan_is_analysis_error(self, case, message):
+        positions, powers = self._profile(36.0)
+        total = powers.max()
+        # the middle of the 15 positions is 0, the edge center
+        step = np.where(positions < 0, 0.0, np.where(positions > 0, total, total / 2))
+        positions, powers = {
+            "nan": (positions, np.where(np.arange(powers.size) == 4, np.nan, powers)),
+            "all-equal": (positions, np.full_like(powers, total)),
+            "decreasing": (positions, powers[::-1]),
+            "step": (positions, step),  # fits ever better as w -> 0
+            "one-position": (np.zeros_like(positions), powers),
+        }[case]
+        with pytest.raises(AnalysisError, match=message):
+            fit_knife_edge(positions, powers)
+
+
+def _erf_edge(x, total, center, waist):
+    u = math.sqrt(2) * (np.asarray(x) - center) / waist
+    return total / 2 * (1 + np.array([math.erf(v) for v in u]))
+
+
+def _edge_std(x, total, center, waist, sigma):
+    """Standard deviations of (center, waist) for a least-squares fit of
+    (total, center, waist) under white noise sigma: the square roots of the
+    diagonal of sigma^2 (J^T J)^-1 at the true parameters."""
+    u = math.sqrt(2) * (np.asarray(x) - center) / waist
+    slope = total / math.sqrt(math.pi) * np.exp(-u * u)  # d(total*g)/du
+    jac = np.column_stack([_erf_edge(x, 1.0, center, waist),
+                           slope * -math.sqrt(2) / waist, slope * -u / waist])
+    return sigma * np.sqrt(np.diag(np.linalg.inv(jac.T @ jac)))[1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(center=st.floats(-1e4, 1e4), waist=st.floats(5.0, 200.0),
+       total=st.floats(1e-3, 1e6), n_points=st.integers(8, 60),
+       half_span=st.floats(1.5, 3.0), noise=st.floats(0.0, 0.01),
+       seed=st.integers(0, 2**32 - 1))
+def test_knife_edge_recovers_random_edges_or_fails_cleanly(
+        center, waist, total, n_points, half_span, noise, seed):
+    positions = np.linspace(center - half_span * waist, center + half_span * waist,
+                            n_points)
+    sigma = noise * total
+    powers = (_erf_edge(positions, total, center, waist)
+              + np.random.default_rng(seed).normal(0.0, sigma, n_points))
+    try:
+        fit = fit_knife_edge(positions, powers)
+    except AnalysisError as err:
+        assert "fit failed" in str(err)
+        return
+    assert all(math.isfinite(v) for v in
+               (fit.waist, fit.center, fit.total_power, fit.rms_residual))
+    # six standard deviations of the estimate, and 1e-6 w for a clean scan
+    std_center, std_waist = _edge_std(positions, total, center, waist, sigma)
+    assert abs(fit.waist - waist) <= 6 * std_waist + 1e-6 * waist
+    assert abs(fit.center - center) <= 6 * std_center + 1e-6 * waist
 
 
 class TestNoiseRobustness:

@@ -1,5 +1,7 @@
 import hashlib
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +74,18 @@ class TestSensitivityCommand:
 
     def test_bad_spacing_rejected(self, capsys):
         assert main(["sensitivity", "--spacing", "-1", "--deviations", "1"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--wavelength", "0"), ("--wavelength", "-0.5"), ("--wavelength", "nan"),
+        ("--spacing", "0"), ("--spacing", "nan"), ("--spacing", "inf"),
+    ])
+    def test_nonpositive_or_nonfinite_length_is_usage_error(self, capsys, flag, value):
+        flags = {"--spacing": "10", "--wavelength": "0.532", flag: value}
+        assert main(["sensitivity", "--deviations", "1",
+                     *(tok for item in flags.items() for tok in item)]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} must be positive and finite" in captured.err
+        assert captured.out == ""
 
 
 class TestSweepCommand:
@@ -260,6 +274,28 @@ class TestAnalyzeCommand:
         # config.txt says f = 30 mm; the fitted scale is proportional to f
         assert scales["flag"] == pytest.approx(2 * scales["config"], rel=1e-12)
 
+    def test_analyze_without_calibrate_removes_earlier_calibration(self, ladder_run,
+                                                                   tmp_path):
+        assert main(["analyze", str(ladder_run), "--calibrate", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "calibration.csv").exists()
+        assert main(["analyze", str(ladder_run), "--window-rows", "2",
+                     "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "measurements.csv").exists()
+        assert not (tmp_path / "calibration.csv").exists()
+
+    def test_failed_calibration_removes_earlier_calibration(self, ladder_run, tmp_path,
+                                                            capsys):
+        reports = tmp_path / "reports"
+        assert main(["analyze", str(ladder_run), "--calibrate", "--out", str(reports)]) == 0
+        two_frames = tmp_path / "run"
+        assert main(["sweep", "--separations", "19250,12000", "--focal", "30000",
+                     "--out", str(two_frames)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(two_frames), "--calibrate", "--out", str(reports)]) == 1
+        assert "calibration: ill-conditioned" in capsys.readouterr().err
+        assert (reports / "measurements.csv").exists()
+        assert not (reports / "calibration.csv").exists()
+
     def test_malformed_pgm_is_usage_error(self, tmp_path, capsys):
         (tmp_path / "short.pgm").write_bytes(b"P5\n3 2\n255\n" + bytes(5))
         assert main(["analyze", str(tmp_path / "short.pgm")]) == 2
@@ -342,3 +378,13 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(out), "--calibrate"]) == 0
         assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                      for name in ("measurements.csv", "calibration.csv")) == digests
+
+
+def test_cli_start_up_does_not_import_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, accordion.cli; accordion.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+                          check=True)
+    assert done.stdout.strip() == "[]"
