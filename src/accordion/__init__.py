@@ -3,7 +3,7 @@
 Two parallel laser beams brought together by a lens interfere at its focal
 plane; translating a retroreflecting mirror changes the beam separation and
 sweeps the fringe period in real time without moving the center fringe.
-This package synthesizes the lattice fields and camera frames for such a
+This package renders the lattice and the camera frames for such a
 setup and measures period, phase, contrast, drift and calibration from the
 digital frames.
 """
@@ -18,23 +18,13 @@ from .geometry import (
 )
 from .fields import (
     BeamSpec,
-    FieldGrid,
-    GridSpec,
-    IntensityFrame,
     LatticeConfig,
     center_fringe_position,
     center_fringe_shift,
     conjugate_waist,
-    default_grid,
-    fields_intensity,
-    focal_envelope,
-    focal_field,
     fold_to_period,
     fringe_contrast,
     intensity_at,
-    interference_intensity,
-    lattice_fields,
-    shifted_field,
 )
 from .instrument import (
     CameraModel,
@@ -67,4 +57,4 @@ from .analysis import (
     track_center_fringe,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -318,6 +318,9 @@ def cmd_sensitivity(args) -> int:
     for flag, value in (("--spacing", args.spacing), ("--wavelength", args.wavelength)):
         if not (math.isfinite(value) and value > 0):
             return _fail_usage(f"{flag} must be positive and finite, got {value!r}")
+    for dev in deviations:
+        if not math.isfinite(dev):
+            return _fail_usage(f"--deviations must be finite, got {dev!r}")
     print(f"# lattice spacing {args.spacing} um, wavelength {args.wavelength} um")
     print(f"{'deviation_um':>14} {'path_diff_um':>14} {'shift_fringes':>14} "
           f"{'shift_um':>12} {'mirror_shift_um':>16}")

@@ -1,4 +1,4 @@
-"""Complex fields and interference intensity at the lens focal plane.
+"""Two-beam interference intensity at the lens focal plane, in closed form.
 
 Each beam arrives at the focal plane as a Gaussian envelope carrying a
 linear phase tilt exp(-j*pi*D/(lam*f)*x) whose sign follows the sign of the
@@ -11,12 +11,13 @@ fringe pattern
 where G1, G2 are the unit-peak envelopes and dL is the optical path-length
 difference between the beams.  The period lam*f/D does not depend on the
 envelopes, so the same formula serves arbitrarily large or small beams.
+It is evaluated at whatever points the caller names, in practice the
+camera's pixel centres; there is no intermediate simulation grid.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,78 +65,6 @@ class LatticeConfig:
             raise ValueError("path_difference must be finite")
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform sampling grid centered on the optical axis.
-
-    Nodes run from -width/2 to +width/2 inclusive (nx of them), likewise
-    in y; values laid out row-major with x varying fastest.
-    """
-
-    width: float
-    height: float
-    nx: int = 1024
-    ny: int = 256
-
-    def __post_init__(self):
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("grid extent must be positive")
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("grid needs at least 2 samples per axis")
-
-    @property
-    def dx(self) -> float:
-        return self.width / (self.nx - 1)
-
-    @property
-    def dy(self) -> float:
-        return self.height / (self.ny - 1)
-
-    def x_coords(self) -> np.ndarray:
-        return np.linspace(-self.width / 2, self.width / 2, self.nx)
-
-    def y_coords(self) -> np.ndarray:
-        return np.linspace(-self.height / 2, self.height / 2, self.ny)
-
-
-@dataclass(frozen=True)
-class FieldGrid:
-    """Complex field samples on a GridSpec, shape (ny, nx)."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (self.grid.ny, self.grid.nx):
-            raise ValueError(
-                f"field shape {self.values.shape} does not match grid "
-                f"({self.grid.ny}, {self.grid.nx})"
-            )
-
-
-@dataclass(frozen=True)
-class IntensityFrame:
-    """Nonnegative real intensity samples on a GridSpec, shape (ny, nx)."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (self.grid.ny, self.grid.nx):
-            raise ValueError(
-                f"intensity shape {self.values.shape} does not match grid "
-                f"({self.grid.ny}, {self.grid.nx})"
-            )
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
-            raise ValueError("intensity values must be finite and >= 0")
-
-
-def default_grid(cfg: LatticeConfig, nx: int = 1024, ny: int = 256) -> GridSpec:
-    """Grid spanning 4x the larger waist in x and 2x in y."""
-    w = max(cfg.beam_plus.focal_waist, cfg.beam_minus.focal_waist)
-    return GridSpec(width=4 * w, height=2 * w, nx=nx, ny=ny)
-
-
 def fold_to_period(x, period: float):
     """Reduce positions into the interval (-period/2, period/2]."""
     half = period / 2
@@ -143,80 +72,13 @@ def fold_to_period(x, period: float):
     return float(folded) if np.ndim(x) == 0 else folded
 
 
-def _warn_if_uncovered(beam: BeamSpec, grid: GridSpec):
-    x0, y0 = beam.center_offset
-    if grid.width / 2 - abs(x0) < beam.focal_waist or \
-       grid.height / 2 - abs(y0) < beam.focal_waist:
-        warnings.warn(
-            f"grid extent ({grid.width} x {grid.height} um) does not cover "
-            f"one full waist ({beam.focal_waist} um) around the beam center",
-            UserWarning, stacklevel=3)
-
-
-def _profiles(beam: BeamSpec, x: np.ndarray, y: np.ndarray,
-              power: float) -> tuple[np.ndarray, np.ndarray]:
-    # x and y factors of the separable Gaussian; power=2 gives intensity,
-    # power=1 the field modulus
+def _profiles(beam: BeamSpec, x: np.ndarray, y: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    # x and y factors of the separable Gaussian field modulus
     u = x - beam.center_offset[0]
     v = y - beam.center_offset[1]
     w2 = beam.focal_waist**2
-    return np.exp(-power * u * u / w2), np.exp(-power * v * v / w2)
-
-
-def focal_envelope(beam: BeamSpec, grid: GridSpec) -> IntensityFrame:
-    """Single-beam intensity amplitude^2 * exp(-2 r^2 / w^2) on the grid.
-
-    Warns when the grid does not reach one waist from the beam center,
-    since downstream fits assume the envelope is substantially sampled.
-    """
-    _warn_if_uncovered(beam, grid)
-    gx, gy = _profiles(beam, grid.x_coords(), grid.y_coords(), 2.0)
-    return IntensityFrame(grid, beam.amplitude**2 * np.outer(gy, gx))
-
-
-def focal_field(beam: BeamSpec, grid: GridSpec) -> FieldGrid:
-    """Single-beam complex field amplitude * exp(-r^2 / w^2), zero phase."""
-    _warn_if_uncovered(beam, grid)
-    gx, gy = _profiles(beam, grid.x_coords(), grid.y_coords(), 1.0)
-    return FieldGrid(grid, (beam.amplitude * np.outer(gy, gx)).astype(complex))
-
-
-def shifted_field(envelope_field: FieldGrid, shift_sign: int,
-                  optics: OpticalParams) -> FieldGrid:
-    """Apply the linear phase tilt of a beam offset by +-D/2 before the lens.
-
-    shift_sign +1 multiplies by exp(-j*pi*D/(lam*f)*x), -1 by its
-    conjugate; the modulus of every sample is unchanged.
-    """
-    if shift_sign not in (+1, -1):
-        raise ValueError(f"shift_sign must be +1 or -1, got {shift_sign!r}")
-    x = envelope_field.grid.x_coords()
-    tilt = np.exp(-1j * shift_sign * math.pi * optics.separation
-                  / (optics.wavelength * optics.focal_length) * x)
-    return FieldGrid(envelope_field.grid, envelope_field.values * tilt[None, :])
-
-
-def lattice_fields(cfg: LatticeConfig, grid: GridSpec | None = None
-                   ) -> tuple[FieldGrid, FieldGrid]:
-    """Both tilted beam fields, with the path-difference phase on beam_plus."""
-    grid = grid or default_grid(cfg)
-    u_plus = shifted_field(focal_field(cfg.beam_plus, grid), +1, cfg.optics)
-    u_minus = shifted_field(focal_field(cfg.beam_minus, grid), -1, cfg.optics)
-    phase = np.exp(-2j * math.pi * cfg.path_difference / cfg.optics.wavelength)
-    return FieldGrid(grid, u_plus.values * phase), u_minus
-
-
-def fields_intensity(*fields: FieldGrid) -> IntensityFrame:
-    """|sum of fields|^2 as an IntensityFrame; all fields share one grid."""
-    if not fields:
-        raise ValueError("need at least one field")
-    grid = fields[0].grid
-    if any(f.grid != grid for f in fields[1:]):
-        raise ValueError("fields must share the same grid")
-    total = np.zeros_like(fields[0].values)
-    for f in fields:
-        total = total + f.values
-    return IntensityFrame(grid, np.abs(total) ** 2)
+    return np.exp(-u * u / w2), np.exp(-v * v / w2)
 
 
 def intensity_at(cfg: LatticeConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -241,8 +103,8 @@ def beam_envelopes(cfg: LatticeConfig, x: np.ndarray, y: np.ndarray
     a1, a2 = cfg.beam_plus.amplitude, cfg.beam_minus.amplitude
     # field-modulus profiles: the intensities are their squares, and
     # sqrt(G1 G2) is the product of the two fields
-    f1x, f1y = _profiles(cfg.beam_plus, x, y, 1.0)
-    f2x, f2y = _profiles(cfg.beam_minus, x, y, 1.0)
+    f1x, f1y = _profiles(cfg.beam_plus, x, y)
+    f2x, f2y = _profiles(cfg.beam_minus, x, y)
     envelope = np.multiply.outer((a1 * f1y) ** 2, f1x * f1x)
     envelope += np.multiply.outer((a2 * f2y) ** 2, f2x * f2x)
     envelope.flags.writeable = False
@@ -274,14 +136,6 @@ def fringes_at(cfg: LatticeConfig, x: np.ndarray,
     # the closed form is >= 0 analytically; clamp rounding dust
     np.maximum(vals, 0.0, out=vals)
     return vals
-
-
-def interference_intensity(cfg: LatticeConfig,
-                           grid: GridSpec | None = None) -> IntensityFrame:
-    """Two-beam fringe pattern on the grid (default_grid(cfg) if omitted);
-    see intensity_at for the formula and the sampling check."""
-    grid = grid or default_grid(cfg)
-    return IntensityFrame(grid, intensity_at(cfg, grid.x_coords(), grid.y_coords()))
 
 
 def center_fringe_shift(cfg: LatticeConfig) -> float:

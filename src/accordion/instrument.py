@@ -7,17 +7,16 @@ the center fringe still during a sweep.  The rival scheme of translating
 the beam-splitter pair is modeled only through its path-length penalty:
 a perpendicular deviation delta costs 2*delta of path difference.
 
-A sweep evaluates the closed-form lattice at the pixel centres: the beam
-envelopes once per sweep, then each frame's fringes.  Each worker renders
-one share of the frames (every workers-th sample) through two float
-scratch arrays of the sensor's shape, the intensity and the read-noise
-draw, that live for its whole share, so a frame allocates only its
-digitized image.  render_frame digitizes an arbitrary sampled
-IntensityFrame instead, resampling it onto the pixels by bilinear
-interpolation.  Both then apply gain, optional Gaussian read noise and
+The camera sees the closed-form lattice at its pixel centres.
+render_frame renders one configuration; render_sequence renders a sweep,
+the beam envelopes once per sweep, then each frame's fringes.  Each sweep
+worker renders one share of the frames (every workers-th sample) through
+two float scratch arrays of the sensor's shape, the intensity and the
+read-noise draw, that live for its whole share, so a frame allocates only
+its digitized image.  Both apply gain, optional Gaussian read noise and
 quantization in one shared digitizer.  The noise stream is keyed by
 (seed, frame_index) so that frames rendered in parallel, serially, or in
-any order are bit-identical.
+any order, or one at a time by render_frame, are bit-identical.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import IntensityFrame, LatticeConfig, beam_envelopes, fringes_at
+from .fields import LatticeConfig, beam_envelopes, fringes_at, intensity_at
 from .geometry import spacing_fourier
 
 
@@ -153,6 +152,8 @@ def static_sweep(separations, frame_rate: float = 30.0,
     sep = np.asarray(separations, dtype=float)
     if sep.ndim != 1 or sep.size == 0:
         raise ValueError("separations must be a non-empty 1-D sequence")
+    if not (math.isfinite(frame_rate) and frame_rate > 0):
+        raise ValueError(f"frame_rate must be positive, got {frame_rate!r}")
     d0 = float(initial_separation) if initial_separation is not None else float(sep[0])
     t = np.arange(sep.size) / frame_rate
     m = (d0 - sep) / 2.0
@@ -177,10 +178,11 @@ class CameraModel:
             raise ValueError(f"pixel_scale must be positive, got {self.pixel_scale!r}")
         if self.bit_depth not in (8, 16):
             raise ValueError(f"bit_depth must be 8 or 16, got {self.bit_depth!r}")
-        if self.read_noise < 0:
-            raise ValueError(f"read_noise must be >= 0, got {self.read_noise!r}")
-        if self.exposure_gain <= 0:
-            raise ValueError(f"exposure_gain must be positive, got {self.exposure_gain!r}")
+        if not (math.isfinite(self.read_noise) and self.read_noise >= 0):
+            raise ValueError(f"read_noise must be >= 0 and finite, got {self.read_noise!r}")
+        if not (math.isfinite(self.exposure_gain) and self.exposure_gain > 0):
+            raise ValueError(
+                f"exposure_gain must be positive and finite, got {self.exposure_gain!r}")
         nx, ny = self.sensor
         if nx < 2 or ny < 1:
             raise ValueError(f"sensor must be at least 2 x 1 pixels, got {self.sensor!r}")
@@ -204,20 +206,6 @@ class CameraModel:
         return (np.arange(ny) - (ny - 1) / 2) * self.pixel_scale
 
 
-def _bilinear(values: np.ndarray, gx: np.ndarray, gy: np.ndarray,
-              px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    fx = (px - gx[0]) / (gx[1] - gx[0])
-    fy = (py - gy[0]) / (gy[1] - gy[0])
-    ix = np.clip(fx.astype(int), 0, gx.size - 2)
-    iy = np.clip(fy.astype(int), 0, gy.size - 2)
-    tx = fx - ix
-    ty = fy - iy
-    return (values[np.ix_(iy, ix)] * np.outer(1 - ty, 1 - tx)
-            + values[np.ix_(iy, ix + 1)] * np.outer(1 - ty, tx)
-            + values[np.ix_(iy + 1, ix)] * np.outer(ty, 1 - tx)
-            + values[np.ix_(iy + 1, ix + 1)] * np.outer(ty, tx))
-
-
 def _digitize(counts: np.ndarray, cam: CameraModel, frame_index: int,
               noise: np.ndarray | None = None) -> np.ndarray:
     # works in place on `counts`, which callers own (fresh or scratch); the
@@ -234,15 +222,13 @@ def _digitize(counts: np.ndarray, cam: CameraModel, frame_index: int,
     return counts.astype(cam.dtype)
 
 
-def render_frame(frame: IntensityFrame, cam: CameraModel,
+def render_frame(cfg: LatticeConfig, cam: CameraModel,
                  frame_index: int = 0) -> np.ndarray:
-    """Digitize one intensity frame.
+    """Digitize the lattice of one configuration at the pixel centres.
 
     Parameters
     ----------
-    frame : IntensityFrame
-        Simulated focal-plane intensity; the camera field of view must lie
-        inside its grid (the frame is resampled by bilinear interpolation).
+    cfg : LatticeConfig
     cam : CameraModel
     frame_index : int
         Keys the per-frame noise stream together with cam.seed.
@@ -250,24 +236,12 @@ def render_frame(frame: IntensityFrame, cam: CameraModel,
     Returns
     -------
     ndarray of uint8 or uint16, shape (ny_px, nx_px)
-        clamp(round(gain * I + N(0, read_noise))) to the bit depth.  With
-        read_noise 0 and a gain mapping the intensity maximum to full
-        scale, the image is exact up to quantization.
+        clamp(round(gain * I + N(0, read_noise))) to the bit depth, with I
+        from intensity_at; byte for byte frame frame_index of a
+        render_sequence sample with cfg's separation and path difference.
+        Raises ValueError if a fringe spans fewer than 4 pixels.
     """
-    gx = frame.grid.x_coords()
-    gy = frame.grid.y_coords()
-    px = cam.pixel_x()
-    py = cam.pixel_y()
-    slack_x = 1e-9 * frame.grid.width
-    slack_y = 1e-9 * frame.grid.height
-    if px[0] < gx[0] - slack_x or px[-1] > gx[-1] + slack_x \
-            or py[0] < gy[0] - slack_y or py[-1] > gy[-1] + slack_y:
-        raise ValueError(
-            f"camera field of view ({px[-1] - px[0]:.4g} x {py[-1] - py[0]:.4g} um) "
-            f"exceeds the simulated grid ({frame.grid.width:.4g} x "
-            f"{frame.grid.height:.4g} um)"
-        )
-    return _digitize(_bilinear(frame.values, gx, gy, px, py), cam, frame_index)
+    return _digitize(intensity_at(cfg, cam.pixel_x(), cam.pixel_y()), cam, frame_index)
 
 
 @dataclass(frozen=True)
@@ -288,8 +262,8 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
     """Render one digital frame per trajectory sample.
 
     Each sample substitutes its separation and path difference into
-    base_cfg; the lattice is evaluated in closed form at the pixel centres
-    and digitized like render_frame does, the beam envelopes once per sweep.
+    base_cfg, and frame i is byte for byte render_frame(cfg_i, cam, i); the
+    beam envelopes, which depend on neither, are evaluated once per sweep.
     Returns the frames and the matching manifest records.  With workers > 1
     worker w renders samples w, w + workers, ... in a thread pool, with
     output guaranteed identical to the serial render; either way a failure

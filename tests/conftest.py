@@ -6,10 +6,8 @@ import pytest
 from accordion import (
     BeamSpec,
     CameraModel,
-    GridSpec,
     LatticeConfig,
     OpticalParams,
-    interference_intensity,
     render_frame,
 )
 
@@ -36,11 +34,9 @@ def make_camera(read_noise=0.0, seed=0, gain=None, sensor=(640, 120),
                        exposure_gain=gain, seed=seed)
 
 
-def render_lattice(cfg, cam=None, grid=None, frame_index=0):
-    """Closed-form lattice -> digital frame, with sane grid defaults."""
-    cam = cam or make_camera()
-    frame = interference_intensity(cfg, grid)
-    return render_frame(frame, cam, frame_index)
+def render_lattice(cfg, cam=None, frame_index=0):
+    """Closed-form lattice -> digital frame at the pixel centres."""
+    return render_frame(cfg, cam or make_camera(), frame_index)
 
 
 def render_simple(separation, focal=80000.0, waist=36.0, read_noise=0.0,

@@ -1,11 +1,57 @@
-"""Independent estimators used to cross-check the analysis pipeline.
+"""Independent models and estimators used to cross-check the package.
 
-Deliberately separate from the package: the period oracle works in the
-time domain (tapered autocorrelation, direct O(n^2) correlation), never
-touching the spectral path it verifies.
+Deliberately separate from the package:
+- the complex-field oracle builds each beam's field on a coordinate grid
+  and applies the linear phase tilt of its +-D/2 offset and the
+  path-difference phase; the squared modulus of the sum of the two fields
+  referees the closed form (`intensity_at`) without touching it;
+- the period oracle works in the time domain (tapered autocorrelation,
+  direct O(n^2) correlation), never touching the spectral path it
+  verifies;
+- the knife-edge oracle integrates an intensity image over a half plane.
+
+Coordinates are 1-D vectors in micrometers; images have shape
+(len(y), len(x)), x varying fastest.
 """
 
+import math
+
 import numpy as np
+
+
+def beam_field(beam, x, y):
+    """Complex field amplitude * exp(-r^2 / w^2) of one BeamSpec, zero phase."""
+    u = np.asarray(x, dtype=float) - beam.center_offset[0]
+    v = np.asarray(y, dtype=float) - beam.center_offset[1]
+    r2 = np.add.outer(v * v, u * u)
+    return (beam.amplitude * np.exp(-r2 / beam.focal_waist**2)).astype(complex)
+
+
+def beam_intensity(beam, x, y):
+    """Single-beam intensity amplitude^2 * exp(-2 r^2 / w^2)."""
+    return np.abs(beam_field(beam, x, y)) ** 2
+
+
+def shifted_field(values, shift_sign, optics, x):
+    """Apply the linear phase tilt of a beam offset by +-D/2 before the lens.
+
+    shift_sign +1 multiplies by exp(-j*pi*D/(lam*f)*x), -1 by its
+    conjugate; the modulus of every sample is unchanged.
+    """
+    if shift_sign not in (+1, -1):
+        raise ValueError(f"shift_sign must be +1 or -1, got {shift_sign!r}")
+    tilt = np.exp(-1j * shift_sign * math.pi * optics.separation
+                  / (optics.wavelength * optics.focal_length) * np.asarray(x))
+    return values * tilt[None, :]
+
+
+def tilted_fields(cfg, x, y):
+    """Both tilted beam fields of a LatticeConfig, (u_plus, u_minus), with
+    the path-difference phase on beam_plus."""
+    u_plus = shifted_field(beam_field(cfg.beam_plus, x, y), +1, cfg.optics, x)
+    u_minus = shifted_field(beam_field(cfg.beam_minus, x, y), -1, cfg.optics, x)
+    phase = np.exp(-2j * math.pi * cfg.path_difference / cfg.optics.wavelength)
+    return u_plus * phase, u_minus
 
 
 def autocorr_period(image, window_rows=None):
@@ -41,16 +87,15 @@ def autocorr_period(image, window_rows=None):
     raise ValueError("no autocorrelation peak")
 
 
-def half_plane_knife_profile(frame, positions):
-    """Numerically integrated knife-edge transmission of an IntensityFrame.
+def half_plane_knife_profile(values, x, y, positions):
+    """Numerically integrated knife-edge transmission of an intensity image
+    sampled at the coordinates x, y.
 
     The knife blocks everything at x above the knife position, so the
     transmitted power is the trapezoid integral of the intensity over the
     half plane x <= position.
     """
-    x = frame.grid.x_coords()
-    y = frame.grid.y_coords()
-    column = np.trapezoid(frame.values, y, axis=0)
+    column = np.trapezoid(values, y, axis=0)
     dx = x[1] - x[0]
     cumulative = np.concatenate(
         [[0.0], np.cumsum((column[1:] + column[:-1]) / 2 * dx)])

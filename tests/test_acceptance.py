@@ -10,17 +10,13 @@ import numpy as np
 import pytest
 
 from accordion import (
-    GridSpec,
     OpticalParams,
     beam_angle,
     build_trajectory,
     extract_period,
     calibrate_pixel_scale,
-    fields_intensity,
-    focal_envelope,
-    interference_intensity,
+    intensity_at,
     knife_edge_waist,
-    lattice_fields,
     render_frame,
     render_sequence,
     spacing_fourier,
@@ -30,10 +26,15 @@ from accordion import (
     MirrorDrive,
 )
 from accordion.cli import main
-from accordion.fields import BeamSpec, FieldGrid
+from accordion.fields import BeamSpec
 from accordion.runfiles import read_manifest, read_pgm
 from conftest import PIXEL_SCALE, WAVELENGTH, make_camera, make_config, render_simple
-from oracles import autocorr_period, half_plane_knife_profile
+from oracles import (
+    autocorr_period,
+    beam_intensity,
+    half_plane_knife_profile,
+    tilted_fields,
+)
 
 FIG6B_DRIVE = MirrorDrive(initial_separation=43810.0, speed=20000.0,
                           travel=20000.0, dwell=0.5, frame_rate=30.0)
@@ -176,10 +177,10 @@ def test_criterion_7_knife_edge():
     results = {}
     for waist in (36.0, 40.0):
         beam = BeamSpec(focal_waist=waist)
-        grid = GridSpec(width=6 * waist, height=6 * waist, nx=2001, ny=501)
-        frame = focal_envelope(beam, grid)
+        x = np.linspace(-3 * waist, 3 * waist, 2001)
+        y = np.linspace(-3 * waist, 3 * waist, 501)
         positions = np.linspace(-1.5 * waist, 1.5 * waist, 15)
-        powers = half_plane_knife_profile(frame, positions)
+        powers = half_plane_knife_profile(beam_intensity(beam, x, y), x, y, positions)
         results[waist] = knife_edge_waist(positions, powers)
     ok = all(abs(results[w] - w) <= 0.2 for w in results)
     report(7, "knife-edge waists", ok,
@@ -191,35 +192,31 @@ def test_criterion_8_property_suites(rng):
 
     # envelope independence of the period: 20 um vs 200 um waists
     sep = WAVELENGTH * 80000.0 / 2.0  # d = 2 um
-    grid = GridSpec(width=80.0, height=20.0, nx=2048, ny=64)
     cam = make_camera(sensor=(640, 32))
     periods = []
     for waist in (20.0, 200.0):
         cfg = make_config(separation=sep, waist=waist)
-        periods.append(extract_period(
-            render_frame(interference_intensity(cfg, grid), cam)).period_px)
+        periods.append(extract_period(render_frame(cfg, cam)).period_px)
     envelope_ok = abs(periods[0] - periods[1]) / periods[1] <= 0.005
     details.append(f"envelope independence {abs(periods[0] - periods[1]) / periods[1]:.2e}")
 
     # common-phase invariance of |U+ + U-|^2
     cfg = make_config(separation=20000.0, waist=30.0, waist2=45.0, amp2=0.7,
                       path_difference=0.1)
-    small = GridSpec(width=180.0, height=20.0, nx=701, ny=8)
-    with pytest.warns(UserWarning):
-        u_plus, u_minus = lattice_fields(cfg, small)
-    base = fields_intensity(u_plus, u_minus).values
+    u_plus, u_minus = tilted_fields(cfg, np.linspace(-90.0, 90.0, 701),
+                                    np.linspace(-10.0, 10.0, 8))
+    base = np.abs(u_plus + u_minus) ** 2
     mask = np.exp(1j * rng.uniform(-math.pi, math.pi, size=base.shape))
-    masked = fields_intensity(FieldGrid(small, u_plus.values * mask),
-                              FieldGrid(small, u_minus.values * mask)).values
+    masked = np.abs(u_plus * mask + u_minus * mask) ** 2
     phase_ok = bool(np.allclose(masked, base, rtol=1e-12, atol=1e-12 * base.max()))
     details.append("common-phase invariance at 1e-12")
 
     # closed form reduces to the doubled-envelope formula for identical beams
     cfg = make_config(separation=43810.0, waist=36.0)
-    dg = GridSpec(width=144.0, height=72.0, nx=1024, ny=128)
-    general = interference_intensity(cfg, dg).values
-    envelope = focal_envelope(cfg.beam_plus, dg).values
-    x = dg.x_coords()
+    x = np.linspace(-72.0, 72.0, 1024)
+    y = np.linspace(-36.0, 36.0, 128)
+    general = intensity_at(cfg, x, y)
+    envelope = beam_intensity(cfg.beam_plus, x, y)
     freq = cfg.optics.separation / (cfg.optics.wavelength * cfg.optics.focal_length)
     literal = 2 * (np.cos(2 * math.pi * freq * x)[None, :] + 1) * envelope
     reduction_ok = bool(np.allclose(general, literal, rtol=1e-12,
@@ -228,14 +225,13 @@ def test_criterion_8_property_suites(rng):
 
     # autocorrelation oracle agreement over 200 random configurations
     worst = 0.0
-    oracle_grid = GridSpec(width=80.0, height=20.0, nx=4096, ny=32)
     oracle_cam = make_camera(sensor=(640, 16))
     for _ in range(200):
         period_px = float(np.exp(rng.uniform(np.log(6), np.log(150))))
         waist = float(rng.uniform(150.0, 400.0))
         cfg = make_config(separation=WAVELENGTH * 80000.0 / (period_px * PIXEL_SCALE),
                           waist=waist)
-        img = render_frame(interference_intensity(cfg, oracle_grid), oracle_cam)
+        img = render_frame(cfg, oracle_cam)
         fft_period = extract_period(img).period_px
         oracle = autocorr_period(img)
         worst = max(worst, abs(fft_period - oracle) / oracle)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from accordion import (
     AnalysisError,
     FringeMeasurement,
-    GridSpec,
     LatticeConfig,
     NoFringeError,
     OpticalParams,
@@ -17,12 +16,11 @@ from accordion import (
     extract_fringe_phase,
     extract_period,
     fit_knife_edge,
-    focal_envelope,
     fringe_profile,
-    interference_intensity,
     knife_edge_waist,
     measure_contrast,
     measure_frame,
+    render_frame,
     render_sequence,
     spacing_fourier,
     static_sweep,
@@ -30,7 +28,7 @@ from accordion import (
 )
 from accordion.fields import BeamSpec
 from conftest import PIXEL_SCALE, WAVELENGTH, make_camera, make_config, render_simple
-from oracles import autocorr_period, half_plane_knife_profile
+from oracles import autocorr_period, beam_intensity, half_plane_knife_profile
 
 
 def separation_for_pixel_period(period_px, focal=80000.0):
@@ -61,12 +59,10 @@ class TestExtractPeriod:
             extract_period(img)
 
     def test_undersampled_fringe_rejected(self):
-        from accordion import render_frame
-        # grid fine enough to synthesize a 3.2 px fringe that the camera
-        # then samples with fewer than 4 pixels per period
-        grid = GridSpec(width=60.0, height=20.0, nx=1024, ny=64)
-        cfg = make_config(separation=separation_for_pixel_period(3.2))
-        img = render_frame(interference_intensity(cfg, grid), make_camera())
+        # a 3.2 px fringe, which render_frame refuses to render: fewer than
+        # 4 pixels per period
+        fringe = np.cos(2 * math.pi * np.arange(640) / 3.2)
+        img = np.rint(127.5 + 127.5 * np.tile(fringe, (120, 1))).astype(np.uint8)
         with pytest.raises(AnalysisError, match="samples per fringe"):
             extract_period(img)
 
@@ -79,14 +75,11 @@ class TestExtractPeriod:
             assert period * PIXEL_SCALE == pytest.approx(expected, rel=5e-3)
 
     def test_agrees_with_autocorrelation_oracle(self, rng):
-        from accordion import render_frame
         for _ in range(25):
             period_px = float(np.exp(rng.uniform(np.log(6), np.log(150))))
             sep = separation_for_pixel_period(period_px)
             cfg = make_config(separation=sep, waist=250.0)
-            grid = GridSpec(width=80.0, height=20.0, nx=4096, ny=32)
-            frame = interference_intensity(cfg, grid)
-            img = render_frame(frame, make_camera(sensor=(640, 16)))
+            img = render_frame(cfg, make_camera(sensor=(640, 16)))
             period, _ = extract_period(img)
             assert period == pytest.approx(autocorr_period(img), rel=5e-3)
 
@@ -256,12 +249,10 @@ class TestCalibratePixelScale:
     def test_waist_based_route_agrees_with_fit(self):
         """Both calibration routes must recover the same pixel scale: the
         erf fit of a digitized beam of known waist, and the spacing-law fit."""
-        from accordion import render_frame
         waist = 36.0
         cfg = make_config(separation=8000.0, waist=waist, amp2=0.0)
-        grid = GridSpec(width=220.0, height=72.0, nx=2048, ny=128)
         cam = make_camera(sensor=(2048, 32), gain=255.0)
-        img = render_frame(interference_intensity(cfg, grid), cam).astype(float)
+        img = render_frame(cfg, cam).astype(float)
         # knife-edge in pixel units: cumulative column power across the image
         powers = np.concatenate([[0.0], np.cumsum(img.sum(axis=0))])
         positions = np.arange(powers.size, dtype=float)
@@ -280,10 +271,10 @@ class TestCalibratePixelScale:
 class TestKnifeEdge:
     def _profile(self, waist, n_points=15, offset=0.0):
         beam = BeamSpec(focal_waist=waist)
-        grid = GridSpec(width=6 * waist, height=6 * waist, nx=2001, ny=501)
-        frame = focal_envelope(beam, grid)
+        x = np.linspace(-3 * waist, 3 * waist, 2001)
+        y = np.linspace(-3 * waist, 3 * waist, 501)
         positions = np.linspace(-1.5 * waist, 1.5 * waist, n_points)
-        powers = half_plane_knife_profile(frame, positions)
+        powers = half_plane_knife_profile(beam_intensity(beam, x, y), x, y, positions)
         return positions + offset, powers
 
     @pytest.mark.parametrize("waist", [36.0, 40.0])
@@ -399,16 +390,14 @@ class TestNoiseRobustness:
     def test_period_and_center_errors_over_100_seeds(self):
         """8-bit frames with read_noise 2: period within 1%, center within
         0.2 px, across 100 independent noise streams."""
-        from accordion import render_frame
         cfg = make_config(separation=8000.0)
-        frame = interference_intensity(cfg)
         d_um = spacing_fourier(cfg.optics)
         d_px = d_um / PIXEL_SCALE
         worst_period = 0.0
         worst_center = 0.0
         for seed in range(100):
             cam = make_camera(read_noise=2.0, seed=seed)
-            img = render_frame(frame, cam)
+            img = render_frame(cfg, cam)
             period, _ = extract_period(img)
             _, center_px = extract_fringe_phase(img, d_px)
             worst_period = max(worst_period, abs(period - d_px) / d_px)

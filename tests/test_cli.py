@@ -87,6 +87,14 @@ class TestSensitivityCommand:
         assert f"{flag} must be positive and finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("deviations", ["nan", "inf", "-inf", "1,nan"])
+    def test_nonfinite_deviation_is_usage_error(self, capsys, deviations):
+        assert main(["sensitivity", "--spacing", "10",
+                     f"--deviations={deviations}"]) == 2
+        captured = capsys.readouterr()
+        assert "--deviations must be finite" in captured.err
+        assert captured.out == ""
+
 
 class TestSweepCommand:
     def test_single_frame_preset(self, tmp_path, capsys):
@@ -142,6 +150,28 @@ class TestSweepCommand:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("focal=30000\nnonsense=1\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--read-noise", "nan", "read_noise"),
+        ("--gain", "nan", "exposure_gain"),
+        ("--gain", "inf", "exposure_gain"),
+    ])
+    def test_nonfinite_camera_value_is_usage_error(self, tmp_path, capsys,
+                                                   flag, value, field):
+        out = tmp_path / "run"
+        assert main(["sweep", "--preset", "fig4a", flag, value,
+                     "--out", str(out)]) == 2
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("frame_rate", ["nan", "inf", "0"])
+    def test_static_sweep_frame_rate_must_be_positive(self, tmp_path, capsys,
+                                                      frame_rate):
+        out = tmp_path / "run"
+        assert main(["sweep", "--separations", "19250,12000",
+                     "--frame-rate", frame_rate, "--out", str(out)]) == 2
+        assert "frame_rate must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grid_options_are_gone(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

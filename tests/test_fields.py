@@ -1,36 +1,30 @@
+import inspect
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import accordion
 from accordion import (
     BeamSpec,
-    FieldGrid,
-    GridSpec,
-    IntensityFrame,
     LatticeConfig,
     OpticalParams,
     center_fringe_position,
     center_fringe_shift,
-    default_grid,
-    fields_intensity,
-    focal_envelope,
-    focal_field,
     fold_to_period,
     fringe_contrast,
-    interference_intensity,
     intensity_at,
-    lattice_fields,
-    shifted_field,
     spacing_fourier,
 )
 from accordion.fields import beam_envelopes, fringes_at
 from conftest import make_config
+from oracles import beam_field, beam_intensity, shifted_field, tilted_fields
 
 
-def centered_grid(width, nx, height=None, ny=None):
-    return GridSpec(width=width, height=height or width, nx=nx, ny=ny or nx)
+def axis(width, n):
+    """n nodes from -width/2 to +width/2 inclusive, in micrometers."""
+    return np.linspace(-width / 2, width / 2, n)
 
 
 class TestTypes:
@@ -45,102 +39,90 @@ class TestTypes:
         with pytest.raises(ValueError):
             LatticeConfig(optics, BeamSpec(36, 0.0), BeamSpec(36, 0.0))
 
-    def test_grid_invariants(self):
-        with pytest.raises(ValueError):
-            GridSpec(width=0.0, height=10.0)
-        with pytest.raises(ValueError):
-            GridSpec(width=10.0, height=10.0, nx=1)
-
-    def test_frame_shape_and_negativity_checks(self):
-        grid = centered_grid(10.0, 8)
-        with pytest.raises(ValueError):
-            IntensityFrame(grid, np.zeros((4, 4)))
-        with pytest.raises(ValueError):
-            IntensityFrame(grid, -np.ones((8, 8)))
-        with pytest.raises(ValueError):
-            FieldGrid(grid, np.zeros((3, 3), dtype=complex))
-
-    def test_default_grid_spans_waists(self):
-        cfg = make_config(waist=20.0, waist2=50.0)
-        grid = default_grid(cfg)
-        assert grid.width == 200.0 and grid.height == 100.0
-        assert (grid.nx, grid.ny) == (1024, 256)
+    def test_grid_names_are_gone(self):
+        # the sampled-grid rendering path and its bilinear resampler
+        gone = {"GridSpec", "FieldGrid", "IntensityFrame", "default_grid",
+                "focal_envelope", "focal_field", "shifted_field", "lattice_fields",
+                "fields_intensity", "interference_intensity", "_warn_if_uncovered",
+                "_bilinear"}
+        for module in (accordion, accordion.fields, accordion.instrument):
+            assert sorted(gone & set(vars(module))) == []
+        assert next(iter(inspect.signature(accordion.render_frame).parameters)) == "cfg"
 
 
 class TestFocalEnvelope:
+    # with the second beam dark, intensity_at is the first beam's envelope
+
     def test_peak_and_waist_values(self):
-        beam = BeamSpec(focal_waist=25.0, amplitude=1.5)
-        grid = centered_grid(100.0, 101)  # nodes on integer um
-        frame = focal_envelope(beam, grid)
-        assert frame.values[50, 50] == pytest.approx(1.5**2, rel=1e-14)
-        assert frame.values[50, 75] == pytest.approx(1.5**2 * math.exp(-2), rel=1e-12)
+        cfg = make_config(separation=8000.0, waist=25.0, amp=1.5, amp2=0.0)
+        x = axis(100.0, 101)  # nodes on integer um
+        values = intensity_at(cfg, x, x)
+        assert values[50, 50] == pytest.approx(1.5**2, rel=1e-14)
+        assert values[50, 75] == pytest.approx(1.5**2 * math.exp(-2), rel=1e-12)
 
     def test_peak_follows_center_offset(self):
-        beam = BeamSpec(focal_waist=20.0, amplitude=1.0, center_offset=(10.0, -5.0))
-        frame = focal_envelope(beam, centered_grid(100.0, 201))
-        iy, ix = np.unravel_index(np.argmax(frame.values), frame.values.shape)
-        x = frame.grid.x_coords()
-        y = frame.grid.y_coords()
-        assert x[ix] == pytest.approx(10.0, abs=frame.grid.dx)
-        assert y[iy] == pytest.approx(-5.0, abs=frame.grid.dy)
-
-    def test_warns_when_grid_does_not_cover_waist(self):
-        with pytest.warns(UserWarning, match="waist"):
-            focal_envelope(BeamSpec(36.0), centered_grid(30.0, 64))
+        cfg = LatticeConfig(OpticalParams(0.532, 80000.0, 8000.0),
+                            BeamSpec(20.0, 1.0, (10.0, -5.0)), BeamSpec(20.0, 0.0))
+        x = axis(100.0, 201)
+        values = intensity_at(cfg, x, x)
+        iy, ix = np.unravel_index(np.argmax(values), values.shape)
+        assert x[ix] == pytest.approx(10.0, abs=x[1] - x[0])
+        assert x[iy] == pytest.approx(-5.0, abs=x[1] - x[0])
 
 
 class TestShiftedField:
+    # the phase tilt of the complex-field oracle that intensity_at is checked against
+
     def test_modulus_unchanged(self):
         optics = OpticalParams(0.532, 80000, 20000)
-        base = focal_field(BeamSpec(36.0), centered_grid(120.0, 257))
-        shifted = shifted_field(base, +1, optics)
-        assert np.allclose(np.abs(shifted.values), np.abs(base.values), rtol=1e-14)
+        x = axis(120.0, 257)
+        base = beam_field(BeamSpec(36.0), x, x)
+        shifted = shifted_field(base, +1, optics, x)
+        assert np.allclose(np.abs(shifted), np.abs(base), rtol=1e-14)
 
-    @pytest.mark.filterwarnings("ignore:grid extent")
     def test_conjugate_pair_beats_at_fringe_frequency(self):
         optics = OpticalParams(0.532, 80000, 20000)
-        grid = centered_grid(20.0, 257)
-        base = focal_field(BeamSpec(500.0), grid)  # wide beam: modulus ~ 1
-        plus = shifted_field(base, +1, optics)
-        minus = shifted_field(base, -1, optics)
-        product = plus.values[0] * np.conj(minus.values[0])
-        x = grid.x_coords()
+        x = axis(20.0, 257)
+        base = beam_field(BeamSpec(500.0), x, x)  # wide beam: modulus ~ 1
+        plus = shifted_field(base, +1, optics, x)
+        minus = shifted_field(base, -1, optics, x)
+        product = plus[0] * np.conj(minus[0])
         freq = optics.separation / (optics.wavelength * optics.focal_length)
         expected = np.abs(product) * np.exp(-2j * math.pi * freq * x)
         assert np.allclose(product, expected, rtol=1e-10, atol=1e-10)
 
     def test_vanishing_separation_is_identity(self):
         optics = OpticalParams(0.532, 80000, 1e-12)
-        base = focal_field(BeamSpec(36.0), centered_grid(120.0, 129))
-        shifted = shifted_field(base, +1, optics)
-        assert np.allclose(shifted.values, base.values, rtol=0, atol=1e-12)
+        x = axis(120.0, 129)
+        base = beam_field(BeamSpec(36.0), x, x)
+        shifted = shifted_field(base, +1, optics, x)
+        assert np.allclose(shifted, base, rtol=0, atol=1e-12)
 
     def test_bad_sign_rejected(self):
         optics = OpticalParams(0.532, 80000, 20000)
-        base = focal_field(BeamSpec(36.0), centered_grid(120.0, 65))
+        x = axis(120.0, 65)
+        base = beam_field(BeamSpec(36.0), x, x)
         with pytest.raises(ValueError):
-            shifted_field(base, 2, optics)
+            shifted_field(base, 2, optics, x)
 
 
 class TestInterferenceIntensity:
     def test_equal_beams_doubling_and_null(self):
         cfg = make_config(separation=8000.0)  # d = 5.32 um
         d = spacing_fourier(cfg.optics)
-        grid = GridSpec(width=2 * d, height=2 * d, nx=17, ny=5)  # node at d/2
-        frame = interference_intensity(cfg, grid)
-        x = grid.x_coords()
-        center = frame.values[2, 8]
+        x = axis(2 * d, 17)  # node at d/2
+        values = intensity_at(cfg, x, axis(2 * d, 5))
+        center = values[2, 8]
         assert x[8] == pytest.approx(0.0, abs=1e-12)
         assert center == pytest.approx(4.0, rel=1e-12)
         assert x[12] == pytest.approx(d / 2, rel=1e-12)
-        assert frame.values[2, 12] <= 1e-12
+        assert values[2, 12] <= 1e-12
 
     def test_reduces_to_doubled_envelope_formula(self):
         cfg = make_config(separation=43810.0, waist=36.0)
-        grid = default_grid(cfg)
-        general = interference_intensity(cfg, grid).values
-        envelope = focal_envelope(cfg.beam_plus, grid).values
-        x = grid.x_coords()
+        x, y = axis(144.0, 1024), axis(72.0, 256)  # 4 x 2 waists
+        general = intensity_at(cfg, x, y)
+        envelope = beam_intensity(cfg.beam_plus, x, y)
         freq = cfg.optics.separation / (cfg.optics.wavelength * cfg.optics.focal_length)
         literal = 2 * (np.cos(2 * math.pi * freq * x)[None, :] + 1) * envelope
         assert np.allclose(general, literal, rtol=1e-12, atol=1e-12 * literal.max())
@@ -148,10 +130,10 @@ class TestInterferenceIntensity:
     def test_matches_complex_field_superposition(self):
         cfg = make_config(separation=20000.0, waist=30.0, waist2=45.0,
                           amp=1.0, amp2=0.6, path_difference=0.21)
-        grid = GridSpec(width=180.0, height=90.0, nx=1501, ny=64)
-        closed = interference_intensity(cfg, grid).values
-        u_plus, u_minus = lattice_fields(cfg, grid)
-        squared = fields_intensity(u_plus, u_minus).values
+        x, y = axis(180.0, 1501), axis(90.0, 64)
+        closed = intensity_at(cfg, x, y)
+        u_plus, u_minus = tilted_fields(cfg, x, y)
+        squared = np.abs(u_plus + u_minus) ** 2
         assert np.allclose(closed, squared, rtol=1e-11, atol=1e-12 * closed.max())
 
     @pytest.mark.parametrize("plus, minus, path_difference", [
@@ -163,9 +145,10 @@ class TestInterferenceIntensity:
     def test_intensity_at_matches_complex_fields(self, plus, minus, path_difference):
         cfg = LatticeConfig(OpticalParams(0.532, 80000.0, 20000.0), plus, minus,
                             path_difference)
-        grid = GridSpec(width=200.0, height=120.0, nx=1501, ny=64)
-        closed = intensity_at(cfg, grid.x_coords(), grid.y_coords())
-        squared = fields_intensity(*lattice_fields(cfg, grid)).values
+        x, y = axis(200.0, 1501), axis(120.0, 64)
+        closed = intensity_at(cfg, x, y)
+        u_plus, u_minus = tilted_fields(cfg, x, y)
+        squared = np.abs(u_plus + u_minus) ** 2
         assert np.allclose(closed, squared, rtol=1e-11, atol=1e-12 * closed.max())
 
     def test_envelopes_are_shared_across_separations_and_path_differences(self):
@@ -181,22 +164,19 @@ class TestInterferenceIntensity:
                           path_difference=path_difference)
             assert np.array_equal(fringes_at(cfg, x, envelopes), intensity_at(cfg, x, y))
 
-    @pytest.mark.filterwarnings("ignore:grid extent")
     def test_common_phase_invariance(self, rng):
         cfg = make_config(separation=20000.0, waist=30.0, waist2=45.0, amp2=0.7)
-        grid = GridSpec(width=180.0, height=20.0, nx=701, ny=8)
-        u_plus, u_minus = lattice_fields(cfg, grid)
-        base = fields_intensity(u_plus, u_minus).values
+        u_plus, u_minus = tilted_fields(cfg, axis(180.0, 701), axis(20.0, 8))
+        base = np.abs(u_plus + u_minus) ** 2
         mask = np.exp(1j * rng.uniform(-math.pi, math.pi, size=base.shape))
-        masked = fields_intensity(FieldGrid(grid, u_plus.values * mask),
-                                  FieldGrid(grid, u_minus.values * mask)).values
+        masked = np.abs(u_plus * mask + u_minus * mask) ** 2
         assert np.allclose(masked, base, rtol=1e-12, atol=1e-12 * base.max())
 
     def test_nonnegative_and_bounded_by_four_envelopes(self):
         cfg = make_config(separation=30000.0, waist=36.0)
-        grid = default_grid(cfg)
-        vals = interference_intensity(cfg, grid).values
-        peak_envelope = focal_envelope(cfg.beam_plus, grid).values.max()
+        x, y = axis(144.0, 1024), axis(72.0, 256)  # 4 x 2 waists
+        vals = intensity_at(cfg, x, y)
+        peak_envelope = beam_intensity(cfg.beam_plus, x, y).max()
         assert np.all(vals >= 0)
         assert vals.max() <= 4 * peak_envelope * (1 + 1e-12)
 
@@ -204,21 +184,19 @@ class TestInterferenceIntensity:
         # grid spans 6 waists and ~42 fringes: cross term integrates out
         cfg = make_config(separation=10000.0, waist=30.0, amp=1.0, amp2=1.3,
                           path_difference=0.2)
-        grid = GridSpec(width=180.0, height=180.0, nx=2048, ny=256)
-        x, y = grid.x_coords(), grid.y_coords()
-        total = np.trapezoid(np.trapezoid(
-            interference_intensity(cfg, grid).values, x, axis=1), y)
+        x, y = axis(180.0, 2048), axis(180.0, 256)
+        total = np.trapezoid(np.trapezoid(intensity_at(cfg, x, y), x, axis=1), y)
         singles = 0.0
         for beam in (cfg.beam_plus, cfg.beam_minus):
             singles += np.trapezoid(np.trapezoid(
-                focal_envelope(beam, grid).values, x, axis=1), y)
+                beam_intensity(beam, x, y), x, axis=1), y)
         assert total == pytest.approx(singles, rel=5e-3)
 
     def test_undersampled_grid_rejected(self):
         cfg = make_config(separation=43810.0)  # d = 0.97 um
-        grid = GridSpec(width=144.0, height=20.0, nx=256, ny=8)  # 1.7 samples/fringe
+        x, y = axis(144.0, 256), axis(20.0, 8)  # 1.7 samples/fringe
         with pytest.raises(ValueError, match="samples per fringe"):
-            interference_intensity(cfg, grid)
+            intensity_at(cfg, x, y)
 
 
 class TestCenterFringe:

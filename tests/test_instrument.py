@@ -8,7 +8,6 @@ import pytest
 from accordion import (
     BeamSpec,
     CameraModel,
-    GridSpec,
     LatticeConfig,
     MirrorDrive,
     OpticalParams,
@@ -16,7 +15,6 @@ from accordion import (
     bs_translation_path_difference,
     build_trajectory,
     center_fringe_shift,
-    interference_intensity,
     measure_contrast,
     mirror_to_separation,
     render_frame,
@@ -115,6 +113,11 @@ class TestBuildTrajectory:
         with pytest.raises(ValueError, match="positive"):
             static_sweep([1e4, -1.0])
 
+    @pytest.mark.parametrize("frame_rate", [0.0, -30.0, float("nan"), float("inf")])
+    def test_static_sweep_needs_positive_finite_frame_rate(self, frame_rate):
+        with pytest.raises(ValueError, match="frame_rate must be positive"):
+            static_sweep([19250.0, 12000.0], frame_rate=frame_rate)
+
 
 class TestBsTranslation:
     def test_doubles_the_deviation(self):
@@ -138,6 +141,10 @@ class TestCameraModel:
         dict(exposure_gain=0.0),
         dict(seed=-1),
         dict(sensor=(1, 1)),
+        dict(read_noise=float("nan")),
+        dict(read_noise=float("inf")),
+        dict(exposure_gain=float("nan")),
+        dict(exposure_gain=float("inf")),
     ])
     def test_invalid_cameras_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -150,15 +157,14 @@ class TestCameraModel:
 
 class TestRenderFrame:
     def test_extremes_hit_full_scale_and_zero(self):
-        # pixels and grid nodes aligned on multiples of the pixel scale,
-        # fringe period 12 px: trough lands exactly on a pixel center
+        # pixel centres on multiples of the pixel scale, fringe period
+        # 12 px: trough lands exactly on a pixel center
         ps = 0.0853
         d = 12 * ps
         cfg = make_config(separation=0.532 * 80000 / d)
-        grid = GridSpec(width=1280 * ps, height=60 * ps, nx=1281, ny=61)
         cam = CameraModel(pixel_scale=ps, sensor=(641, 31), bit_depth=8,
                           exposure_gain=255 / 4.0)
-        img = render_frame(interference_intensity(cfg, grid), cam)
+        img = render_frame(cfg, cam)
         assert img.dtype == np.uint8
         assert img[15, 320] == 255          # central bright fringe
         assert img[15, 320 + 6] == 0        # adjacent dark fringe
@@ -173,16 +179,9 @@ class TestRenderFrame:
     def test_sixteen_bit_output(self):
         cam = make_camera(bit_depth=16, gain=65535 / 4.0)
         img = render_simple(20000.0)  # 8-bit default for contrast
-        img16 = render_frame(
-            interference_intensity(make_config(separation=20000.0)), cam)
+        img16 = render_frame(make_config(separation=20000.0), cam)
         assert img16.dtype == np.uint16
         assert img16.max() > 255 >= img.max()
-
-    def test_fov_must_fit_in_grid(self):
-        cfg = make_config(separation=20000.0)
-        grid = GridSpec(width=40.0, height=40.0, nx=256, ny=256)
-        with pytest.raises(ValueError, match="field of view"):
-            render_frame(interference_intensity(cfg, grid), make_camera())
 
 
 class TestRenderSequence:
@@ -192,11 +191,7 @@ class TestRenderSequence:
         traj = static_sweep([20000.0])
         frames, records = render_sequence(traj, cfg, cam)
         assert len(frames) == 1
-        # a grid whose nodes are the pixel centres: the resampling is exact
-        nx, ny = cam.sensor
-        ps = cam.pixel_scale
-        grid = GridSpec((nx - 1) * ps, (ny - 1) * ps, nx, ny)
-        direct = render_frame(interference_intensity(cfg, grid), cam, frame_index=0)
+        direct = render_frame(cfg, cam, frame_index=0)
         assert np.array_equal(frames[0], direct)
         assert records[0].frame == "frame_0000.pgm"
         assert records[0].analytic_spacing_um == pytest.approx(
@@ -211,14 +206,11 @@ class TestRenderSequence:
         traj = Trajectory(np.array([0.0, 0.1]), np.array([0.0, 6905.0]),
                           np.array([43810.0, 30000.0]), np.array([0.0, 0.19]))
         frames, _ = render_sequence(traj, base, cam)
-        nx, ny = cam.sensor
-        ps = cam.pixel_scale
-        grid = GridSpec((nx - 1) * ps, (ny - 1) * ps, nx, ny)
         for i, image in enumerate(frames):
             cfg = replace(base, optics=replace(base.optics,
                                                separation=float(traj.separations[i])),
                           path_difference=float(traj.path_differences[i]))
-            direct = render_frame(interference_intensity(cfg, grid), cam, frame_index=i)
+            direct = render_frame(cfg, cam, frame_index=i)
             assert np.array_equal(image, direct)
         assert not np.array_equal(frames[0], frames[1])
 
