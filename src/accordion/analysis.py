@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import fold_to_period
+from .geometry import require_positive
 
 PEAK_GATE_DB = 6.0
 MIN_PERIODS = 3
@@ -255,8 +256,11 @@ def calibrate_pixel_scale(points, wavelength: float,
     points whose separations span at least a factor of 2.
 
     Returns the scale in um/pixel, its standard error, and the per-point
-    relative residuals of the fit.
+    relative residuals of the fit.  A wavelength or focal length that is
+    not positive and finite is a ValueError.
     """
+    require_positive("wavelength", wavelength)
+    require_positive("focal_length", focal_length)
     pts = [(float(d), float(p)) for d, p in points]
     if len(pts) < 3:
         raise AnalysisError(f"ill-conditioned: need at least 3 points, got {len(pts)}")

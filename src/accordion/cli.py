@@ -6,9 +6,11 @@
     accordion sensitivity  path-difference penalty of the beam-splitter scheme
 
 Exit codes: 0 success, 1 analysis failure, 2 usage or configuration error.
-Every flag of `sweep` can also come from a key=value config file
-(--config); explicit flags win.  The default output root ./runs can be
-overridden with the ACCORDION_OUT_DIR environment variable.
+SWEEP_KEYS declares each sweep key once: the sweep flags, presets, --config
+files and the config.txt echo follow it, resolved flag > --config file >
+preset > built-in, and analyze reads config.txt through the same typed
+reader.  The default output root ./runs can be overridden with the
+ACCORDION_OUT_DIR environment variable.
 """
 
 from __future__ import annotations
@@ -22,13 +24,71 @@ from pathlib import Path
 
 from . import analysis, geometry, instrument, runfiles
 from .fields import BeamSpec, LatticeConfig
+from .geometry import require_positive
+
+
+class _Parsed(tuple):
+    """Numbers read from a text; str() is that text, as config.txt echoes it."""
+
+    def __new__(cls, values, text: str):
+        self = super().__new__(cls, values)
+        self.text = text
+        return self
+
+    def __str__(self) -> str:
+        return self.text
+
+
+def _separations(text: str) -> _Parsed:
+    return _Parsed((float(tok) for tok in text.split(",") if tok), text)
+
+
+def _sensor(text: str) -> _Parsed:
+    size = re.fullmatch(r"\s*(\d+)\s*x\s*(\d+)\s*", text)
+    if size is None:
+        raise ValueError(f"must be WxH pixels, e.g. 640x120; got {text!r}")
+    return _Parsed((int(size[1]), int(size[2])), text)
+
+
+def _bit_depth(text: str) -> int:
+    if text not in ("8", "16"):
+        raise ValueError(f"must be 8 or 16, got {text!r}")
+    return int(text)
+
+
+# One declaration per sweep key, in config.txt order: the type that converts its
+# text, its built-in default (None: unset, echoed empty) and the help of --key.
+SWEEP_KEYS: dict[str, tuple] = {
+    "wavelength": (float, 0.532, "um"),
+    "focal": (float, 80000.0, "um"),
+    "initial_separation": (float, None, "um"),
+    "speed": (float, 20000.0, "mirror um/s"),
+    "travel": (float, 20000.0, "mirror um"),
+    "dwell": (float, 0.5, "s"),
+    "frame_rate": (float, 30.0, None),
+    "separations": (_separations, None, "comma list of separations (um) for a static sweep"),
+    "waist": (float, 36.0, "um"),
+    "waist2": (float, None, "um"),
+    "amplitude": (float, 1.0, None),
+    "amplitude2": (float, 1.0, None),
+    "path_difference": (float, 0.0, "um, constant over the run"),
+    "pixel_scale": (float, 0.0853, None),
+    "sensor": (_sensor, _sensor("640x120"), "WxH pixels"),
+    "bit_depth": (_bit_depth, 8, "8 or 16"),
+    "read_noise": (float, 0.0, None),
+    "gain": (lambda text: text if text == "auto" else float(text), "auto",
+             "counts per intensity unit, or 'auto'"),
+    "seed": (int, 0, None),
+    "workers": (int, 1, None),
+}
 
 # Bundled experiment presets: static single shots / separation ladders at
 # f = 30 mm, and the two timed sweeps at f = 80 mm (out 1 s or 2 s, dwell
 # 0.5 s, back at the same speed, 30 frames/s).
 PRESETS: dict[str, dict[str, object]] = {
-    "fig4a": dict(focal=30000.0, separations="19250", waist=36.0, waist2=40.0),
-    "fig4b": dict(focal=30000.0, separations="19250,17000,14000,11000,8000,5000",
+    "fig4a": dict(focal=30000.0, separations=_separations("19250"), waist=36.0, waist2=40.0),
+    "fig4b": dict(focal=30000.0,
+                  separations=_separations("19250,17000,14000,11000,8000,5000"),
                   waist=36.0, waist2=40.0),
     "fig6a": dict(focal=80000.0, initial_separation=43810.0, speed=10000.0,
                   travel=20000.0, dwell=0.5, waist=36.0, waist2=36.0),
@@ -36,23 +96,35 @@ PRESETS: dict[str, dict[str, object]] = {
                   travel=20000.0, dwell=0.5, waist=36.0, waist2=36.0),
 }
 
-SWEEP_DEFAULTS: dict[str, object] = dict(
-    wavelength=0.532, focal=80000.0, initial_separation=None, speed=20000.0,
-    travel=20000.0, dwell=0.5, frame_rate=30.0, separations=None,
-    waist=36.0, waist2=None, amplitude=1.0, amplitude2=1.0,
-    path_difference=0.0, pixel_scale=0.0853, sensor="640x120", bit_depth=8,
-    read_noise=0.0, gain="auto", seed=0, workers=1,
-)
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+def _convert(key: str, text: str, source: str):
+    """The text of a sweep key as its declared type; source names the flag,
+    or the file and key, in the error of a value that does not convert."""
+    kind, default, _ = SWEEP_KEYS[key]
+    if text in ("", "None"):  # as sweep echoes an unset key
+        if default is None:
+            return None
+        raise ValueError(f"{source} needs a value")
+    try:
+        return kind(text)
+    except ValueError as err:
+        raise ValueError(f"{source}: {err}") from None
 
 
-def _fail_analysis(message: str) -> int:
-    print(f"analysis error: {message}", file=sys.stderr)
-    return 1
+def read_sweep_config(path) -> dict:
+    """The sweep keys of a --config file or a run's config.txt as their
+    declared types, 'command' and 'preset' passed over; an unknown key or a
+    value that does not convert is a ValueError naming the file and key."""
+    values = runfiles.read_config(path)
+    unknown = set(values) - set(SWEEP_KEYS) - {"preset", "command"}
+    if unknown:
+        raise ValueError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
+    return {key: _convert(key, text, f"{path}: config key {key!r}")
+            for key, text in values.items() if key in SWEEP_KEYS}
 
 
 # ---------------------------------------------------------------- spacing
@@ -84,111 +156,56 @@ def cmd_spacing(args) -> int:
 
 def _resolve_sweep_params(args) -> dict:
     """flag > config file > preset > built-in default."""
-    resolved = dict(SWEEP_DEFAULTS)
-    if args.preset:
-        if args.preset not in PRESETS:
-            raise ValueError(f"unknown preset {args.preset!r}; "
-                             f"choose from {', '.join(sorted(PRESETS))}")
-        resolved.update(PRESETS[args.preset])
+    params = {key: default for key, (_, default, _) in SWEEP_KEYS.items()}
+    params.update(PRESETS.get(args.preset, {}))
     if args.config:
-        file_values = runfiles.read_config(args.config)
-        unknown = set(file_values) - set(SWEEP_DEFAULTS) - {"preset", "command"}
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        for key, raw in file_values.items():
-            if key in ("preset", "command"):
-                continue
-            default = SWEEP_DEFAULTS[key]
-            if raw == "None" or raw == "":
-                # as sweep echoes them: only keys unset by default may be empty
-                if default is not None:
-                    raise ValueError(f"config key {key!r} needs a value")
-                resolved[key] = None
-            elif key in ("sensor", "gain", "separations"):
-                resolved[key] = raw
-            elif isinstance(default, int) and not isinstance(default, bool):
-                resolved[key] = int(raw)
-            else:
-                resolved[key] = float(raw)
-    for key in SWEEP_DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    return resolved
+        params.update(read_sweep_config(args.config))
+    for key in SWEEP_KEYS:
+        if getattr(args, key) is not None:
+            params[key] = _convert(key, getattr(args, key), _flag(key))
+    return params
 
 
 def _build_run(params: dict):
-    wavelength = float(params["wavelength"])
-    focal = float(params["focal"])
     if params["separations"]:
-        seps = [float(tok) for tok in str(params["separations"]).split(",") if tok]
-        trajectory = instrument.static_sweep(seps, float(params["frame_rate"]))
-        initial = seps[0]
+        trajectory = instrument.static_sweep(params["separations"], params["frame_rate"])
+        initial = params["separations"][0]
     else:
         initial = params["initial_separation"]
         if initial is None:
             raise ValueError("need --initial-separation (or --separations / a preset)")
-        drive = instrument.MirrorDrive(
-            initial_separation=float(initial),
-            speed=float(params["speed"]),
-            travel=float(params["travel"]),
-            dwell=float(params["dwell"]),
-            frame_rate=float(params["frame_rate"]),
-        )
-        trajectory = instrument.build_trajectory(drive)
-    if float(params["path_difference"]) != 0.0:
-        trajectory = trajectory.with_path_difference(float(params["path_difference"]))
+        trajectory = instrument.build_trajectory(instrument.MirrorDrive(
+            initial, params["speed"], params["travel"], params["dwell"], params["frame_rate"]))
+    if params["path_difference"] != 0.0:
+        trajectory = trajectory.with_path_difference(params["path_difference"])
 
-    waist = float(params["waist"])
-    waist2 = float(params["waist2"]) if params["waist2"] is not None else waist
-    amp1 = float(params["amplitude"])
-    amp2 = float(params["amplitude2"])
+    waist, amp1, amp2 = params["waist"], params["amplitude"], params["amplitude2"]
+    waist2 = params["waist2"] if params["waist2"] is not None else waist
     base_cfg = LatticeConfig(
-        optics=geometry.OpticalParams(wavelength, focal, float(initial)),
-        beam_plus=BeamSpec(waist, amp1),
-        beam_minus=BeamSpec(waist2, amp2),
-    )
-
-    sensor = re.fullmatch(r"\s*(\d+)\s*x\s*(\d+)\s*", str(params["sensor"]))
-    if sensor is None:
-        raise ValueError(f"--sensor must be WxH pixels, e.g. 640x120; "
-                         f"got {params['sensor']!r}")
+        optics=geometry.OpticalParams(params["wavelength"], params["focal"], initial),
+        beam_plus=BeamSpec(waist, amp1), beam_minus=BeamSpec(waist2, amp2))
     gain = params["gain"]
     if gain == "auto":
-        full = (1 << int(params["bit_depth"])) - 1
-        gain_value = full / (amp1 + amp2) ** 2
-    else:
-        gain_value = float(gain)
+        gain = ((1 << params["bit_depth"]) - 1) / (amp1 + amp2) ** 2
     cam = instrument.CameraModel(
-        pixel_scale=float(params["pixel_scale"]),
-        sensor=(int(sensor[1]), int(sensor[2])),
-        bit_depth=int(params["bit_depth"]),
-        read_noise=float(params["read_noise"]),
-        exposure_gain=gain_value,
-        seed=int(params["seed"]),
-    )
+        pixel_scale=params["pixel_scale"], sensor=params["sensor"],
+        bit_depth=params["bit_depth"], read_noise=params["read_noise"],
+        exposure_gain=gain, seed=params["seed"])
     return trajectory, base_cfg, cam
-
-
-def _echo_config(params: dict, preset: str | None) -> dict:
-    echo: dict[str, object] = {"command": "sweep", "preset": preset or ""}
-    for key in SWEEP_DEFAULTS:
-        echo[key] = params[key] if params[key] is not None else ""
-    return echo
 
 
 def cmd_sweep(args) -> int:
     params = _resolve_sweep_params(args)
     trajectory, base_cfg, cam = _build_run(params)
     frames, records = instrument.render_sequence(
-        trajectory, base_cfg, cam, workers=int(params["workers"]))
+        trajectory, base_cfg, cam, workers=params["workers"])
     composite = instrument.spacetime_composite(frames) if len(frames) >= 2 else None
 
     out_root = Path(os.environ.get("ACCORDION_OUT_DIR", "runs"))
     out_dir = Path(args.out) if args.out else out_root / (args.preset or "sweep")
-    runfiles.write_run(out_dir, frames, records,
-                       config=_echo_config(params, args.preset),
-                       composite=composite)
+    echo = {key: "" if value is None else value for key, value in params.items()}
+    runfiles.write_run(out_dir, frames, records, composite=composite,
+                       config={"command": "sweep", "preset": args.preset or "", **echo})
     spacings = [r.analytic_spacing_um for r in records]
     print(f"wrote {len(frames)} frames to {out_dir}")
     print(f"separation {records[0].separation_um:.6g} -> "
@@ -214,37 +231,41 @@ def _analyze_single(path: Path, pixel_scale, window_rows) -> int:
     return 0
 
 
+def _setting(args, config: dict, key: str, config_path: Path | None):
+    """An analyze setting from its flag, which wins as in sweep, else from
+    config.txt, checked positive and finite; None when neither gives it."""
+    if getattr(args, key) is not None:
+        return require_positive(_flag(key), _convert(key, getattr(args, key), _flag(key)))
+    if config.get(key) is not None:
+        return require_positive(f"{config_path}: config key {key!r}", config[key])
+    return None
+
+
 def cmd_analyze(args) -> int:
     if args.window_rows is not None and args.window_rows < 1:
-        return _fail_usage(f"--window-rows must be at least 1, got {args.window_rows}")
+        raise ValueError(f"--window-rows must be at least 1, got {args.window_rows}")
     target = Path(args.target)
     if target.is_file():
         if args.calibrate:
-            return _fail_usage(f"--calibrate needs a run directory; {target} is one image")
-        return _analyze_single(target, args.pixel_scale, args.window_rows)
+            raise ValueError(f"--calibrate needs a run directory; {target} is one image")
+        return _analyze_single(target, _setting(args, {}, "pixel_scale", None),
+                               args.window_rows)
     if not target.is_dir():
-        return _fail_usage(f"{target}: no such file or directory")
+        raise ValueError(f"{target}: no such file or directory")
 
     manifest_path = target / "manifest.csv"
     if not manifest_path.exists():
-        return _fail_usage(f"{target}: missing manifest.csv")
+        raise ValueError(f"{target}: missing manifest.csv")
     records = runfiles.read_manifest(manifest_path)
-    config = {}
-    if (target / "config.txt").exists():
-        config = runfiles.read_config(target / "config.txt")
-    pixel_scale = args.pixel_scale
-    if pixel_scale is None and "pixel_scale" in config:
-        pixel_scale = float(config["pixel_scale"])
+    config_path = target / "config.txt"
+    config = read_sweep_config(config_path) if config_path.exists() else {}
+    pixel_scale, wavelength, focal = (_setting(args, config, key, config_path)
+                                      for key in ("pixel_scale", "wavelength", "focal"))
     if pixel_scale is None:
-        return _fail_usage("no pixel scale: pass --pixel-scale or provide config.txt")
-    if args.calibrate:
-        # an explicit flag wins over config.txt, as in sweep
-        wavelength = (args.wavelength if args.wavelength is not None
-                      else float(config.get("wavelength") or 0))
-        focal = args.focal if args.focal is not None else float(config.get("focal") or 0)
-        if wavelength <= 0 or focal <= 0:
-            return _fail_usage("--calibrate needs wavelength and focal length "
-                               "(from config.txt or --wavelength/--focal)")
+        raise ValueError("no pixel scale: pass --pixel-scale or provide config.txt")
+    if args.calibrate and (wavelength is None or focal is None):
+        raise ValueError("--calibrate needs wavelength and focal length "
+                         "(from config.txt or --wavelength/--focal)")
 
     frames = []
     measurements: list[analysis.FringeMeasurement | None] = []
@@ -315,12 +336,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     deviations = [float(tok) for tok in args.deviations.split(",") if tok]
-    for flag, value in (("--spacing", args.spacing), ("--wavelength", args.wavelength)):
-        if not (math.isfinite(value) and value > 0):
-            return _fail_usage(f"{flag} must be positive and finite, got {value!r}")
+    require_positive("--spacing", args.spacing)
+    require_positive("--wavelength", args.wavelength)
     for dev in deviations:
         if not math.isfinite(dev):
-            return _fail_usage(f"--deviations must be finite, got {dev!r}")
+            raise ValueError(f"--deviations must be finite, got {dev!r}")
     print(f"# lattice spacing {args.spacing} um, wavelength {args.wavelength} um")
     print(f"{'deviation_um':>14} {'path_diff_um':>14} {'shift_fringes':>14} "
           f"{'shift_um':>12} {'mirror_shift_um':>16}")
@@ -353,41 +373,18 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="render an accordion run")
     sw.add_argument("--preset", choices=sorted(PRESETS), default=None)
     sw.add_argument("--config", default=None, help="key=value file of sweep flags")
-    sw.add_argument("--wavelength", type=float, default=None, help="um")
-    sw.add_argument("--focal", type=float, default=None, help="um")
-    sw.add_argument("--initial-separation", dest="initial_separation",
-                    type=float, default=None, help="um")
-    sw.add_argument("--speed", type=float, default=None, help="mirror um/s")
-    sw.add_argument("--travel", type=float, default=None, help="mirror um")
-    sw.add_argument("--dwell", type=float, default=None, help="s")
-    sw.add_argument("--frame-rate", dest="frame_rate", type=float, default=None)
-    sw.add_argument("--separations", default=None,
-                    help="comma list of separations (um) for a static sweep")
-    sw.add_argument("--waist", type=float, default=None, help="um")
-    sw.add_argument("--waist2", type=float, default=None, help="um")
-    sw.add_argument("--amplitude", type=float, default=None)
-    sw.add_argument("--amplitude2", type=float, default=None)
-    sw.add_argument("--path-difference", dest="path_difference", type=float,
-                    default=None, help="um, constant over the run")
-    sw.add_argument("--pixel-scale", dest="pixel_scale", type=float, default=None)
-    sw.add_argument("--sensor", default=None, help="WxH pixels")
-    sw.add_argument("--bit-depth", dest="bit_depth", type=int, default=None,
-                    choices=(8, 16))
-    sw.add_argument("--read-noise", dest="read_noise", type=float, default=None)
-    sw.add_argument("--gain", default=None, help="counts per intensity unit, or 'auto'")
-    sw.add_argument("--seed", type=int, default=None)
-    sw.add_argument("--workers", type=int, default=None)
+    for key, (_, _, help_text) in SWEEP_KEYS.items():
+        sw.add_argument(_flag(key), help=help_text)
     sw.add_argument("--out", default=None, help="output directory")
     sw.set_defaults(func=cmd_sweep)
 
     an = sub.add_parser("analyze", help="measure a run directory or one image")
     an.add_argument("target", help="run directory or P5 image")
-    an.add_argument("--pixel-scale", dest="pixel_scale", type=float, default=None)
     an.add_argument("--window-rows", dest="window_rows", type=int, default=None)
     an.add_argument("--calibrate", action="store_true",
                     help="fit the pixel scale from the manifest separations")
-    an.add_argument("--wavelength", type=float, default=None, help="um")
-    an.add_argument("--focal", type=float, default=None, help="um")
+    for key in ("pixel_scale", "wavelength", "focal"):
+        an.add_argument(_flag(key), help=SWEEP_KEYS[key][2])
     an.add_argument("--out", default=None, help="directory for the CSV reports")
     an.set_defaults(func=cmd_analyze)
 
@@ -403,14 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except analysis.AnalysisError as err:
-        return _fail_analysis(str(err))
+        print(f"analysis error: {err}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as err:
-        return _fail_usage(str(err))
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import OpticalParams, spacing_fourier
+from .geometry import OpticalParams, require_positive, spacing_fourier
 
 MIN_SAMPLES_PER_FRINGE = 4
 
@@ -37,8 +37,7 @@ class BeamSpec:
     center_offset: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if not (math.isfinite(self.focal_waist) and self.focal_waist > 0):
-            raise ValueError(f"focal_waist must be positive, got {self.focal_waist!r}")
+        require_positive("focal_waist", self.focal_waist)
         if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude!r}")
 
@@ -174,6 +173,5 @@ def conjugate_waist(wavelength: float, focal_length: float, waist: float) -> flo
     """
     for name, v in (("wavelength", wavelength), ("focal_length", focal_length),
                     ("waist", waist)):
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        require_positive(name, v)
     return wavelength * focal_length / (math.pi * waist)

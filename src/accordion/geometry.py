@@ -19,6 +19,14 @@ import math
 from dataclasses import dataclass
 
 
+def require_positive(name: str, value: float) -> float:
+    """value, if it is positive and finite; otherwise a ValueError that
+    names it."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class OpticalParams:
     """Wavelength, lens focal length and beam separation, all in micrometers.
@@ -35,9 +43,7 @@ class OpticalParams:
 
     def __post_init__(self):
         for name in ("wavelength", "focal_length", "separation"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
+            require_positive(name, getattr(self, name))
         if self.separation >= 2 * self.focal_length:
             raise ValueError(
                 f"separation {self.separation} um must be below twice the focal "
@@ -79,6 +85,5 @@ def separation_for_spacing(wavelength: float, focal_length: float,
     """
     for name, v in (("wavelength", wavelength), ("focal_length", focal_length),
                     ("spacing", spacing)):
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be positive and finite, got {v!r}")
+        require_positive(name, v)
     return wavelength * focal_length / spacing

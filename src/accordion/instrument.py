@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import LatticeConfig, beam_envelopes, fringes_at, intensity_at
-from .geometry import spacing_fourier
+from .geometry import require_positive, spacing_fourier
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,9 @@ class MirrorDrive:
 
     def __post_init__(self):
         for name in ("initial_separation", "speed", "travel", "frame_rate"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be positive, got {v!r}")
-        if self.dwell < 0:
-            raise ValueError(f"dwell must be >= 0, got {self.dwell!r}")
+            require_positive(name, getattr(self, name))
+        if not (math.isfinite(self.dwell) and self.dwell >= 0):
+            raise ValueError(f"dwell must be >= 0 and finite, got {self.dwell!r}")
         if self.initial_separation - 2 * self.travel <= 0:
             raise ValueError(
                 f"travel {self.travel} um drives the separation to "
@@ -152,8 +150,7 @@ def static_sweep(separations, frame_rate: float = 30.0,
     sep = np.asarray(separations, dtype=float)
     if sep.ndim != 1 or sep.size == 0:
         raise ValueError("separations must be a non-empty 1-D sequence")
-    if not (math.isfinite(frame_rate) and frame_rate > 0):
-        raise ValueError(f"frame_rate must be positive, got {frame_rate!r}")
+    require_positive("frame_rate", frame_rate)
     d0 = float(initial_separation) if initial_separation is not None else float(sep[0])
     t = np.arange(sep.size) / frame_rate
     m = (d0 - sep) / 2.0
@@ -174,15 +171,12 @@ class CameraModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.pixel_scale) and self.pixel_scale > 0):
-            raise ValueError(f"pixel_scale must be positive, got {self.pixel_scale!r}")
+        require_positive("pixel_scale", self.pixel_scale)
         if self.bit_depth not in (8, 16):
             raise ValueError(f"bit_depth must be 8 or 16, got {self.bit_depth!r}")
         if not (math.isfinite(self.read_noise) and self.read_noise >= 0):
             raise ValueError(f"read_noise must be >= 0 and finite, got {self.read_noise!r}")
-        if not (math.isfinite(self.exposure_gain) and self.exposure_gain > 0):
-            raise ValueError(
-                f"exposure_gain must be positive and finite, got {self.exposure_gain!r}")
+        require_positive("exposure_gain", self.exposure_gain)
         nx, ny = self.sensor
         if nx < 2 or ny < 1:
             raise ValueError(f"sensor must be at least 2 x 1 pixels, got {self.sensor!r}")

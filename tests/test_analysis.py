@@ -241,6 +241,16 @@ class TestCalibratePixelScale:
             calibrate_pixel_scale([(5000.0, 37.4), (10000.0, 18.7)],
                                   WAVELENGTH, self.FOCAL)
 
+    @pytest.mark.parametrize("wavelength, focal, name", [
+        (0.0, FOCAL, "wavelength"), (-WAVELENGTH, FOCAL, "wavelength"),
+        (math.nan, FOCAL, "wavelength"), (WAVELENGTH, math.inf, "focal_length"),
+        (WAVELENGTH, 0.0, "focal_length"), (WAVELENGTH, math.nan, "focal_length"),
+    ])
+    def test_rejects_nonpositive_or_nonfinite_optics(self, wavelength, focal, name):
+        points = [(d, WAVELENGTH * self.FOCAL / d / PIXEL_SCALE) for d in self.SEPS]
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            calibrate_pixel_scale(points, wavelength, focal)
+
     def test_requires_two_fold_span(self):
         points = [(d, 10.0) for d in (10000.0, 12000.0, 15000.0)]
         with pytest.raises(AnalysisError, match="span"):

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from accordion import runfiles
-from accordion.cli import main
+from accordion.cli import PRESETS, main
 from accordion.runfiles import read_config, read_manifest, read_pgm, write_pgm
 
 
@@ -199,6 +200,68 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "b")]) == 0
         assert dir_digest(tmp_path / "a") == dir_digest(tmp_path / "b")
 
+    @pytest.mark.parametrize("key, value, from_flag", [
+        ("bit_depth", "8.0", False), ("bit_depth", "2000", False), ("gain", "abc", False),
+        ("separations", "19250,abc", False), ("gain", "abc", True),
+        ("separations", "19250,abc", True),
+    ])
+    def test_conversion_error_names_the_key(self, tmp_path, capsys, key, value,
+                                            from_flag):
+        cfg = tmp_path / "run.cfg"
+        settings = {"focal": "30000", "separations": "19250"}
+        argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]
+        if from_flag:
+            argv += ["--" + key.replace("_", "-"), value]
+        else:
+            settings[key] = value
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        if from_flag:
+            assert "--" + key.replace("_", "-") in err
+        else:
+            assert f"'{key}'" in err and "run.cfg" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("dwell", ["nan", "inf"])
+    def test_nonfinite_dwell_is_usage_error(self, tmp_path, capsys, dwell):
+        out = tmp_path / "run"
+        assert main(["sweep", "--initial-separation", "43810", "--speed", "20000",
+                     "--travel", "20000", "--dwell", dwell, "--out", str(out)]) == 2
+        assert "dwell must be >= 0 and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_every_preset_round_trips_through_its_config(self, tmp_path, preset):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["sweep", "--preset", preset, "--out", str(a)]) == 0
+        echoed = read_config(a / "config.txt")
+        # every preset key is a sweep key, echoed as the preset gives it
+        assert {key: echoed.get(key) for key in PRESETS[preset]} == \
+            {key: str(value) for key, value in PRESETS[preset].items()}
+        assert main(["sweep", "--config", str(a / "config.txt"), "--out", str(b)]) == 0
+        # the same bytes, but for the preset name that --config does not carry
+        assert (b / "config.txt").read_bytes() == (a / "config.txt").read_bytes().replace(
+            f"preset={preset}\n".encode(), b"preset=\n")
+        (a / "config.txt").unlink()
+        (b / "config.txt").unlink()
+        assert dir_digest(a) == dir_digest(b)
+
+    # SHA-256 of config.txt, pinned at 0.3.0
+    @pytest.mark.parametrize("args, digest", [
+        (["--preset", "fig6b", "--seed", "7"],
+         "a575a0ac66d302c72296487583df252cb2fb8c1a943c4d989a5158cbe53081ff"),
+        (["--separations", "19250,12000,8000", "--focal", "30000", "--waist", "36",
+          "--waist2", "40", "--amplitude2", "0.8", "--sensor", "1280x240",
+          "--bit-depth", "16", "--read-noise", "40", "--path-difference", "0.1",
+          "--seed", "7"],
+         "2d6d575ba94374204b15f6e69e604760da000d490141cbc619ec2c30ee4f8356"),
+    ], ids=["fig6b", "ladder-16bit-noise"])
+    def test_config_bytes_are_pinned(self, tmp_path, args, digest):
+        out = tmp_path / "run"
+        assert main(["sweep", *args, "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "config.txt").read_bytes()).hexdigest() == digest
+
     # SHA-256 of the frame_*.pgm bytes in name order, pinned at 0.2.0
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("args, digest", [
@@ -388,6 +451,33 @@ class TestAnalyzeCommand:
                      "--out", str(tmp_path)]) == 2
         assert "--window-rows" in capsys.readouterr().err
         assert not (tmp_path / "measurements.csv").exists()
+
+    @pytest.mark.parametrize("flags, config_line, named", [
+        (["--calibrate", "--wavelength", "nan"], None, "--wavelength"),
+        (["--calibrate", "--focal", "inf"], None, "--focal"),
+        (["--calibrate"], "wavelength=nan", "config key 'wavelength'"),
+        (["--pixel-scale", "0"], None, "--pixel-scale"),
+        (["--pixel-scale", "-0.0853"], None, "--pixel-scale"),
+        (["--pixel-scale", "nan"], None, "--pixel-scale"),
+    ], ids=["wavelength-nan", "focal-inf", "config-wavelength-nan", "pixel-scale-0",
+            "pixel-scale-negative", "pixel-scale-nan"])
+    def test_nonpositive_or_nonfinite_optics_is_usage_error(
+            self, ladder_run, tmp_path, monkeypatch, capsys, flags, config_line, named):
+        target = ladder_run
+        if config_line is not None:
+            target = tmp_path / "run"
+            shutil.copytree(ladder_run, target)
+            with open(target / "config.txt", "a") as fh:
+                fh.write(config_line + "\n")  # the last value of a key wins
+        monkeypatch.setattr(runfiles, "read_pgm",
+                            lambda path: pytest.fail(f"{path} read before the check"))
+        reports = tmp_path / "reports"
+        assert main(["analyze", str(target), *flags, "--out", str(reports)]) == 2
+        captured = capsys.readouterr()
+        assert f"{named} must be positive and finite" in captured.err
+        assert captured.out == ""
+        assert not (reports / "measurements.csv").exists()
+        assert not (reports / "calibration.csv").exists()
 
     # SHA-256 of measurements.csv and calibration.csv, pinned at 0.2.0: one
     # spectral pass per frame must not move a single bit of the reports

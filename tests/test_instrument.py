@@ -93,6 +93,11 @@ class TestBuildTrajectory:
         with pytest.raises(ValueError):
             MirrorDrive(**kwargs)
 
+    @pytest.mark.parametrize("dwell", [float("nan"), float("inf")])
+    def test_nonfinite_dwell_rejected(self, dwell):
+        with pytest.raises(ValueError, match="dwell must be >= 0 and finite"):
+            MirrorDrive(initial_separation=43810.0, speed=1e4, travel=20000.0, dwell=dwell)
+
     def test_path_difference_injection(self):
         traj = build_trajectory(FIG6B_DRIVE)
         stepped = traj.with_path_difference(lambda t: 0.5 if t >= 1.25 else 0.0)
