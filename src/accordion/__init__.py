@@ -54,7 +54,7 @@ from .analysis import (
     knife_edge_waist,
     measure_contrast,
     measure_frame,
-    track_center_fringe,
+    measure_run,
 )
 
 __version__ = "0.3.0"

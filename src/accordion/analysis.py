@@ -4,6 +4,8 @@ Each frame gets one spectral pass: one profile averaged over a band of rows
 around the sensor center, one Hann window and one FFT.  The period comes
 from the dominant peak with sub-bin refinement; phase and contrast come from
 one projection of the windowed profile onto quadratures at that period.
+measure_run reads a whole run that way, one frame at a time, and tracks the
+center fringe from the same spectrum, projected at the manifest period.
 Pixel-scale calibration and knife-edge waist fitting close the loop between
 pixel and physical units.  The knife-edge fit is a variable-projection
 least-squares fit in numpy: the total power is solved in closed form and
@@ -206,7 +208,10 @@ def extract_fringe_phase(image, period_px: float,
     the axis, center_px = -phase * period / 2 pi, reduced to
     (-period/2, period/2].
     """
-    s = _spectrum(image, window_rows)
+    return _phase_at(_spectrum(image, window_rows), period_px)
+
+
+def _phase_at(s: _Spectrum, period_px: float) -> PhaseEstimate:
     estimate, _ = _project(s, period_px)
     # the 6 dB guard of extract_period, and the peak must sit at the supplied
     # period: quantization contouring of a fringe-free beam passes a floor test
@@ -234,7 +239,10 @@ def measure_frame(image, pixel_scale: float | None = None,
                   window_rows: int | None = None) -> FringeMeasurement:
     """Full single-frame measurement: period, phase, center and contrast,
     from one spectral pass and one projection at the measured period."""
-    s = _spectrum(image, window_rows)
+    return _measure(_spectrum(image, window_rows), pixel_scale)
+
+
+def _measure(s: _Spectrum, pixel_scale: float | None) -> FringeMeasurement:
     period, sigma = _period(s)
     # within half a bin of the peak: extract_fringe_phase's peak guard cannot fire
     (phase, center_px), amplitude = _project(s, period)
@@ -403,39 +411,45 @@ def knife_edge_waist(positions, powers) -> float:
     return fit_knife_edge(positions, powers).waist
 
 
-def track_center_fringe(frames, spacings_um, pixel_scale: float,
-                        window_rows: int | None = None) -> DriftTrace:
-    """Track the center fringe across a frame sequence.
+def measure_run(frames, spacings_um, pixel_scale: float, window_rows: int | None = None
+                ) -> tuple[list[FringeMeasurement | AnalysisError], DriftTrace | None]:
+    """Measure each frame of a run and track its center fringe, one spectral
+    pass per frame.
 
-    Parameters
-    ----------
-    frames : sequence of 2-D arrays
-    spacings_um : sequence of floats
-        Per-frame analytic spacing (from the run manifest); the phase is
-        measured at this period rather than re-extracted per frame.
-    pixel_scale : float
-        um per pixel, converting fringe positions to micrometers.
+    frames is any iterable of 2-D arrays, read once and in order (a generator
+    that loads each frame will do).  spacings_um holds each frame's analytic
+    spacing from the run manifest: the center is projected at that period,
+    not at the measured one.  pixel_scale is in um per pixel.
 
-    Each frame's reduced position is continued onto the branch nearest
-    the previous frame's position; a frame is flagged when even the best
-    branch jumps by more than a quarter period.  max_drift_um is the
-    largest |position| over the sequence.
+    Returns, per frame, its measure_frame result or the AnalysisError that
+    rejected it (measure_frame's, or extract_fringe_phase's at the manifest
+    period), and the drift trace when no frame was rejected, else None.
+    Each position is continued onto the branch nearest the previous frame's;
+    a frame is flagged when even the best branch jumps by more than a quarter
+    period.  max_drift_um is the largest |position| over the run.
     """
     spacings = np.asarray(spacings_um, dtype=float)
-    if len(frames) != spacings.size:
-        raise AnalysisError("frames and spacings differ in length")
     if spacings.size == 0:
         raise AnalysisError("nothing to track")
+    results: list[FringeMeasurement | AnalysisError] = []
     positions = np.empty(spacings.size)
+    frames = iter(frames)
+    # spacings first: zip stops at the last spacing without reading a frame more
+    for i, (d_um, image) in enumerate(zip(spacings, frames)):
+        try:
+            s = _spectrum(image, window_rows)
+            m = _measure(s, pixel_scale)
+            positions[i] = _phase_at(s, d_um / pixel_scale).center_px * pixel_scale
+        except AnalysisError as err:
+            m = err
+        results.append(m)
+    if len(results) != spacings.size or next(frames, None) is not None:
+        raise AnalysisError("frames and spacings differ in length")
+    if not all(isinstance(m, FringeMeasurement) for m in results):
+        return results, None
     flagged: list[int] = []
-    prev: float | None = None
-    for i, (image, d_um) in enumerate(zip(frames, spacings)):
-        _, center_px = extract_fringe_phase(image, d_um / pixel_scale, window_rows)
-        pos = center_px * pixel_scale
-        if prev is not None:
-            pos += d_um * round((prev - pos) / d_um)
-            if abs(pos - prev) > d_um / 4:
-                flagged.append(i)
-        positions[i] = pos
-        prev = pos
-    return DriftTrace(positions, float(np.max(np.abs(positions))), tuple(flagged))
+    for i, d_um in enumerate(spacings[1:], 1):
+        positions[i] += d_um * round((positions[i - 1] - positions[i]) / d_um)
+        if abs(positions[i] - positions[i - 1]) > d_um / 4:
+            flagged.append(i)
+    return results, DriftTrace(positions, float(np.max(np.abs(positions))), tuple(flagged))

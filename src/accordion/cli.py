@@ -267,24 +267,13 @@ def cmd_analyze(args) -> int:
         raise ValueError("--calibrate needs wavelength and focal length "
                          "(from config.txt or --wavelength/--focal)")
 
-    frames = []
-    measurements: list[analysis.FringeMeasurement | None] = []
-    errors: list[str] = []
-    for rec in records:
-        image = runfiles.read_pgm(target / rec.frame)
-        frames.append(image)
-        try:
-            measurements.append(analysis.measure_frame(image, pixel_scale,
-                                                       args.window_rows))
-        except analysis.AnalysisError as err:
-            measurements.append(None)
-            errors.append(f"{rec.frame}: {err}")
-
-    trace = None
-    if all(m is not None for m in measurements):
-        spacings = [r.analytic_spacing_um for r in records]
-        trace = analysis.track_center_fringe(frames, spacings, pixel_scale,
-                                             args.window_rows)
+    results, trace = analysis.measure_run(
+        (runfiles.read_pgm(target / rec.frame) for rec in records),
+        [rec.analytic_spacing_um for rec in records], pixel_scale, args.window_rows)
+    errors = [f"{rec.frame}: {m}" for rec, m in zip(records, results)
+              if isinstance(m, analysis.AnalysisError)]
+    measured = [(i, rec, m) for i, (rec, m) in enumerate(zip(records, results))
+                if isinstance(m, analysis.FringeMeasurement)]
 
     out_dir = Path(args.out) if args.out else target
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -293,26 +282,22 @@ def cmd_analyze(args) -> int:
     (out_dir / "calibration.csv").unlink(missing_ok=True)
     with runfiles.create(out_dir / "measurements.csv") as fh:
         fh.write("frame,time_s,separation_um,period_px,period_um,center_um,contrast\n")
-        for i, (rec, m) in enumerate(zip(records, measurements)):
-            if m is None:
-                continue
+        for i, rec, m in measured:
             center = float(trace.positions_um[i]) if trace is not None else m.center_um
             fh.write(f"{rec.frame},{rec.time_s!r},{rec.separation_um!r},"
                      f"{m.period_px!r},{m.period_um!r},{center!r},{m.contrast!r}\n")
 
-    good = [m for m in measurements if m is not None]
-    if good:
-        lo = min(m.period_um for m in good)
-        hi = max(m.period_um for m in good)
-        print(f"measured {len(good)}/{len(records)} frames; "
+    if measured:
+        lo = min(m.period_um for _, _, m in measured)
+        hi = max(m.period_um for _, _, m in measured)
+        print(f"measured {len(measured)}/{len(records)} frames; "
               f"period range [{lo:.4g}, {hi:.4g}] um")
     if trace is not None:
         print(f"max center-fringe drift {trace.max_drift_um:.4g} um"
               + (f"; unwrap flagged at frames {list(trace.flagged)}" if trace.flagged else ""))
 
     if args.calibrate:
-        points = [(rec.separation_um, m.period_px)
-                  for rec, m in zip(records, measurements) if m is not None]
+        points = [(rec.separation_um, m.period_px) for _, rec, m in measured]
         try:
             fit = analysis.calibrate_pixel_scale(points, wavelength, focal)
         except analysis.AnalysisError as err:

@@ -261,8 +261,10 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
     Returns the frames and the matching manifest records.  With workers > 1
     worker w renders samples w, w + workers, ... in a thread pool, with
     output guaranteed identical to the serial render; either way a failure
-    names the lowest failing sample.
+    names the lowest failing sample.  A worker count below 1 is a ValueError.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
     px = cam.pixel_x()
     py = cam.pixel_y()
     envelopes = beam_envelopes(base_cfg, px, py)

@@ -142,6 +142,8 @@ def write_config(path, values: dict) -> None:
 
 
 def read_config(path) -> dict[str, str]:
+    """key=value lines, blank and '#' lines skipped; a line without '=' or a
+    key given twice is a ValueError naming the file."""
     values: dict[str, str] = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
@@ -150,7 +152,10 @@ def read_config(path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}: malformed config line {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ValueError(f"{path}: config key {key!r} given twice")
+        values[key] = value.strip()
     return values
 
 

@@ -17,12 +17,12 @@ from accordion import (
     calibrate_pixel_scale,
     intensity_at,
     knife_edge_waist,
+    measure_run,
     render_frame,
     render_sequence,
     spacing_fourier,
     spacing_thin_lens,
     static_sweep,
-    track_center_fringe,
     MirrorDrive,
 )
 from accordion.cli import main
@@ -107,7 +107,7 @@ def test_criterion_3_accordion_sweep(fig6b_run):
 def test_criterion_4_center_fringe_stability(fig6b_run):
     _, frames, records = fig6b_run
     spacings = [r.analytic_spacing_um for r in records]
-    ideal = track_center_fringe(frames, spacings, PIXEL_SCALE)
+    ideal = measure_run(frames, spacings, PIXEL_SCALE)[1]
     ideal_ok = ideal.max_drift_um <= 0.1 * PIXEL_SCALE and not ideal.flagged
 
     # same trajectory with a 0.5 um path-difference step injected mid-dwell
@@ -117,9 +117,9 @@ def test_criterion_4_center_fringe_stability(fig6b_run):
     cfg = make_config(separation=43810.0, waist=36.0)
     cam = make_camera()
     step_frames, step_records = render_sequence(trajectory, cfg, cam)
-    trace = track_center_fringe(step_frames,
-                                [r.analytic_spacing_um for r in step_records],
-                                PIXEL_SCALE)
+    trace = measure_run(step_frames,
+                        [r.analytic_spacing_um for r in step_records],
+                        PIXEL_SCALE)[1]
     worst_rel = 0.0
     worst_pre = 0.0
     for i, rec in enumerate(step_records):

@@ -20,11 +20,11 @@ from accordion import (
     knife_edge_waist,
     measure_contrast,
     measure_frame,
+    measure_run,
     render_frame,
     render_sequence,
     spacing_fourier,
     static_sweep,
-    track_center_fringe,
 )
 from accordion.fields import BeamSpec
 from conftest import PIXEL_SCALE, WAVELENGTH, make_camera, make_config, render_simple
@@ -427,7 +427,7 @@ class TestTrackCenterFringe:
 
     def test_constant_offset_reads_constant(self):
         frames, spacings, cam = self._run(0.05, n=5)
-        trace = track_center_fringe(frames, spacings, cam.pixel_scale)
+        trace = measure_run(frames, spacings, cam.pixel_scale)[1]
         assert np.ptp(trace.positions_um) <= 1e-3
         expected = -0.05 * 80000.0 / 8000.0
         assert trace.positions_um[0] == pytest.approx(expected, rel=0.01)
@@ -437,7 +437,7 @@ class TestTrackCenterFringe:
         amplitude = 0.1
         frames, spacings, cam = self._run(
             lambda t: amplitude * math.sin(2 * math.pi * t))
-        trace = track_center_fringe(frames, spacings, cam.pixel_scale)
+        trace = measure_run(frames, spacings, cam.pixel_scale)[1]
         times = np.arange(31) / 30.0
         expected = -amplitude * np.sin(2 * math.pi * times) * 80000.0 / 8000.0
         scale = amplitude * 80000.0 / 8000.0
@@ -448,10 +448,58 @@ class TestTrackCenterFringe:
     def test_large_jump_is_flagged(self):
         frames, spacings, cam = self._run(
             np.array([0.0, 0.0, 0.3 * WAVELENGTH]), n=3)
-        trace = track_center_fringe(frames, spacings, cam.pixel_scale)
+        trace = measure_run(frames, spacings, cam.pixel_scale)[1]
         assert trace.flagged == (2,)
 
     def test_length_mismatch_rejected(self):
         frames, spacings, cam = self._run(0.0, n=3)
         with pytest.raises(AnalysisError):
-            track_center_fringe(frames, spacings[:-1], cam.pixel_scale)
+            measure_run(frames, spacings[:-1], cam.pixel_scale)[1]
+
+
+class TestMeasureRun:
+    def _frames(self, read_noise=1.5):
+        # off-axis, unequal beams on a noisy 16-bit sensor
+        cfg = LatticeConfig(OpticalParams(WAVELENGTH, 30000.0, 19250.0),
+                            BeamSpec(30.0, 1.0, (5.0, -3.0)), BeamSpec(42.0, 0.7))
+        cam = make_camera(read_noise=read_noise, seed=4, sensor=(1280, 240),
+                          bit_depth=16)
+        traj = static_sweep([19250.0, 12000.0, 5000.0]).with_path_difference(0.13)
+        frames, records = render_sequence(traj, cfg, cam)
+        return frames, [r.analytic_spacing_um for r in records]
+
+    @pytest.mark.parametrize("window_rows", [None, 3])
+    def test_each_result_equals_measure_frame(self, window_rows):
+        frames, spacings = self._frames()
+        results, trace = measure_run((img for img in frames), spacings, PIXEL_SCALE,
+                                     window_rows)
+        assert results == [measure_frame(img, PIXEL_SCALE, window_rows) for img in frames]
+        assert trace is not None and trace.positions_um.shape == (3,)
+
+    def test_rejected_frame_is_returned_in_its_place(self):
+        frames, spacings = self._frames()
+        frames[1] = np.full_like(frames[1], 900)
+        results, trace = measure_run(iter(frames), spacings, PIXEL_SCALE)
+        assert isinstance(results[1], NoFringeError)
+        assert results[0] == measure_frame(frames[0], PIXEL_SCALE)
+        assert results[2] == measure_frame(frames[2], PIXEL_SCALE)
+        assert trace is None
+
+    def test_center_off_the_manifest_period_rejects_the_frame(self):
+        # a wrong pixel scale puts the manifest period 30% off the fringe
+        frames, spacings = self._frames()
+        results, trace = measure_run(frames, spacings, 0.12)
+        assert all(isinstance(r, NoFringeError) for r in results)
+        assert "no fringe found at the expected period" in str(results[0])
+        assert trace is None
+
+    @pytest.mark.parametrize("n_frames, n_spacings", [(2, 3), (3, 2)])
+    def test_length_mismatch_of_a_generator_rejected(self, n_frames, n_spacings):
+        frames, spacings = self._frames(read_noise=0.0)
+        with pytest.raises(AnalysisError, match="differ in length"):
+            measure_run((img for img in frames[:n_frames]), spacings[:n_spacings],
+                        PIXEL_SCALE)
+
+    def test_empty_run_rejected(self):
+        with pytest.raises(AnalysisError, match="nothing to track"):
+            measure_run([], [], PIXEL_SCALE)

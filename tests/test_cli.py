@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from accordion import runfiles
+from accordion import analysis, runfiles
 from accordion.cli import PRESETS, main
 from accordion.runfiles import read_config, read_manifest, read_pgm, write_pgm
 
@@ -151,6 +151,20 @@ class TestSweepCommand:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("focal=30000\nnonsense=1\n")
         assert main(["sweep", "--config", str(cfg)]) == 2
+
+    def test_config_key_given_twice_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("focal=30000\nseparations=19250\nfocal=80000\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "run.cfg: config key 'focal' given twice" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        assert main(["sweep", "--preset", "fig4a", "--workers", workers,
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--read-noise", "nan", "read_noise"),
@@ -389,6 +403,34 @@ class TestAnalyzeCommand:
         assert (reports / "measurements.csv").exists()
         assert not (reports / "calibration.csv").exists()
 
+    def test_each_frame_is_profiled_once(self, ladder_run, tmp_path, monkeypatch):
+        calls = []
+        profile = analysis.fringe_profile
+
+        def counted(*args):
+            calls.append(args)
+            return profile(*args)
+
+        monkeypatch.setattr(analysis, "fringe_profile", counted)
+        assert main(["analyze", str(ladder_run), "--calibrate",
+                     "--out", str(tmp_path)]) == 0
+        assert len(calls) == len(read_manifest(ladder_run / "manifest.csv")) == 6
+
+    def test_frames_off_the_expected_period_are_listed(self, ladder_run, tmp_path,
+                                                       capsys):
+        # a wrong pixel scale puts every manifest period 30% off its fringe:
+        # each frame is rejected by name and both reports describe this run
+        assert main(["analyze", str(ladder_run), "--calibrate", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(ladder_run), "--pixel-scale", "0.12",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 6
+        assert err[0].startswith("frame_0000.pgm: no fringe found at the expected period")
+        assert (tmp_path / "measurements.csv").read_text() == (
+            "frame,time_s,separation_um,period_px,period_um,center_um,contrast\n")
+        assert not (tmp_path / "calibration.csv").exists()
+
     def test_malformed_pgm_is_usage_error(self, tmp_path, capsys):
         (tmp_path / "short.pgm").write_bytes(b"P5\n3 2\n255\n" + bytes(5))
         assert main(["analyze", str(tmp_path / "short.pgm")]) == 2
@@ -467,8 +509,11 @@ class TestAnalyzeCommand:
         if config_line is not None:
             target = tmp_path / "run"
             shutil.copytree(ladder_run, target)
-            with open(target / "config.txt", "a") as fh:
-                fh.write(config_line + "\n")  # the last value of a key wins
+            config = target / "config.txt"
+            key = config_line.partition("=")[0]
+            config.write_text("".join(
+                (config_line if line.partition("=")[0] == key else line) + "\n"
+                for line in config.read_text().splitlines()))
         monkeypatch.setattr(runfiles, "read_pgm",
                             lambda path: pytest.fail(f"{path} read before the check"))
         reports = tmp_path / "reports"

@@ -263,6 +263,12 @@ class TestRenderSequence:
         with pytest.raises(ValueError, match="sample 1:"):
             render_sequence(traj, make_config(), make_camera(), workers=workers)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, workers):
+        traj = static_sweep([43810.0])
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            render_sequence(traj, make_config(), make_camera(), workers=workers)
+
     def test_pool_under_thread_switch_stress(self):
         # more workers than cores, a thread switch every microsecond: every
         # pooled render must still equal the serial one byte for byte

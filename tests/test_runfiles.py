@@ -93,6 +93,13 @@ def test_config_round_trip(scratch, config):
     assert read_config(path) == {key: str(value) for key, value in config.items()}
 
 
+def test_config_key_given_twice_rejected(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("focal=30000\nseparations=19250\nfocal = 80000\n")
+    with pytest.raises(ValueError, match=r"run\.cfg: config key 'focal' given twice"):
+        read_config(path)
+
+
 def _run(n, value):
     frames = [np.full((3, 4), value + i, np.uint8) for i in range(n)]
     rows = [FrameRecord(f"frame_{i:04d}.pgm", 0.1 * i, 0.0, 1000.0, 1.0, 0.0)
