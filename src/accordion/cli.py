@@ -231,6 +231,10 @@ def _analyze_single(path: Path, pixel_scale, window_rows) -> int:
     return 0
 
 
+# the settings analyze takes from its flags or a run's config.txt
+ANALYZE_KEYS = ("pixel_scale", "wavelength", "focal")
+
+
 def _setting(args, config: dict, key: str, config_path: Path | None):
     """An analyze setting from its flag, which wins as in sweep, else from
     config.txt, checked positive and finite; None when neither gives it."""
@@ -248,8 +252,8 @@ def cmd_analyze(args) -> int:
     if target.is_file():
         if args.calibrate:
             raise ValueError(f"--calibrate needs a run directory; {target} is one image")
-        return _analyze_single(target, _setting(args, {}, "pixel_scale", None),
-                               args.window_rows)
+        pixel_scale, _, _ = (_setting(args, {}, key, None) for key in ANALYZE_KEYS)
+        return _analyze_single(target, pixel_scale, args.window_rows)
     if not target.is_dir():
         raise ValueError(f"{target}: no such file or directory")
 
@@ -260,7 +264,7 @@ def cmd_analyze(args) -> int:
     config_path = target / "config.txt"
     config = read_sweep_config(config_path) if config_path.exists() else {}
     pixel_scale, wavelength, focal = (_setting(args, config, key, config_path)
-                                      for key in ("pixel_scale", "wavelength", "focal"))
+                                      for key in ANALYZE_KEYS)
     if pixel_scale is None:
         raise ValueError("no pixel scale: pass --pixel-scale or provide config.txt")
     if args.calibrate and (wavelength is None or focal is None):
@@ -320,7 +324,12 @@ def cmd_analyze(args) -> int:
 # ------------------------------------------------------------- sensitivity
 
 def cmd_sensitivity(args) -> int:
-    deviations = [float(tok) for tok in args.deviations.split(",") if tok]
+    try:
+        deviations = [float(tok) for tok in args.deviations.split(",") if tok]
+    except ValueError as err:
+        raise ValueError(f"--deviations: {err}") from None
+    if not deviations:
+        raise ValueError("--deviations needs at least one value")
     require_positive("--spacing", args.spacing)
     require_positive("--wavelength", args.wavelength)
     for dev in deviations:
@@ -368,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--window-rows", dest="window_rows", type=int, default=None)
     an.add_argument("--calibrate", action="store_true",
                     help="fit the pixel scale from the manifest separations")
-    for key in ("pixel_scale", "wavelength", "focal"):
+    for key in ANALYZE_KEYS:
         an.add_argument(_flag(key), help=SWEEP_KEYS[key][2])
     an.add_argument("--out", default=None, help="directory for the CSV reports")
     an.set_defaults(func=cmd_analyze)

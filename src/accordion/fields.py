@@ -111,13 +111,10 @@ def beam_envelopes(cfg: LatticeConfig, x: np.ndarray, y: np.ndarray
 
 
 def fringes_at(cfg: LatticeConfig, x: np.ndarray,
-               envelopes: tuple[np.ndarray, np.ndarray, np.ndarray],
-               out: np.ndarray | None = None) -> np.ndarray:
+               envelopes: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """intensity_at(cfg, x, y), given beam_envelopes(c, x, y) of any config c
     with cfg's beams: adds the cos(2 pi D x/(lam f) + 2 pi dL/lam) cross
-    term to the envelope sum in one outer product.  The result goes into
-    `out`, a float64 array of the envelope's shape, if given (as with a
-    numpy ufunc), else into a fresh array; either way it is returned."""
+    term to the envelope sum in one outer product, in a fresh array."""
     d = spacing_fourier(cfg.optics)
     dx = abs(float(x[1] - x[0]))
     if d / dx < MIN_SAMPLES_PER_FRINGE:
@@ -130,7 +127,7 @@ def fringes_at(cfg: LatticeConfig, x: np.ndarray,
     phase = (2 * math.pi * cfg.optics.separation
              / (cfg.optics.wavelength * cfg.optics.focal_length) * x
              + 2 * math.pi * cfg.path_difference / cfg.optics.wavelength)
-    vals = np.multiply.outer(cross_y, cross_x * np.cos(phase), out=out)
+    vals = np.multiply.outer(cross_y, cross_x * np.cos(phase))
     vals += envelope
     # the closed form is >= 0 analytically; clamp rounding dust
     np.maximum(vals, 0.0, out=vals)

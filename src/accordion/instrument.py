@@ -9,14 +9,12 @@ a perpendicular deviation delta costs 2*delta of path difference.
 
 The camera sees the closed-form lattice at its pixel centres.
 render_frame renders one configuration; render_sequence renders a sweep,
-the beam envelopes once per sweep, then each frame's fringes.  Each sweep
-worker renders one share of the frames (every workers-th sample) through
-two float scratch arrays of the sensor's shape, the intensity and the
-read-noise draw, that live for its whole share, so a frame allocates only
-its digitized image.  Both apply gain, optional Gaussian read noise and
-quantization in one shared digitizer.  The noise stream is keyed by
-(seed, frame_index) so that frames rendered in parallel, serially, or in
-any order, or one at a time by render_frame, are bit-identical.
+the beam envelopes once per sweep, then each frame's fringes, mapping
+the samples in order over one thread or a pool of them.  Both apply gain,
+optional Gaussian read noise and quantization in one shared digitizer.
+The noise stream is keyed by (seed, frame_index) so that frames rendered
+in parallel, serially, or in any order, or one at a time by render_frame,
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -86,16 +84,10 @@ class Trajectory:
         return len(self.times)
 
     def with_path_difference(self, path_difference) -> "Trajectory":
-        """Copy of the trajectory with path differences replaced.
-
-        Accepts a scalar, an array of per-frame values, or a callable of
-        time returning the path difference in micrometers.
-        """
-        if callable(path_difference):
-            pd = np.asarray([float(path_difference(t)) for t in self.times])
-        else:
-            pd = np.broadcast_to(np.asarray(path_difference, dtype=float),
-                                 self.times.shape).copy()
+        """Copy of the trajectory with path differences replaced by a
+        scalar or an array of per-frame values, in micrometers."""
+        pd = np.broadcast_to(np.asarray(path_difference, dtype=float),
+                             self.times.shape).copy()
         return replace(self, path_differences=pd)
 
 
@@ -140,20 +132,19 @@ def build_trajectory(drive: MirrorDrive) -> Trajectory:
     return Trajectory(t, m, sep, np.zeros(n))
 
 
-def static_sweep(separations, frame_rate: float = 30.0,
-                 initial_separation: float | None = None) -> Trajectory:
+def static_sweep(separations, frame_rate: float = 30.0) -> Trajectory:
     """Trajectory visiting a fixed list of separations, one per frame.
 
     Useful for calibration sweeps that hit exact separation values rather
-    than whatever a constant-velocity drive passes through.
+    than whatever a constant-velocity drive passes through.  The mirror
+    positions are measured from the first separation.
     """
     sep = np.asarray(separations, dtype=float)
     if sep.ndim != 1 or sep.size == 0:
         raise ValueError("separations must be a non-empty 1-D sequence")
     require_positive("frame_rate", frame_rate)
-    d0 = float(initial_separation) if initial_separation is not None else float(sep[0])
     t = np.arange(sep.size) / frame_rate
-    m = (d0 - sep) / 2.0
+    m = (sep[0] - sep) / 2.0
     return Trajectory(t, m, sep, np.zeros(sep.size))
 
 
@@ -200,15 +191,13 @@ class CameraModel:
         return (np.arange(ny) - (ny - 1) / 2) * self.pixel_scale
 
 
-def _digitize(counts: np.ndarray, cam: CameraModel, frame_index: int,
-              noise: np.ndarray | None = None) -> np.ndarray:
-    # works in place on `counts`, which callers own (fresh or scratch); the
-    # read noise is drawn into `noise`, scratch of the same shape, if given
+def _digitize(counts: np.ndarray, cam: CameraModel, frame_index: int) -> np.ndarray:
+    # works in place on `counts`, a fresh intensity array the caller hands over
     counts *= cam.exposure_gain
     if cam.read_noise > 0:
         rng = np.random.default_rng([cam.seed, frame_index])
         # sigma * z bit for bit equals rng.normal(0.0, sigma)'s 0.0 + sigma * z
-        noise = rng.standard_normal(counts.shape, out=noise)
+        noise = rng.standard_normal(counts.shape)
         noise *= cam.read_noise
         counts += noise
     np.rint(counts, out=counts)
@@ -259,65 +248,42 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
     base_cfg, and frame i is byte for byte render_frame(cfg_i, cam, i); the
     beam envelopes, which depend on neither, are evaluated once per sweep.
     Returns the frames and the matching manifest records.  With workers > 1
-    worker w renders samples w, w + workers, ... in a thread pool, with
-    output guaranteed identical to the serial render; either way a failure
-    names the lowest failing sample.  A worker count below 1 is a ValueError.
+    the samples are rendered in a thread pool, with output identical to the
+    serial render.  The samples are mapped in order, so a failure names the
+    lowest failing sample.  A worker count below 1 is a ValueError.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
     px = cam.pixel_x()
-    py = cam.pixel_y()
-    envelopes = beam_envelopes(base_cfg, px, py)
-    n = len(trajectory)
-    workers = max(1, min(workers, n))
+    envelopes = beam_envelopes(base_cfg, px, cam.pixel_y())
 
-    # the intensity and read-noise scratch of each worker, allocated here
-    # rather than on the pool threads: the main heap reuses them sweep after
-    # sweep, which keeps the peak resident size steady
-    scratch = [(np.empty(envelopes[0].shape),
-                np.empty(envelopes[0].shape) if cam.read_noise > 0 else None)
-               for _ in range(workers)]
+    def render(i: int) -> tuple[np.ndarray, FrameRecord]:
+        try:
+            cfg = replace(
+                base_cfg,
+                optics=replace(base_cfg.optics,
+                               separation=float(trajectory.separations[i])),
+                path_difference=float(trajectory.path_differences[i]),
+            )
+            image = _digitize(fringes_at(cfg, px, envelopes), cam, i)
+        except ValueError as err:
+            raise ValueError(f"rendering failed at sample {i}: {err}") from err
+        return image, FrameRecord(
+            frame=f"frame_{i:04d}.pgm",
+            time_s=float(trajectory.times[i]),
+            mirror_um=float(trajectory.mirror_positions[i]),
+            separation_um=float(trajectory.separations[i]),
+            analytic_spacing_um=spacing_fourier(cfg.optics),
+            path_difference_um=float(trajectory.path_differences[i]),
+        )
 
-    def share(w: int):
-        """Samples w, w + workers, ..., rendered through worker w's scratch;
-        stops at the share's first failure."""
-        counts, noise = scratch[w]
-        done: list[tuple[np.ndarray, FrameRecord]] = []
-        for i in range(w, n, workers):
-            try:
-                cfg = replace(
-                    base_cfg,
-                    optics=replace(base_cfg.optics,
-                                   separation=float(trajectory.separations[i])),
-                    path_difference=float(trajectory.path_differences[i]),
-                )
-                image = _digitize(fringes_at(cfg, px, envelopes, out=counts),
-                                  cam, i, noise)
-            except ValueError as err:
-                return done, (i, err)
-            done.append((image, FrameRecord(
-                frame=f"frame_{i:04d}.pgm",
-                time_s=float(trajectory.times[i]),
-                mirror_um=float(trajectory.mirror_positions[i]),
-                separation_um=float(trajectory.separations[i]),
-                analytic_spacing_um=spacing_fourier(cfg.optics),
-                path_difference_um=float(trajectory.path_differences[i]),
-            )))
-        return done, None
-
+    samples = range(len(trajectory))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            shares = list(pool.map(share, range(workers)))
+            results = list(pool.map(render, samples))
     else:
-        shares = [share(0)]
-    failures = [failure for _, failure in shares if failure is not None]
-    if failures:
-        i, err = min(failures, key=lambda failure: failure[0])
-        raise ValueError(f"rendering failed at sample {i}: {err}") from err
-    results: list = [None] * n
-    for w, (done, _) in enumerate(shares):
-        results[w::workers] = done
-    return [r[0] for r in results], [r[1] for r in results]
+        results = list(map(render, samples))
+    return [image for image, _ in results], [record for _, record in results]
 
 
 def spacetime_composite(frames) -> np.ndarray:

@@ -112,8 +112,9 @@ def test_criterion_4_center_fringe_stability(fig6b_run):
 
     # same trajectory with a 0.5 um path-difference step injected mid-dwell
     step = 0.5
-    trajectory = build_trajectory(FIG6B_DRIVE).with_path_difference(
-        lambda t: step if t >= 1.25 else 0.0)
+    trajectory = build_trajectory(FIG6B_DRIVE)
+    trajectory = trajectory.with_path_difference(
+        np.where(trajectory.times >= 1.25, step, 0.0))
     cfg = make_config(separation=43810.0, waist=36.0)
     cam = make_camera()
     step_frames, step_records = render_sequence(trajectory, cfg, cam)

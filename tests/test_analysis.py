@@ -435,10 +435,9 @@ class TestTrackCenterFringe:
 
     def test_sinusoidal_injection_matches_closed_form(self):
         amplitude = 0.1
-        frames, spacings, cam = self._run(
-            lambda t: amplitude * math.sin(2 * math.pi * t))
-        trace = measure_run(frames, spacings, cam.pixel_scale)[1]
         times = np.arange(31) / 30.0
+        frames, spacings, cam = self._run(amplitude * np.sin(2 * math.pi * times))
+        trace = measure_run(frames, spacings, cam.pixel_scale)[1]
         expected = -amplitude * np.sin(2 * math.pi * times) * 80000.0 / 8000.0
         scale = amplitude * 80000.0 / 8000.0
         assert np.all(np.abs(trace.positions_um - expected) <= 0.05 * scale)

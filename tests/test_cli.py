@@ -96,6 +96,20 @@ class TestSensitivityCommand:
         assert "--deviations must be finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("deviations, message", [
+        ("a", "--deviations: could not convert"),
+        ("1,a", "--deviations: could not convert"),
+        ("1;2", "--deviations: could not convert"),
+        (",", "--deviations needs at least one value"),
+        ("", "--deviations needs at least one value"),
+    ])
+    def test_malformed_deviations_is_usage_error(self, capsys, deviations, message):
+        assert main(["sensitivity", "--spacing", "10",
+                     f"--deviations={deviations}"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestSweepCommand:
     def test_single_frame_preset(self, tmp_path, capsys):
@@ -319,6 +333,17 @@ class TestSweepCommand:
         assert main(["analyze", str(out)]) == 2
         assert "missing manifest.csv" in capsys.readouterr().err
 
+    def test_failed_render_leaves_the_earlier_run_untouched(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["sweep", "--preset", "fig4b", "--out", str(out)]) == 0
+        before = dir_digest(out)
+        # sample 1 (D = 150 mm) puts fewer than 4 pixels on a fringe: every
+        # frame is rendered before the run directory is touched
+        assert main(["sweep", "--separations", "19250,150000", "--focal", "30000",
+                     "--out", str(out)]) == 2
+        assert "sample 1" in capsys.readouterr().err
+        assert dir_digest(out) == before
+
     def test_rerun_replaces_the_earlier_run(self, tmp_path):
         out = tmp_path / "run"
         assert main(["sweep", "--preset", "fig4b", "--out", str(out)]) == 0
@@ -462,6 +487,18 @@ class TestAnalyzeCommand:
     def test_single_image_without_scale_flags_pixels(self, ladder_run, capsys):
         assert main(["analyze", str(ladder_run / "frame_0000.pgm")]) == 0
         assert "pixel units" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--wavelength", "--focal"])
+    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
+    def test_single_image_nonpositive_or_nonfinite_optics_is_usage_error(
+            self, ladder_run, monkeypatch, capsys, flag, value):
+        monkeypatch.setattr(runfiles, "read_pgm",
+                            lambda path: pytest.fail(f"{path} read before the check"))
+        assert main(["analyze", str(ladder_run / "frame_0000.pgm"),
+                     "--pixel-scale", "0.0853", f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag} must be positive and finite" in captured.err
+        assert captured.out == ""
 
     def test_uniform_image_fails_with_no_fringe(self, tmp_path, capsys):
         write_pgm(tmp_path / "flat.pgm", np.full((64, 256), 40, np.uint8))

@@ -100,7 +100,7 @@ class TestBuildTrajectory:
 
     def test_path_difference_injection(self):
         traj = build_trajectory(FIG6B_DRIVE)
-        stepped = traj.with_path_difference(lambda t: 0.5 if t >= 1.25 else 0.0)
+        stepped = traj.with_path_difference(np.where(traj.times >= 1.25, 0.5, 0.0))
         assert stepped.path_differences[0] == 0.0
         assert stepped.path_differences[-1] == 0.5
         constant = traj.with_path_difference(0.266)
@@ -257,8 +257,8 @@ class TestRenderSequence:
 
     @pytest.mark.parametrize("workers", [1, 2, 5])
     def test_pooled_failure_reports_lowest_sample(self, workers):
-        # samples 1 and 2 are undersampled; with two workers sample 2 is the
-        # first failure of worker 0's share, sample 1 that of worker 1's
+        # samples 1 and 2 are undersampled and, with two or more workers,
+        # rendered at once: the lower one must be reported whichever fails first
         traj = static_sweep([43810.0, 150000.0, 150000.0, 43810.0])
         with pytest.raises(ValueError, match="sample 1:"):
             render_sequence(traj, make_config(), make_camera(), workers=workers)
