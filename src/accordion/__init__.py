@@ -57,4 +57,4 @@ from .analysis import (
     measure_run,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

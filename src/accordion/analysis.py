@@ -25,6 +25,9 @@ from .geometry import require_positive
 PEAK_GATE_DB = 6.0
 MIN_PERIODS = 3
 MIN_SAMPLES_PER_PERIOD = 4
+# measure_run rejects a frame whose measured period is farther than this,
+# relatively, from its manifest period
+PERIOD_TOLERANCE = 0.05
 
 
 class AnalysisError(ValueError):
@@ -422,8 +425,10 @@ def measure_run(frames, spacings_um, pixel_scale: float, window_rows: int | None
     not at the measured one.  pixel_scale is in um per pixel.
 
     Returns, per frame, its measure_frame result or the AnalysisError that
-    rejected it (measure_frame's, or extract_fringe_phase's at the manifest
-    period), and the drift trace when no frame was rejected, else None.
+    rejected it: measure_frame's, extract_fringe_phase's at the manifest
+    period, or one naming a measured period more than PERIOD_TOLERANCE
+    (relative) off the manifest period, as a wrong pixel scale gives.  The
+    drift trace comes with them when no frame was rejected, else None.
     Each position is continued onto the branch nearest the previous frame's;
     a frame is flagged when even the best branch jumps by more than a quarter
     period.  max_drift_um is the largest |position| over the run.
@@ -439,7 +444,14 @@ def measure_run(frames, spacings_um, pixel_scale: float, window_rows: int | None
         try:
             s = _spectrum(image, window_rows)
             m = _measure(s, pixel_scale)
-            positions[i] = _phase_at(s, d_um / pixel_scale).center_px * pixel_scale
+            expected_px = d_um / pixel_scale
+            positions[i] = _phase_at(s, expected_px).center_px * pixel_scale
+            off = m.period_px / expected_px - 1
+            if abs(off) > PERIOD_TOLERANCE:
+                raise AnalysisError(
+                    f"measured period {m.period_px:.4g} px is {off:+.1%} off the "
+                    f"manifest period {expected_px:.4g} px (tolerance "
+                    f"{PERIOD_TOLERANCE:.0%})")
         except AnalysisError as err:
             m = err
         results.append(m)

@@ -197,17 +197,18 @@ def _build_run(params: dict):
 def cmd_sweep(args) -> int:
     params = _resolve_sweep_params(args)
     trajectory, base_cfg, cam = _build_run(params)
+    # every sample is checked here, before the run directory is touched;
+    # the frames are rendered as write_run writes them
     frames, records = instrument.render_sequence(
         trajectory, base_cfg, cam, workers=params["workers"])
-    composite = instrument.spacetime_composite(frames) if len(frames) >= 2 else None
 
     out_root = Path(os.environ.get("ACCORDION_OUT_DIR", "runs"))
     out_dir = Path(args.out) if args.out else out_root / (args.preset or "sweep")
     echo = {key: "" if value is None else value for key, value in params.items()}
-    runfiles.write_run(out_dir, frames, records, composite=composite,
+    runfiles.write_run(out_dir, frames, records,
                        config={"command": "sweep", "preset": args.preset or "", **echo})
     spacings = [r.analytic_spacing_um for r in records]
-    print(f"wrote {len(frames)} frames to {out_dir}")
+    print(f"wrote {len(records)} frames to {out_dir}")
     print(f"separation {records[0].separation_um:.6g} -> "
           f"{min(r.separation_um for r in records):.6g} um; "
           f"analytic spacing {min(spacings):.4g} -> {max(spacings):.4g} um; "

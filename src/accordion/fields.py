@@ -110,11 +110,10 @@ def beam_envelopes(cfg: LatticeConfig, x: np.ndarray, y: np.ndarray
     return envelope, f1y * f2y, 2 * a1 * a2 * f1x * f2x
 
 
-def fringes_at(cfg: LatticeConfig, x: np.ndarray,
-               envelopes: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """intensity_at(cfg, x, y), given beam_envelopes(c, x, y) of any config c
-    with cfg's beams: adds the cos(2 pi D x/(lam f) + 2 pi dL/lam) cross
-    term to the envelope sum in one outer product, in a fresh array."""
+def require_resolved(cfg: LatticeConfig, x: np.ndarray) -> None:
+    """Raise ValueError if the spacing of the uniform coordinates x puts
+    fewer than MIN_SAMPLES_PER_FRINGE samples on one of cfg's fringes; an
+    undersampled lattice would alias silently otherwise."""
     d = spacing_fourier(cfg.optics)
     dx = abs(float(x[1] - x[0]))
     if d / dx < MIN_SAMPLES_PER_FRINGE:
@@ -123,6 +122,15 @@ def fringes_at(cfg: LatticeConfig, x: np.ndarray,
             f"(period {d:.4g} um, dx {dx:.4g} um); need at least "
             f"{MIN_SAMPLES_PER_FRINGE}"
         )
+
+
+def fringes_at(cfg: LatticeConfig, x: np.ndarray,
+               envelopes: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """intensity_at(cfg, x, y), given beam_envelopes(c, x, y) of any config c
+    with cfg's beams: adds the cos(2 pi D x/(lam f) + 2 pi dL/lam) cross
+    term to the envelope sum in one outer product, in a fresh array.
+    Raises ValueError as require_resolved does."""
+    require_resolved(cfg, x)
     envelope, cross_y, cross_x = envelopes
     phase = (2 * math.pi * cfg.optics.separation
              / (cfg.optics.wavelength * cfg.optics.focal_length) * x

@@ -8,24 +8,30 @@ the beam-splitter pair is modeled only through its path-length penalty:
 a perpendicular deviation delta costs 2*delta of path difference.
 
 The camera sees the closed-form lattice at its pixel centres.
-render_frame renders one configuration; render_sequence renders a sweep,
-the beam envelopes once per sweep, then each frame's fringes, mapping
-the samples in order over one thread or a pool of them.  Both apply gain,
-optional Gaussian read noise and quantization in one shared digitizer.
-The noise stream is keyed by (seed, frame_index) so that frames rendered
-in parallel, serially, or in any order, or one at a time by render_frame,
-are bit-identical.
+render_frame renders one configuration.  render_sequence checks every
+sample of a sweep up front and returns its frames as an iterator that
+renders them on demand: the beam envelopes once per sweep, then each
+frame's fringes, in sample order, on the calling thread or on a pool that
+runs at most one sample per worker ahead of the consumer.  A sweep written
+to disk that way holds about one frame per worker, not the whole run.
+render_frame and render_sequence apply gain, optional Gaussian read noise
+and quantization in one shared digitizer.  The noise stream is keyed by
+(seed, frame_index) so that frames rendered in parallel, serially, or in
+any order, or one at a time by render_frame, are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import LatticeConfig, beam_envelopes, fringes_at, intensity_at
+from .fields import (LatticeConfig, beam_envelopes, fringes_at, intensity_at,
+                     require_resolved)
 from .geometry import require_positive, spacing_fourier
 
 
@@ -241,23 +247,29 @@ class FrameRecord:
 
 def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
                     cam: CameraModel, workers: int = 1
-                    ) -> tuple[list[np.ndarray], list[FrameRecord]]:
-    """Render one digital frame per trajectory sample.
+                    ) -> tuple[Iterator[np.ndarray], list[FrameRecord]]:
+    """Render one digital frame per trajectory sample, one frame at a time.
 
     Each sample substitutes its separation and path difference into
-    base_cfg, and frame i is byte for byte render_frame(cfg_i, cam, i); the
-    beam envelopes, which depend on neither, are evaluated once per sweep.
-    Returns the frames and the matching manifest records.  With workers > 1
-    the samples are rendered in a thread pool, with output identical to the
-    serial render.  The samples are mapped in order, so a failure names the
-    lowest failing sample.  A worker count below 1 is a ValueError.
+    base_cfg.  Every sample's config and manifest record is built, and its
+    sampling checked, before this returns: a sample that cannot render is a
+    ValueError naming the lowest such sample, raised before any frame is
+    rendered.  Returns the frames and the matching manifest records.
+
+    The frames are a single-pass iterator in sample order, and frame i is
+    byte for byte render_frame(cfg_i, cam, i); the beam envelopes, which
+    depend on neither D nor dL, are evaluated once per sweep.  Rendering
+    starts at the first next().  With workers > 1 a thread pool renders at
+    most `workers` samples ahead of the consumer, so a sweep holds about one
+    frame per worker, whatever its length, and the output is identical to
+    the serial render.  Closing the iterator early cancels the samples not
+    yet started and joins the pool.  A worker count below 1 is a ValueError.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
     px = cam.pixel_x()
-    envelopes = beam_envelopes(base_cfg, px, cam.pixel_y())
-
-    def render(i: int) -> tuple[np.ndarray, FrameRecord]:
+    configs, records = [], []
+    for i in range(len(trajectory)):
         try:
             cfg = replace(
                 base_cfg,
@@ -265,25 +277,45 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
                                separation=float(trajectory.separations[i])),
                 path_difference=float(trajectory.path_differences[i]),
             )
-            image = _digitize(fringes_at(cfg, px, envelopes), cam, i)
+            require_resolved(cfg, px)
         except ValueError as err:
             raise ValueError(f"rendering failed at sample {i}: {err}") from err
-        return image, FrameRecord(
+        configs.append(cfg)
+        records.append(FrameRecord(
             frame=f"frame_{i:04d}.pgm",
             time_s=float(trajectory.times[i]),
             mirror_um=float(trajectory.mirror_positions[i]),
             separation_um=float(trajectory.separations[i]),
             analytic_spacing_um=spacing_fourier(cfg.optics),
             path_difference_um=float(trajectory.path_differences[i]),
-        )
+        ))
+    return _render_frames(base_cfg, configs, cam, workers), records
 
-    samples = range(len(trajectory))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(render, samples))
-    else:
-        results = list(map(render, samples))
-    return [image for image, _ in results], [record for _, record in results]
+
+def _render_frames(base_cfg: LatticeConfig, configs: list[LatticeConfig],
+                   cam: CameraModel, workers: int) -> Iterator[np.ndarray]:
+    px = cam.pixel_x()
+    envelopes = beam_envelopes(base_cfg, px, cam.pixel_y())
+
+    def render(i: int) -> np.ndarray:
+        return _digitize(fringes_at(configs[i], px, envelopes), cam, i)
+
+    samples = range(len(configs))
+    if workers == 1:
+        yield from map(render, samples)
+        return
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        ahead = deque()
+        for i in samples:
+            ahead.append(pool.submit(render, i))
+            if len(ahead) > workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        # closed early: the queued samples are dropped, the running ones joined
+        pool.shutdown(cancel_futures=True)
 
 
 def spacetime_composite(frames) -> np.ndarray:

@@ -10,14 +10,16 @@ A run directory holds:
 analyze adds measurements.csv and, with --calibrate, calibration.csv.
 
 Everything is written deterministically so a rerun with the same seed is
-byte-identical.  Every file is created new: an existing file of the same
-name is unlinked, never truncated and rewritten in place, so a hard link to
-it keeps the old bytes, and a file system that flushes a truncated and
-rewritten file when it is closed (ext4's auto_da_alloc) has nothing to
-flush.  A rerun into a run directory first removes
-the earlier run's files (its manifest first), so no stale frame, composite
-or report outlives it.  The manifest is written last: a directory without
-one is not a complete run.
+byte-identical.  write_run writes each frame as it arrives from its
+iterable, so a sweep streams from the renderer to disk and holds no more
+of the run than the renderer does.  Every file is created new: an
+existing file of the same name is unlinked, never truncated and rewritten
+in place, so a hard link to it keeps the old bytes, and a file system that
+flushes a truncated and rewritten file when it is closed (ext4's
+auto_da_alloc) has nothing to flush.  A rerun into a run directory first
+removes the earlier run's files (its manifest first), so no stale frame,
+composite or report outlives it.  The manifest is written last: a
+directory without one is not a complete run.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .instrument import FrameRecord
+from .instrument import FrameRecord, spacetime_composite
 
 # width, height and maxval, separated by whitespace and '#' comment lines,
 # then the single whitespace byte that precedes the samples
@@ -159,14 +161,18 @@ def read_config(path) -> dict[str, str]:
     return values
 
 
-def write_run(out_dir, frames, records, config: dict | None = None,
-              composite: np.ndarray | None = None) -> Path:
-    """Write frames, optional composite and config, then the manifest, into
+def write_run(out_dir, frames, records, config: dict | None = None) -> Path:
+    """Write frames, their composite and config, then the manifest, into
     out_dir.  The earlier run's files there are removed first, its manifest
     before the rest: frames, composite, config and the analyze reports that
     describe them.  Other files are left alone.  A rerun that fails
     part-way therefore leaves no manifest, and one that succeeds leaves no
-    stale file of the old run."""
+    stale file of the old run.
+
+    frames is any iterable of 2-D arrays, read once, alongside records; each
+    frame is written as it arrives, and only a copy of its central row is
+    kept, for the spacetime composite written when the run has at least 2
+    frames."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.csv").unlink(missing_ok=True)
@@ -174,10 +180,15 @@ def write_run(out_dir, frames, records, config: dict | None = None,
         for entry in entries:
             if _RUN_FILE.fullmatch(entry.name):
                 os.unlink(entry.path)
+    # one-row copies, whose central row spacetime_composite takes; a view of
+    # the row would keep its whole frame alive
+    rows = []
     for image, rec in zip(frames, records):
         write_pgm(out / rec.frame, image)
-    if composite is not None:
-        write_pgm(out / "composite.pgm", composite)
+        middle = image.shape[0] // 2
+        rows.append(image[middle:middle + 1].copy())
+    if len(rows) >= 2:
+        write_pgm(out / "composite.pgm", spacetime_composite(rows))
     if config is not None:
         write_config(out / "config.txt", config)
     write_manifest(out / "manifest.csv", records)

@@ -243,9 +243,9 @@ def test_criterion_8_property_suites(rng):
     cfg = make_config()
     cam = make_camera(read_noise=2.0, seed=3)
     traj = static_sweep(np.linspace(43810.0, 20000.0, 8))
-    first, _ = render_sequence(traj, cfg, cam, workers=1)
-    second, _ = render_sequence(traj, cfg, cam, workers=1)
-    parallel, _ = render_sequence(traj, cfg, cam, workers=4)
+    first = list(render_sequence(traj, cfg, cam, workers=1)[0])
+    second = list(render_sequence(traj, cfg, cam, workers=1)[0])
+    parallel = list(render_sequence(traj, cfg, cam, workers=4)[0])
     determinism_ok = all(np.array_equal(a, b) for a, b in zip(first, second)) \
         and all(np.array_equal(a, b) for a, b in zip(first, parallel))
     details.append("seeded reruns bit-identical incl. parallel")

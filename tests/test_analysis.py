@@ -465,7 +465,7 @@ class TestMeasureRun:
                           bit_depth=16)
         traj = static_sweep([19250.0, 12000.0, 5000.0]).with_path_difference(0.13)
         frames, records = render_sequence(traj, cfg, cam)
-        return frames, [r.analytic_spacing_um for r in records]
+        return list(frames), [r.analytic_spacing_um for r in records]
 
     @pytest.mark.parametrize("window_rows", [None, 3])
     def test_each_result_equals_measure_frame(self, window_rows):
@@ -491,6 +491,20 @@ class TestMeasureRun:
         assert all(isinstance(r, NoFringeError) for r in results)
         assert "no fringe found at the expected period" in str(results[0])
         assert trace is None
+
+    def test_period_off_the_manifest_beyond_tolerance_rejects_the_frame(self):
+        # 8% off: the fringe sits near enough to the expected period for the
+        # projection, but its measured period is farther off than 5%
+        frames, spacings = self._frames()
+        results, trace = measure_run(frames, spacings, PIXEL_SCALE * 1.08)
+        assert trace is None
+        for r in results:
+            assert isinstance(r, AnalysisError) and not isinstance(r, NoFringeError)
+            assert "off the manifest period" in str(r)
+            assert "tolerance 5%" in str(r)
+        results, trace = measure_run(frames, spacings, PIXEL_SCALE * 1.03)
+        assert all(isinstance(r, FringeMeasurement) for r in results)
+        assert trace is not None
 
     @pytest.mark.parametrize("n_frames, n_spacings", [(2, 3), (3, 2)])
     def test_length_mismatch_of_a_generator_rejected(self, n_frames, n_spacings):

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,22 @@ class TestSweepCommand:
         assert "sample 1" in capsys.readouterr().err
         assert dir_digest(out) == before
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("bad", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_unrenderable_sample_anywhere_leaves_the_earlier_run(self, tmp_path, capsys,
+                                                                 bad, workers):
+        out = tmp_path / "run"
+        assert main(["sweep", "--preset", "fig4b", "--out", str(out)]) == 0
+        before = dir_digest(out)
+        separations = ["19250", "17000", "14000", "11000", "8000"]
+        separations[bad] = "55000"  # 3.4 px per fringe
+        assert main(["sweep", "--separations", ",".join(separations), "--focal", "30000",
+                     "--workers", workers, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"rendering failed at sample {bad}:" in err
+        assert "samples per fringe" in err
+        assert dir_digest(out) == before
+
     def test_rerun_replaces_the_earlier_run(self, tmp_path):
         out = tmp_path / "run"
         assert main(["sweep", "--preset", "fig4b", "--out", str(out)]) == 0
@@ -358,6 +375,37 @@ class TestSweepCommand:
         monkeypatch.setenv("ACCORDION_OUT_DIR", str(tmp_path / "elsewhere"))
         assert main(["sweep", "--preset", "fig4a"]) == 0
         assert (tmp_path / "elsewhere" / "fig4a" / "manifest.csv").exists()
+
+
+class TestStreamingSweep:
+    """A sweep streams each frame from the renderer to disk, so its memory
+    does not grow with its length."""
+
+    SENSOR = (1280, 240)
+    FRAME_BYTES = SENSOR[0] * SENSOR[1] * 2  # 16-bit samples
+
+    def _traced_peak(self, out, n, workers):
+        separations = ",".join(repr(float(d)) for d in np.linspace(19250.0, 5000.0, n))
+        tracemalloc.reset_peak()
+        assert main(["sweep", "--separations", separations, "--focal", "30000",
+                     "--sensor", "%dx%d" % self.SENSOR, "--bit-depth", "16",
+                     "--read-noise", "40", "--seed", "3", "--workers", str(workers),
+                     "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+
+    @pytest.mark.parametrize("workers, frames_held", [(1, 2), (2, 2 + 2)])
+    def test_peak_memory_does_not_grow_with_the_sweep(self, tmp_path, workers,
+                                                      frames_held):
+        tracemalloc.start()
+        try:
+            # a first sweep takes the one-time allocations
+            self._traced_peak(tmp_path / "warm", 2, workers)
+            short = self._traced_peak(tmp_path / "short", 10, workers)
+            long = self._traced_peak(tmp_path / "long", 40, workers)
+        finally:
+            tracemalloc.stop()
+        assert len(list((tmp_path / "long").glob("frame_*.pgm"))) == 40
+        assert long - short < frames_held * self.FRAME_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -455,6 +503,21 @@ class TestAnalyzeCommand:
         assert (tmp_path / "measurements.csv").read_text() == (
             "frame,time_s,separation_um,period_px,period_um,center_um,contrast\n")
         assert not (tmp_path / "calibration.csv").exists()
+
+    def test_wrong_pixel_scale_rejects_every_fig6b_frame(self, tmp_path, capsys):
+        # at 0.12 um/px (true 0.0853) two frames have a fringe near their
+        # expected period, but 41% off it: they are rejected by name too
+        run = tmp_path / "fig6b"
+        assert main(["sweep", "--preset", "fig6b", "--seed", "7", "--out", str(run)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(run), "--pixel-scale", "0.12"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err] == [
+            f"frame_{i:04d}.pgm" for i in range(76)]
+        for i in (29, 46):
+            assert "off the manifest period" in err[i]
+        assert (run / "measurements.csv").read_text() == (
+            "frame,time_s,separation_um,period_px,period_um,center_um,contrast\n")
 
     def test_malformed_pgm_is_usage_error(self, tmp_path, capsys):
         (tmp_path / "short.pgm").write_bytes(b"P5\n3 2\n255\n" + bytes(5))

@@ -1,4 +1,5 @@
 import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -15,6 +16,7 @@ from accordion import (
     bs_translation_path_difference,
     build_trajectory,
     center_fringe_shift,
+    instrument,
     measure_contrast,
     mirror_to_separation,
     render_frame,
@@ -195,6 +197,7 @@ class TestRenderSequence:
         cam = make_camera(read_noise=1.0)
         traj = static_sweep([20000.0])
         frames, records = render_sequence(traj, cfg, cam)
+        frames = list(frames)
         assert len(frames) == 1
         direct = render_frame(cfg, cam, frame_index=0)
         assert np.array_equal(frames[0], direct)
@@ -210,7 +213,7 @@ class TestRenderSequence:
         cam = make_camera(read_noise=1.5, seed=4, gain=255 / 1.7 ** 2)
         traj = Trajectory(np.array([0.0, 0.1]), np.array([0.0, 6905.0]),
                           np.array([43810.0, 30000.0]), np.array([0.0, 0.19]))
-        frames, _ = render_sequence(traj, base, cam)
+        frames = list(render_sequence(traj, base, cam)[0])
         for i, image in enumerate(frames):
             cfg = replace(base, optics=replace(base.optics,
                                                separation=float(traj.separations[i])),
@@ -242,7 +245,8 @@ class TestRenderSequence:
         cam = make_camera()
         traj = static_sweep([8000.0, 8000.0])
         plain, recs = render_sequence(traj, cfg, cam)
-        shifted, _ = render_sequence(traj.with_path_difference(0.266), cfg, cam)
+        plain = list(plain)
+        shifted = list(render_sequence(traj.with_path_difference(0.266), cfg, cam)[0])
         d_px = recs[0].analytic_spacing_um / cam.pixel_scale
         _, c0 = extract_fringe_phase(plain[0], d_px)
         _, c1 = extract_fringe_phase(shifted[0], d_px)
@@ -276,6 +280,7 @@ class TestRenderSequence:
         cam = make_camera(read_noise=3.0, seed=11, sensor=(160, 24), bit_depth=16)
         traj = static_sweep(np.linspace(43810.0, 20000.0, 13))
         serial, serial_records = render_sequence(traj, cfg, cam)
+        serial = list(serial)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -291,18 +296,67 @@ class TestRenderSequence:
 
     def test_frames_do_not_share_scratch_memory(self):
         cam = make_camera(read_noise=2.0)
-        frames, _ = render_sequence(static_sweep([43810.0, 30000.0, 20000.0]),
-                                    make_config(), cam, workers=2)
+        frames = list(render_sequence(static_sweep([43810.0, 30000.0, 20000.0]),
+                                      make_config(), cam, workers=2)[0])
         assert not any(np.shares_memory(a, b)
                        for i, a in enumerate(frames) for b in frames[i + 1:])
         assert all(f.flags.owndata for f in frames)
+
+
+class TestStreamedFrames:
+    @pytest.fixture
+    def rendered(self, monkeypatch):
+        """The configs of the frames rendered so far, in any thread."""
+        configs = []
+        fringes_at = instrument.fringes_at
+
+        def counting(cfg, x, envelopes):
+            configs.append(cfg)
+            return fringes_at(cfg, x, envelopes)
+
+        monkeypatch.setattr(instrument, "fringes_at", counting)
+        return configs
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_sample_is_checked_before_any_frame_renders(self, rendered, workers):
+        traj = static_sweep([43810.0, 30000.0, 20000.0, 150000.0])
+        with pytest.raises(ValueError, match="rendering failed at sample 3:"):
+            render_sequence(traj, make_config(), make_camera(), workers=workers)
+        assert rendered == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_frames_render_on_demand_in_sample_order(self, rendered, workers):
+        cfg = make_config()
+        cam = make_camera(read_noise=2.0, seed=5)
+        traj = static_sweep(np.linspace(43810.0, 20000.0, 6))
+        frames, records = render_sequence(traj, cfg, cam, workers=workers)
+        assert rendered == [] and len(records) == 6
+        for i, image in enumerate(frames):
+            direct = render_frame(replace(cfg, optics=replace(
+                cfg.optics, separation=records[i].separation_um)), cam, i)
+            assert np.array_equal(image, direct)
+        assert list(frames) == []  # single pass
+
+    def test_closing_early_cancels_the_queue_and_joins_the_pool(self, rendered):
+        workers = 2
+        before = set(threading.enumerate())
+        frames, _ = render_sequence(static_sweep(np.linspace(43810.0, 20000.0, 10)),
+                                    make_config(), make_camera(read_noise=1.0),
+                                    workers=workers)
+        assert set(threading.enumerate()) == before  # no pool before the first next()
+        taken = [next(frames) for _ in range(2)]
+        frames.close()
+        assert set(threading.enumerate()) == before
+        # the two frames taken and at most one sample per worker ahead of them
+        assert 2 <= len(rendered) <= 2 + workers
+        assert len(taken) == 2 and list(frames) == []
 
 
 class TestComposite:
     def test_stationary_rows_identical(self):
         cfg = make_config(separation=20000.0)
         cam = make_camera(read_noise=0.0)
-        frames, _ = render_sequence(static_sweep([20000.0] * 5), cfg, cam)
+        frames = list(render_sequence(static_sweep([20000.0] * 5), cfg, cam)[0])
         comp = spacetime_composite(frames)
         assert comp.shape == (5, 640)
         assert all(np.array_equal(comp[0], row) for row in comp)
@@ -320,7 +374,7 @@ class TestComposite:
 
     def test_center_column_stays_bright_through_sweep(self):
         cfg = make_config()
-        frames, _ = render_sequence(build_trajectory(FIG6B_DRIVE), cfg, make_camera())
+        frames = list(render_sequence(build_trajectory(FIG6B_DRIVE), cfg, make_camera())[0])
         comp = spacetime_composite(frames)
         center = comp[:, 319:321].max(axis=1)
         assert center.min() >= 200

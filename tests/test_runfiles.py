@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from accordion import FrameRecord
+from accordion import FrameRecord, spacetime_composite
 from accordion.runfiles import (
     read_config,
     read_manifest,
@@ -109,7 +109,7 @@ def _run(n, value):
 
 def test_rerun_removes_the_earlier_runs_files(tmp_path):
     frames, rows = _run(6, 10)
-    write_run(tmp_path, frames, rows, config={"seed": 1}, composite=frames[0])
+    write_run(tmp_path, frames, rows, config={"seed": 1})
     for name in ("measurements.csv", "calibration.csv", "notes.txt", "frame_a.pgm"):
         (tmp_path / name).write_text("x\n")
     frames, rows = _run(1, 50)
@@ -119,6 +119,16 @@ def test_rerun_removes_the_earlier_runs_files(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["frame_0000.pgm", "frame_a.pgm",
                                             "manifest.csv", "notes.txt"]
     assert np.array_equal(read_pgm(tmp_path / "frame_0000.pgm"), frames[0])
+    assert read_manifest(tmp_path / "manifest.csv") == rows
+
+
+def test_run_from_a_generator_writes_its_frames_and_composite(tmp_path):
+    frames, rows = _run(5, 10)
+    frames[2] = np.arange(12, dtype=np.uint8).reshape(3, 4)
+    write_run(tmp_path, (image for image in frames), rows)
+    for image, rec in zip(frames, rows):
+        assert np.array_equal(read_pgm(tmp_path / rec.frame), image)
+    assert np.array_equal(read_pgm(tmp_path / "composite.pgm"), spacetime_composite(frames))
     assert read_manifest(tmp_path / "manifest.csv") == rows
 
 
