@@ -33,7 +33,6 @@ from .instrument import (
     Trajectory,
     bs_translation_path_difference,
     build_trajectory,
-    mirror_to_separation,
     render_frame,
     render_sequence,
     spacetime_composite,
@@ -47,14 +46,11 @@ from .analysis import (
     KnifeEdgeFit,
     NoFringeError,
     calibrate_pixel_scale,
-    extract_fringe_phase,
-    extract_period,
     fit_knife_edge,
     fringe_profile,
     knife_edge_waist,
-    measure_contrast,
     measure_frame,
     measure_run,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

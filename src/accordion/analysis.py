@@ -38,16 +38,6 @@ class NoFringeError(AnalysisError):
     """No spectral peak rose far enough above the floor."""
 
 
-class PeriodEstimate(NamedTuple):
-    period_px: float
-    uncertainty_px: float
-
-
-class PhaseEstimate(NamedTuple):
-    phase: float
-    center_px: float
-
-
 @dataclass(frozen=True)
 class FringeMeasurement:
     """Everything measured on one frame.  period_um and center_um are None
@@ -131,7 +121,10 @@ def _dominant_peak(s: _Spectrum) -> tuple[int, float, float]:
     return k, peak, floor
 
 
-def _period(s: _Spectrum) -> PeriodEstimate:
+def _period(s: _Spectrum) -> tuple[float, float]:
+    """Period in pixels, refined by a parabola through the log magnitudes of
+    the peak bin and its neighbours, and a heuristic 1-sigma uncertainty
+    propagated from the spectral floor through that curvature."""
     n, spec = s.windowed.size, s.spec
     if spec.size < 5:
         raise AnalysisError(f"profile of {n} samples is too short to analyze")
@@ -147,20 +140,21 @@ def _period(s: _Spectrum) -> PeriodEstimate:
     delta = 0.5 * (lm - lp) / curvature
     period = n / (k + delta)
     sigma_delta = math.sqrt(1.5) * (floor / peak) / abs(curvature)
-    return PeriodEstimate(float(period), float(period * sigma_delta / (k + delta)))
+    return float(period), float(period * sigma_delta / (k + delta))
 
 
-def _project(s: _Spectrum, period_px: float) -> tuple[PhaseEstimate, float]:
-    """Phase, center and fundamental amplitude from the quadratures of the
-    windowed profile at 1/period_px, pixel origin at the sensor center."""
+def _project(s: _Spectrum, period_px: float) -> tuple[float, float, float]:
+    """Phase in (-pi, pi], bright-fringe center nearest the axis in
+    (-period/2, period/2] and fundamental amplitude, from the quadratures of
+    the windowed profile at 1/period_px, pixel origin at the sensor center."""
     if not (period_px > 0 and math.isfinite(period_px)):
-        raise AnalysisError(f"period must be positive, got {period_px!r}")
+        raise AnalysisError(f"period must be positive, got {float(period_px)!r}")
     n = s.windowed.size
     x = np.arange(n) - (n - 1) / 2
     projection = np.sum(s.windowed * np.exp(-2j * math.pi * x / period_px))
     phase = float(np.angle(projection))
     center = fold_to_period(-phase * period_px / (2 * math.pi), period_px)
-    return PhaseEstimate(phase, float(center)), abs(projection)
+    return phase, float(center), abs(projection)
 
 
 def _contrast(s: _Spectrum, amplitude: float) -> float:
@@ -169,86 +163,37 @@ def _contrast(s: _Spectrum, amplitude: float) -> float:
     return float(min(max(2 * amplitude / s.total, 0.0), 1.0))
 
 
-def extract_period(image, window_rows: int | None = None) -> PeriodEstimate:
-    """Fringe period of an image in pixels, with sub-bin refinement.
-
-    Parameters
-    ----------
-    image : 2-D array
-        Digital frame; at least 3 full periods and 4 samples per period
-        must fit across its width.
-    window_rows : int, optional
-        Rows averaged about the center (default: a quarter of the height).
-
-    Returns
-    -------
-    PeriodEstimate
-        Period in pixels and a heuristic 1-sigma uncertainty propagated
-        from the spectral floor through the interpolation curvature.
-
-    Raises
-    ------
-    NoFringeError
-        If the best non-DC peak is less than 6 dB above the median
-        spectrum magnitude.
-    AnalysisError
-        If the dominant peak implies fewer than 3 periods in the window
-        or fewer than 4 samples per period.
-    """
-    return _period(_spectrum(image, window_rows))
-
-
-def extract_fringe_phase(image, period_px: float,
-                         window_rows: int | None = None) -> PhaseEstimate:
-    """Fringe phase and center position at a known period.
-
-    Projects the averaged profile onto quadratures at 1/period_px (pixel
-    origin at the sensor center), so the phase is free of spectral-bin
-    scalloping.  The period should be known to a couple of percent, e.g.
-    from extract_period or from the run manifest.
-
-    Returns the phase in (-pi, pi] and the bright-fringe position nearest
-    the axis, center_px = -phase * period / 2 pi, reduced to
-    (-period/2, period/2].
-    """
-    return _phase_at(_spectrum(image, window_rows), period_px)
-
-
-def _phase_at(s: _Spectrum, period_px: float) -> PhaseEstimate:
-    estimate, _ = _project(s, period_px)
-    # the 6 dB guard of extract_period, and the peak must sit at the supplied
-    # period: quantization contouring of a fringe-free beam passes a floor test
+def _phase_at(s: _Spectrum, period_px: float) -> tuple[float, float]:
+    """Phase and center at a given period, as _project gives them."""
+    phase, center, _ = _project(s, period_px)
+    # the 6 dB guard of the period estimate, and the peak must sit at the
+    # given period: quantization contouring of a fringe-free beam passes a
+    # floor test
     k, _, _ = _dominant_peak(s)
     expected_bin = s.windowed.size / period_px
     if abs(k - expected_bin) > max(0.25 * expected_bin, 1.5):
         raise NoFringeError(
             f"no fringe found at the expected period ({period_px:.3g} px)")
-    return estimate
-
-
-def measure_contrast(image, period_px: float,
-                     window_rows: int | None = None) -> float:
-    """Michelson contrast of the fringe at a known period.
-
-    Ratio of the fitted fundamental amplitude to the local mean, both
-    taken with the same center-weighted window so the beam envelope
-    cancels; clipped into [0, 1].
-    """
-    s = _spectrum(image, window_rows)
-    return _contrast(s, _project(s, period_px)[1])
+    return phase, center
 
 
 def measure_frame(image, pixel_scale: float | None = None,
                   window_rows: int | None = None) -> FringeMeasurement:
     """Full single-frame measurement: period, phase, center and contrast,
-    from one spectral pass and one projection at the measured period."""
+    from one spectral pass and one projection at the measured period.
+
+    At least 3 full periods and 4 samples per period must fit across the
+    image.  A best non-DC peak less than 6 dB above the median spectrum
+    magnitude is a NoFringeError; too few periods or samples per period, or
+    an empty image, is an AnalysisError.
+    """
     return _measure(_spectrum(image, window_rows), pixel_scale)
 
 
 def _measure(s: _Spectrum, pixel_scale: float | None) -> FringeMeasurement:
     period, sigma = _period(s)
-    # within half a bin of the peak: extract_fringe_phase's peak guard cannot fire
-    (phase, center_px), amplitude = _project(s, period)
+    # within half a bin of the peak: _phase_at's peak guard cannot fire
+    phase, center_px, amplitude = _project(s, period)
     contrast = _contrast(s, amplitude)
     period_um = center_um = None
     if pixel_scale is not None:
@@ -425,8 +370,9 @@ def measure_run(frames, spacings_um, pixel_scale: float, window_rows: int | None
     not at the measured one.  pixel_scale is in um per pixel.
 
     Returns, per frame, its measure_frame result or the AnalysisError that
-    rejected it: measure_frame's, extract_fringe_phase's at the manifest
-    period, or one naming a measured period more than PERIOD_TOLERANCE
+    rejected it: measure_frame's, the projection's at the manifest period
+    (a period that is not positive and finite, or no fringe there), or one
+    naming a measured period more than PERIOD_TOLERANCE
     (relative) off the manifest period, as a wrong pixel scale gives.  The
     drift trace comes with them when no frame was rejected, else None.
     Each position is continued onto the branch nearest the previous frame's;
@@ -445,7 +391,7 @@ def measure_run(frames, spacings_um, pixel_scale: float, window_rows: int | None
             s = _spectrum(image, window_rows)
             m = _measure(s, pixel_scale)
             expected_px = d_um / pixel_scale
-            positions[i] = _phase_at(s, expected_px).center_px * pixel_scale
+            positions[i] = _phase_at(s, expected_px)[1] * pixel_scale
             off = m.period_px / expected_px - 1
             if abs(off) > PERIOD_TOLERANCE:
                 raise AnalysisError(

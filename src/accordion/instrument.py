@@ -97,19 +97,6 @@ class Trajectory:
         return replace(self, path_differences=pd)
 
 
-def mirror_to_separation(mirror_displacement: float,
-                         initial_separation: float) -> float:
-    """Separation after moving the mirror: D0 - 2*m (retroreflection doubles
-    the lateral shift).  Raises if the result is not positive."""
-    d = initial_separation - 2.0 * mirror_displacement
-    if d <= 0:
-        raise ValueError(
-            f"mirror displacement {mirror_displacement} um gives separation "
-            f"{d} um; must stay positive"
-        )
-    return d
-
-
 def bs_translation_path_difference(perpendicular_deviation: float) -> float:
     """Path-length difference caused by a perpendicular deviation of the
     translated beam-splitter pair: exactly twice the deviation."""

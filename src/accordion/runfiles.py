@@ -125,14 +125,18 @@ def read_manifest(path) -> list[FrameRecord]:
         if missing:
             raise ValueError(f"{path}: manifest is missing columns {sorted(missing)}")
         for row in reader:
-            records.append(FrameRecord(
-                frame=row["frame"],
-                time_s=float(row["time_s"]),
-                mirror_um=float(row["mirror_um"]),
-                separation_um=float(row["separation_um"]),
-                analytic_spacing_um=float(row["analytic_spacing_um"]),
-                path_difference_um=float(row["path_difference_um"]),
-            ))
+            if None in row:  # DictReader's key for cells beyond the header
+                raise ValueError(f"{path}: line {reader.line_num}: more cells "
+                                 f"than the header has columns")
+            values = {}
+            # a short row leaves its last cells None
+            for name in MANIFEST_FIELDS[1:]:
+                try:
+                    values[name] = float(row[name])
+                except (TypeError, ValueError):
+                    raise ValueError(f"{path}: line {reader.line_num}, column {name}: "
+                                     f"expected a number, got {row[name]!r}") from None
+            records.append(FrameRecord(frame=row["frame"], **values))
     return records
 
 

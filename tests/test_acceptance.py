@@ -13,10 +13,10 @@ from accordion import (
     OpticalParams,
     beam_angle,
     build_trajectory,
-    extract_period,
     calibrate_pixel_scale,
     intensity_at,
     knife_edge_waist,
+    measure_frame,
     measure_run,
     render_frame,
     render_sequence,
@@ -62,12 +62,12 @@ def test_criterion_1_spacing_law():
     worst = 0.0
     for sep in seps:
         img = render_simple(sep, focal=focal, waist=36.0, waist2=40.0)
-        period_px, _ = extract_period(img)
+        period_px = measure_frame(img).period_px
         expected = WAVELENGTH * focal / sep
         worst = max(worst, abs(period_px * PIXEL_SCALE - expected) / expected)
     # thin-lens estimate must disagree with the measurement at the large angle
     img = render_simple(19250.0, focal=focal, waist=36.0, waist2=40.0)
-    measured = extract_period(img).period_px * PIXEL_SCALE
+    measured = measure_frame(img).period_px * PIXEL_SCALE
     thin = spacing_thin_lens(OpticalParams(WAVELENGTH, focal, 19250.0))
     deviation = abs(thin - measured) / measured
     ok = worst <= 0.005 and deviation > 0.03
@@ -87,9 +87,9 @@ def test_criterion_3_accordion_sweep(fig6b_run):
     analytic = np.array([r.analytic_spacing_um for r in records])
     d_start = WAVELENGTH * 80000.0 / 43810.0      # 0.9714 um
     d_far = WAVELENGTH * 80000.0 / 3790.0         # 11.2296 um
-    start_px = extract_period(frames[0]).period_px * PIXEL_SCALE
-    peak_px = extract_period(frames[37]).period_px * PIXEL_SCALE   # mid-dwell
-    end_px = extract_period(frames[-1]).period_px * PIXEL_SCALE
+    start_px = measure_frame(frames[0]).period_px * PIXEL_SCALE
+    peak_px = measure_frame(frames[37]).period_px * PIXEL_SCALE   # mid-dwell
+    end_px = measure_frame(frames[-1]).period_px * PIXEL_SCALE
     errs = (abs(start_px - d_start) / d_start,
             abs(peak_px - d_far) / d_far,
             abs(end_px - d_start) / d_start)
@@ -161,7 +161,7 @@ def test_criterion_6_calibration():
         for i, sep in enumerate(seps):
             img = render_simple(sep, focal=focal, read_noise=read_noise,
                                 seed=seed, frame_index=i)
-            pts.append((sep, extract_period(img).period_px))
+            pts.append((sep, measure_frame(img).period_px))
         return pts
 
     clean = calibrate_pixel_scale(sweep_points(0.0, 0), WAVELENGTH, focal)
@@ -197,7 +197,7 @@ def test_criterion_8_property_suites(rng):
     periods = []
     for waist in (20.0, 200.0):
         cfg = make_config(separation=sep, waist=waist)
-        periods.append(extract_period(render_frame(cfg, cam)).period_px)
+        periods.append(measure_frame(render_frame(cfg, cam)).period_px)
     envelope_ok = abs(periods[0] - periods[1]) / periods[1] <= 0.005
     details.append(f"envelope independence {abs(periods[0] - periods[1]) / periods[1]:.2e}")
 
@@ -233,7 +233,7 @@ def test_criterion_8_property_suites(rng):
         cfg = make_config(separation=WAVELENGTH * 80000.0 / (period_px * PIXEL_SCALE),
                           waist=waist)
         img = render_frame(cfg, oracle_cam)
-        fft_period = extract_period(img).period_px
+        fft_period = measure_frame(img).period_px
         oracle = autocorr_period(img)
         worst = max(worst, abs(fft_period - oracle) / oracle)
     oracle_ok = worst <= 0.005

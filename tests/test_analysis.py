@@ -13,12 +13,9 @@ from accordion import (
     NoFringeError,
     OpticalParams,
     calibrate_pixel_scale,
-    extract_fringe_phase,
-    extract_period,
     fit_knife_edge,
     fringe_profile,
     knife_edge_waist,
-    measure_contrast,
     measure_frame,
     measure_run,
     render_frame,
@@ -35,28 +32,38 @@ def separation_for_pixel_period(period_px, focal=80000.0):
     return WAVELENGTH * focal / (period_px * PIXEL_SCALE)
 
 
-class TestExtractPeriod:
+def phase_at(img, d_um):
+    """Phase and center (px) of one frame projected at the lattice spacing
+    d_um, as measure_run tracks it."""
+    results, trace = measure_run([img], [d_um], PIXEL_SCALE)
+    assert trace is not None, results[0]
+    position = float(trace.positions_um[0])
+    return -2 * math.pi * position / d_um, position / PIXEL_SCALE
+
+
+class TestPeriod:
     def test_known_pixel_period(self):
         img = render_simple(separation_for_pixel_period(11.25))
-        period, sigma = extract_period(img)
+        m = measure_frame(img)
+        period = m.period_px
         assert period == pytest.approx(11.25, abs=0.05)
-        assert sigma >= 0.0
+        assert m.period_uncertainty_px >= 0.0
         assert autocorr_period(img) == pytest.approx(period, rel=5e-3)
 
     def test_small_spacing_maps_to_expected_pixels(self):
         # 0.96 um lattice on the 0.0853 um/px camera: 11.254 px
         img = render_simple(WAVELENGTH * 80000 / 0.96)
-        period, _ = extract_period(img)
+        period = measure_frame(img).period_px
         assert period == pytest.approx(0.96 / PIXEL_SCALE, abs=0.05)
 
     def test_uniform_image_has_no_fringe(self):
         with pytest.raises(NoFringeError, match="no fringe"):
-            extract_period(np.full((120, 640), 37, dtype=np.uint8))
+            measure_frame(np.full((120, 640), 37, dtype=np.uint8))
 
     def test_too_few_periods_rejected(self):
         img = render_simple(separation_for_pixel_period(320.0))
         with pytest.raises(AnalysisError, match="fewer than 3"):
-            extract_period(img)
+            measure_frame(img)
 
     def test_undersampled_fringe_rejected(self):
         # a 3.2 px fringe, which render_frame refuses to render: fewer than
@@ -64,13 +71,13 @@ class TestExtractPeriod:
         fringe = np.cos(2 * math.pi * np.arange(640) / 3.2)
         img = np.rint(127.5 + 127.5 * np.tile(fringe, (120, 1))).astype(np.uint8)
         with pytest.raises(AnalysisError, match="samples per fringe"):
-            extract_period(img)
+            measure_frame(img)
 
     def test_spacing_law_trend(self):
         # f = 30 mm ladder: extracted period tracks lam*f/D
         for sep in (5000.0, 10000.0, 15000.0, 19250.0):
             img = render_simple(sep, focal=30000.0, waist=36.0)
-            period, _ = extract_period(img)
+            period = measure_frame(img).period_px
             expected = WAVELENGTH * 30000.0 / sep
             assert period * PIXEL_SCALE == pytest.approx(expected, rel=5e-3)
 
@@ -80,15 +87,17 @@ class TestExtractPeriod:
             sep = separation_for_pixel_period(period_px)
             cfg = make_config(separation=sep, waist=250.0)
             img = render_frame(cfg, make_camera(sensor=(640, 16)))
-            period, _ = extract_period(img)
+            period = measure_frame(img).period_px
             assert period == pytest.approx(autocorr_period(img), rel=5e-3)
 
 
-class TestExtractFringePhase:
+class TestPhaseAtKnownPeriod:
+    d_um = spacing_fourier(make_config(separation=8000.0).optics)
+
     def test_centered_pattern_reads_zero(self):
         img = render_simple(8000.0)
-        d_px = spacing_fourier(make_config(separation=8000.0).optics) / PIXEL_SCALE
-        phase, center = extract_fringe_phase(img, d_px)
+        d_px = self.d_um / PIXEL_SCALE
+        phase, center = phase_at(img, self.d_um)
         assert abs(center) <= 0.1
         assert abs(phase) <= 2 * math.pi * 0.1 / d_px
 
@@ -96,54 +105,61 @@ class TestExtractFringePhase:
         cfg = make_config(separation=8000.0, path_difference=WAVELENGTH / 4)
         d = spacing_fourier(cfg.optics)
         img = render_simple(8000.0, path_difference=WAVELENGTH / 4)
-        phase, center = extract_fringe_phase(img, d / PIXEL_SCALE)
+        phase, center = phase_at(img, d)
         assert phase == pytest.approx(math.pi / 2, abs=5e-3)
         assert center * PIXEL_SCALE == pytest.approx(-d / 4, abs=0.01)
 
     def test_full_wave_periodicity(self):
-        d_px = spacing_fourier(make_config(separation=8000.0).optics) / PIXEL_SCALE
         img_a = render_simple(8000.0, path_difference=0.1)
         img_b = render_simple(8000.0, path_difference=0.1 + WAVELENGTH)
-        _, center_a = extract_fringe_phase(img_a, d_px)
-        _, center_b = extract_fringe_phase(img_b, d_px)
+        _, center_a = phase_at(img_a, self.d_um)
+        _, center_b = phase_at(img_b, self.d_um)
         assert center_a == pytest.approx(center_b, abs=0.01)
 
     def test_response_is_linear_with_unit_slope(self):
-        d_px = spacing_fourier(make_config(separation=8000.0).optics) / PIXEL_SCALE
         injected = np.linspace(-0.45, 0.45, 19) * WAVELENGTH
         measured = []
         for dl in injected:
             img = render_simple(8000.0, path_difference=float(dl))
-            phase, _ = extract_fringe_phase(img, d_px)
+            phase, _ = phase_at(img, self.d_um)
             measured.append(phase)
         expected = 2 * math.pi * injected / WAVELENGTH
         slope = np.polyfit(expected, np.unwrap(measured), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.01)
 
     def test_single_beam_has_no_fringe(self):
+        # the period is measured before the projection, so a single beam is
+        # rejected for its too coarse spectral peak
         img = render_simple(8000.0, amp2=0.0)
-        with pytest.raises(NoFringeError):
-            extract_fringe_phase(img, 62.0)
+        results, trace = measure_run([img], [self.d_um], PIXEL_SCALE)
+        assert isinstance(results[0], AnalysisError)
+        assert "fewer than 3 fringe periods" in str(results[0])
+        assert trace is None
 
-    def test_rejects_nonpositive_period(self):
-        with pytest.raises(AnalysisError):
-            extract_fringe_phase(np.zeros((8, 64)), 0.0)
+    @pytest.mark.parametrize("spacing, shown", [(0.0, "0.0"), (-5.32, "-62.36"),
+                                                (math.nan, "nan")])
+    def test_rejects_nonpositive_period(self, spacing, shown):
+        results, trace = measure_run([render_simple(8000.0)], [spacing], PIXEL_SCALE)
+        assert isinstance(results[0], AnalysisError)
+        assert f"period must be positive, got {shown}" in str(results[0])
+        assert trace is None
 
 
-class TestMeasureContrast:
-    d_px = spacing_fourier(make_config(separation=6864.5).optics) / PIXEL_SCALE
-
+class TestContrast:
+    # projected at the measured period, within half a bin of the analytic one
     def test_equal_power_full_contrast(self):
         img = render_simple(6864.5)
-        assert measure_contrast(img, self.d_px) == pytest.approx(1.0, abs=0.02)
+        assert measure_frame(img).contrast == pytest.approx(1.0, abs=0.02)
 
     def test_quarter_power_ratio(self):
         img = render_simple(6864.5, amp2=0.5)  # power ratio 0.25
-        assert measure_contrast(img, self.d_px) == pytest.approx(0.8, abs=0.02)
+        assert measure_frame(img).contrast == pytest.approx(0.8, abs=0.02)
 
-    def test_single_beam_near_zero(self):
+    def test_single_beam_is_rejected(self):
+        # no fringe, so no contrast: the envelope's peak sits at bin 1
         img = render_simple(6864.5, amp2=0.0)
-        assert measure_contrast(img, self.d_px) <= 0.05
+        with pytest.raises(AnalysisError, match="fewer than 3 fringe periods"):
+            measure_frame(img)
 
 
 class TestFringeProfile:
@@ -157,13 +173,15 @@ class TestFringeProfile:
         assert np.array_equal(fringe_profile(img, window_rows), expected)
 
 
+def _measure_run_or_raise(image):
+    results, trace = measure_run([image], [10.0 * PIXEL_SCALE], PIXEL_SCALE)
+    assert trace is None
+    raise results[0]
+
+
 @pytest.mark.parametrize("shape", [(5, 0), (0, 5)])
-@pytest.mark.parametrize("measure", [
-    extract_period,
-    lambda image: extract_fringe_phase(image, 10.0),
-    lambda image: measure_contrast(image, 10.0),
-    measure_frame,
-], ids=["extract_period", "extract_fringe_phase", "measure_contrast", "measure_frame"])
+@pytest.mark.parametrize("measure", [measure_frame, _measure_run_or_raise],
+                         ids=["measure_frame", "measure_run"])
 def test_empty_image_is_analysis_error(measure, shape):
     with pytest.raises(AnalysisError, match="empty image"):
         measure(np.zeros(shape, np.uint8))
@@ -185,26 +203,6 @@ class TestMeasureFrame:
         m = measure_frame(img)
         assert m.period_um is None and m.center_um is None
         assert m.period_px > 0
-
-    @pytest.mark.parametrize("bit_depth, read_noise", [(8, 1.5), (16, 40.0)])
-    @pytest.mark.parametrize("window_rows", [None, 3])
-    def test_one_pass_equals_the_public_functions(self, bit_depth, read_noise,
-                                                  window_rows):
-        # measure_frame reads one spectrum; the public functions each make
-        # their own, and every number must come out the same
-        cfg = LatticeConfig(OpticalParams(WAVELENGTH, 30000.0, 19250.0),
-                            BeamSpec(30.0, 1.0, (5.0, -3.0)), BeamSpec(42.0, 0.7))
-        cam = make_camera(read_noise=read_noise, seed=4, sensor=(1280, 240),
-                          bit_depth=bit_depth)
-        traj = static_sweep([19250.0, 12000.0, 5000.0]).with_path_difference(0.13)
-        frames, _ = render_sequence(traj, cfg, cam)
-        for img in frames:
-            period, sigma = extract_period(img, window_rows)
-            phase, center = extract_fringe_phase(img, period, window_rows)
-            contrast = measure_contrast(img, period, window_rows)
-            expected = FringeMeasurement(period, sigma, phase, center, contrast,
-                                         period * PIXEL_SCALE, center * PIXEL_SCALE)
-            assert measure_frame(img, PIXEL_SCALE, window_rows) == expected
 
 
 class TestCalibratePixelScale:
@@ -231,7 +229,7 @@ class TestCalibratePixelScale:
         for i, sep in enumerate(self.SEPS):
             img = render_simple(sep, focal=self.FOCAL, read_noise=2.0,
                                 seed=11, frame_index=i)
-            period, _ = extract_period(img)
+            period = measure_frame(img).period_px
             points.append((sep, period))
         fit = calibrate_pixel_scale(points, WAVELENGTH, self.FOCAL)
         assert abs(fit.pixel_scale - PIXEL_SCALE) <= 5e-4
@@ -272,7 +270,7 @@ class TestCalibratePixelScale:
         points = []
         for i, sep in enumerate(self.SEPS):
             frame = render_simple(sep, focal=self.FOCAL)
-            points.append((sep, extract_period(frame).period_px))
+            points.append((sep, measure_frame(frame).period_px))
         scale_from_fit = calibrate_pixel_scale(points, WAVELENGTH, self.FOCAL).pixel_scale
         assert scale_from_waist == pytest.approx(scale_from_fit, rel=0.01)
         assert scale_from_waist == pytest.approx(PIXEL_SCALE, rel=0.01)
@@ -408,8 +406,8 @@ class TestNoiseRobustness:
         for seed in range(100):
             cam = make_camera(read_noise=2.0, seed=seed)
             img = render_frame(cfg, cam)
-            period, _ = extract_period(img)
-            _, center_px = extract_fringe_phase(img, d_px)
+            period = measure_frame(img).period_px
+            _, center_px = phase_at(img, d_um)
             worst_period = max(worst_period, abs(period - d_px) / d_px)
             worst_center = max(worst_center, abs(center_px))
         assert worst_period <= 0.01
@@ -457,19 +455,20 @@ class TestTrackCenterFringe:
 
 
 class TestMeasureRun:
-    def _frames(self, read_noise=1.5):
-        # off-axis, unequal beams on a noisy 16-bit sensor
+    def _frames(self, read_noise=1.5, bit_depth=16):
+        # off-axis, unequal beams on a noisy sensor
         cfg = LatticeConfig(OpticalParams(WAVELENGTH, 30000.0, 19250.0),
                             BeamSpec(30.0, 1.0, (5.0, -3.0)), BeamSpec(42.0, 0.7))
         cam = make_camera(read_noise=read_noise, seed=4, sensor=(1280, 240),
-                          bit_depth=16)
+                          bit_depth=bit_depth)
         traj = static_sweep([19250.0, 12000.0, 5000.0]).with_path_difference(0.13)
         frames, records = render_sequence(traj, cfg, cam)
         return list(frames), [r.analytic_spacing_um for r in records]
 
+    @pytest.mark.parametrize("bit_depth, read_noise", [(16, 1.5), (8, 1.5), (16, 40.0)])
     @pytest.mark.parametrize("window_rows", [None, 3])
-    def test_each_result_equals_measure_frame(self, window_rows):
-        frames, spacings = self._frames()
+    def test_each_result_equals_measure_frame(self, window_rows, bit_depth, read_noise):
+        frames, spacings = self._frames(read_noise, bit_depth)
         results, trace = measure_run((img for img in frames), spacings, PIXEL_SCALE,
                                      window_rows)
         assert results == [measure_frame(img, PIXEL_SCALE, window_rows) for img in frames]

@@ -338,11 +338,14 @@ class TestSweepCommand:
         out = tmp_path / "run"
         assert main(["sweep", "--preset", "fig4b", "--out", str(out)]) == 0
         before = dir_digest(out)
-        # sample 1 (D = 150 mm) puts fewer than 4 pixels on a fringe: every
-        # frame is rendered before the run directory is touched
+        # sample 1 (D = 150 mm) is not below twice the focal length (f = 30
+        # mm), so its beams miss the lens: every sample is checked before the
+        # run directory is touched
         assert main(["sweep", "--separations", "19250,150000", "--focal", "30000",
                      "--out", str(out)]) == 2
-        assert "sample 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "sample 1" in err
+        assert "twice the focal length" in err
         assert dir_digest(out) == before
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -580,6 +583,22 @@ class TestAnalyzeCommand:
 
     def test_missing_target_is_usage_error(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope")]) == 2
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cells: cells[:3], "column separation_um: expected a number, got None"),
+        (lambda cells: cells[:4] + ["abc"] + cells[5:],
+         "column analytic_spacing_um: expected a number, got 'abc'"),
+    ], ids=["short-row", "non-numeric"])
+    def test_malformed_manifest_row_is_usage_error(self, ladder_run, tmp_path, capsys,
+                                                   edit, message):
+        run = tmp_path / "run"
+        shutil.copytree(ladder_run, run)
+        manifest = run / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))  # frame 1's row
+        manifest.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(run)]) == 2
+        assert f"error: {manifest}: line 3, {message}\n" in capsys.readouterr().err
 
     def test_calibrate_single_image_is_usage_error(self, ladder_run, capsys):
         assert main(["analyze", str(ladder_run / "frame_0000.pgm"), "--calibrate",

@@ -17,8 +17,8 @@ from accordion import (
     build_trajectory,
     center_fringe_shift,
     instrument,
-    measure_contrast,
-    mirror_to_separation,
+    measure_frame,
+    measure_run,
     render_frame,
     render_sequence,
     spacetime_composite,
@@ -26,25 +26,10 @@ from accordion import (
     static_sweep,
 )
 from accordion.runfiles import read_manifest, read_pgm, write_manifest, write_pgm
-from conftest import PIXEL_SCALE, make_camera, make_config, render_simple
+from conftest import make_camera, make_config, render_simple
 
 FIG6B_DRIVE = MirrorDrive(initial_separation=43810.0, speed=20000.0,
                           travel=20000.0, dwell=0.5, frame_rate=30.0)
-
-
-class TestMirrorToSeparation:
-    def test_full_travel(self):
-        assert mirror_to_separation(20000.0, 43810.0) == pytest.approx(3810.0)
-
-    def test_no_displacement(self):
-        assert mirror_to_separation(0.0, 43810.0) == 43810.0
-
-    def test_midpoint(self):
-        assert mirror_to_separation(10000.0, 43810.0) == pytest.approx(23810.0)
-
-    def test_overtravel_rejected(self):
-        with pytest.raises(ValueError):
-            mirror_to_separation(25000.0, 43810.0)
 
 
 class TestBuildTrajectory:
@@ -68,6 +53,14 @@ class TestBuildTrajectory:
         out_end = np.flatnonzero(np.isclose(traj.separations, 3810.0))[0]
         assert traj.times[out_end] == pytest.approx(2.0)
 
+    def test_midpoint_separation(self):
+        # D = D0 - 2m: retroreflection doubles the mirror's shift.  Mirror
+        # positions 0 and 20000 um (D = 43810 and 3810 um) are checked in
+        # test_fast_sweep_sampling
+        traj = build_trajectory(FIG6B_DRIVE)
+        assert traj.mirror_positions[15] == pytest.approx(10000.0)
+        assert traj.separations[15] == pytest.approx(23810.0)
+
     def test_zero_dwell_is_palindromic(self):
         drive = MirrorDrive(43810.0, 20000.0, 20000.0, 0.0, 30.0)
         traj = build_trajectory(drive)
@@ -89,6 +82,7 @@ class TestBuildTrajectory:
         dict(initial_separation=43810.0, speed=1e4, travel=0.0),
         dict(initial_separation=43810.0, speed=1e4, travel=20000.0, frame_rate=0.0),
         dict(initial_separation=40000.0, speed=1e4, travel=20000.0),  # D -> 0
+        dict(initial_separation=43810.0, speed=1e4, travel=25000.0),  # overtravel
         dict(initial_separation=43810.0, speed=1e4, travel=20000.0, dwell=-1.0),
     ])
     def test_invalid_drives_rejected(self, kwargs):
@@ -233,23 +227,27 @@ class TestRenderSequence:
     def test_fine_fringes_keep_full_contrast(self):
         # fig4b optics: 9.7 px fringes at D = 19.25 mm, equal beams
         cfg = make_config(focal=30000.0, separation=19250.0)
-        frames, records = render_sequence(static_sweep([19250.0, 5000.0]), cfg,
-                                          make_camera())
-        for image, rec in zip(frames, records):
-            d_px = rec.analytic_spacing_um / PIXEL_SCALE
-            assert measure_contrast(image, d_px) >= 0.99
+        frames, _ = render_sequence(static_sweep([19250.0, 5000.0]), cfg, make_camera())
+        for image in frames:
+            # projected at the measured period, within half a bin of lam*f/D
+            assert measure_frame(image).contrast >= 0.99
 
     def test_half_wave_shift_moves_fringes_half_period(self):
-        from accordion import extract_fringe_phase
         cfg = make_config(separation=8000.0)  # d = 5.32 um
         cam = make_camera()
         traj = static_sweep([8000.0, 8000.0])
         plain, recs = render_sequence(traj, cfg, cam)
         plain = list(plain)
         shifted = list(render_sequence(traj.with_path_difference(0.266), cfg, cam)[0])
-        d_px = recs[0].analytic_spacing_um / cam.pixel_scale
-        _, c0 = extract_fringe_phase(plain[0], d_px)
-        _, c1 = extract_fringe_phase(shifted[0], d_px)
+        d_um = recs[0].analytic_spacing_um
+        d_px = d_um / cam.pixel_scale
+
+        def center_px(image):
+            # one frame per run: across frames the half-period jump would be unwrapped
+            trace = measure_run([image], [d_um], cam.pixel_scale)[1]
+            return trace.positions_um[0] / cam.pixel_scale
+
+        c0, c1 = center_px(plain[0]), center_px(shifted[0])
         assert abs(c1 - c0) == pytest.approx(d_px / 2, abs=0.05)
 
     def test_failure_reports_sample_index(self):

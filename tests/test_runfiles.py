@@ -78,6 +78,24 @@ def test_manifest_round_trip(scratch, rows):
     assert read_manifest(path) == rows
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda cells: cells[:3], "line 3, column separation_um: expected a number, got None"),
+    (lambda cells: cells[:1] + ["abc"] + cells[2:],
+     "line 3, column time_s: expected a number, got 'abc'"),
+    (lambda cells: cells + ["0.0"], "line 3: more cells than the header has columns"),
+], ids=["short-row", "non-numeric", "long-row"])
+def test_malformed_manifest_row_names_the_line_and_column(tmp_path, edit, message):
+    path = tmp_path / "manifest.csv"
+    write_manifest(path, [FrameRecord(f"frame_{i:04d}.pgm", i / 30, 0.0, 8000.0, 5.32, 0.0)
+                          for i in range(3)])
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(edit(lines[2].split(",")))  # frame 1's row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as raised:
+        read_manifest(path)
+    assert str(raised.value) == f"{path}: {message}"
+
+
 # values as sweep echoes them: numbers, and text without line breaks or
 # surrounding blanks (read_config strips both)
 texts = st.text(st.sampled_from("abcxyzAZ0129.,:+-=_/ "), max_size=12).map(str.strip)
