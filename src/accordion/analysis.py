@@ -129,6 +129,10 @@ def _period(s: _Spectrum) -> tuple[float, float]:
     if spec.size < 5:
         raise AnalysisError(f"profile of {n} samples is too short to analyze")
     k, peak, floor = _dominant_peak(s)
+    if k == 1:
+        # under 1.5 periods fit: a peak there is the beam envelope's own scale
+        raise NoFringeError("no fringe found: the dominant peak at bin 1 is the "
+                            "scale of the beam envelope")
     if k < MIN_PERIODS:
         raise AnalysisError(f"dominant peak at bin {k}: fewer than {MIN_PERIODS} "
                             f"fringe periods fit in the window")
@@ -184,8 +188,9 @@ def measure_frame(image, pixel_scale: float | None = None,
 
     At least 3 full periods and 4 samples per period must fit across the
     image.  A best non-DC peak less than 6 dB above the median spectrum
-    magnitude is a NoFringeError; too few periods or samples per period, or
-    an empty image, is an AnalysisError.
+    magnitude, or at bin 1, the scale of the beam envelope itself, is a
+    NoFringeError; too few periods or samples per period, or an empty image,
+    is an AnalysisError.
     """
     return _measure(_spectrum(image, window_rows), pixel_scale)
 

@@ -18,6 +18,15 @@ render_frame and render_sequence apply gain, optional Gaussian read noise
 and quantization in one shared digitizer.  The noise stream is keyed by
 (seed, frame_index) so that frames rendered in parallel, serially, or in
 any order, or one at a time by render_frame, are bit-identical.
+
+Without read noise the digitizer does not read the frame index, so equal
+inputs give equal bytes, and render_sequence renders each of them once.
+Sensor rows with the same envelope and cross-term factors, such as the
+mirror rows of two beams on the axis, are rendered once per frame and
+copied into place by a row index.  A sample whose config equals the
+previous sample's yields the previous frame again, as during the hold at
+the far end of a sweep.  With read noise every pixel differs, and each
+sample renders all its rows.
 """
 
 from __future__ import annotations
@@ -25,8 +34,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Iterator
+from contextlib import closing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -245,7 +256,10 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
 
     The frames are a single-pass iterator in sample order, and frame i is
     byte for byte render_frame(cfg_i, cam, i); the beam envelopes, which
-    depend on neither D nor dL, are evaluated once per sweep.  Rendering
+    depend on neither D nor dL, are evaluated once per sweep.  The frames
+    are read-only.  Without read noise each distinct sensor row is rendered
+    once per frame, and a sample whose config equals the previous one is not
+    rendered: it yields the previous frame, the same array.  Rendering
     starts at the first next().  With workers > 1 a thread pool renders at
     most `workers` samples ahead of the consumer, so a sweep holds about one
     frame per worker, whatever its length, and the output is identical to
@@ -279,30 +293,61 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
     return _render_frames(base_cfg, configs, cam, workers), records
 
 
+def _distinct_rows(envelope: np.ndarray, cross_y: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Each sensor row's index among the distinct rows of (cross_y,
+    envelope), in order of first appearance, and the first row of each."""
+    index = {}
+    rows = np.array([index.setdefault((y, row.tobytes()), len(index))
+                     for y, row in zip(cross_y.tolist(), envelope)])
+    return rows, np.unique(rows, return_index=True)[1]
+
+
 def _render_frames(base_cfg: LatticeConfig, configs: list[LatticeConfig],
                    cam: CameraModel, workers: int) -> Iterator[np.ndarray]:
     px = cam.pixel_x()
-    envelopes = beam_envelopes(base_cfg, px, cam.pixel_y())
+    envelope, cross_y, cross_x = beam_envelopes(base_cfg, px, cam.pixel_y())
+    # the first sample of each run of samples that render alike
+    starts = list(range(len(configs)))
+    rows = None
+    if cam.read_noise == 0:
+        # without read noise the digitizer ignores the frame index, so equal
+        # rows digitize to equal bytes, and equal configs to equal frames:
+        # render each distinct row once and expand it with a row index
+        rows, first = _distinct_rows(envelope, cross_y)
+        envelope, cross_y = envelope[first], cross_y[first]
+        starts = [i for i in starts if i == 0 or configs[i] != configs[i - 1]]
+    envelopes = envelope, cross_y, cross_x
+    counts = np.diff([*starts, len(configs)]).tolist()
 
     def render(i: int) -> np.ndarray:
-        return _digitize(fringes_at(configs[i], px, envelopes), cam, i)
+        frame = _digitize(fringes_at(configs[i], px, envelopes), cam, i)
+        if rows is not None:
+            frame = frame[rows]
+        # a repeated sample yields this same array again
+        frame.flags.writeable = False
+        return frame
 
-    samples = range(len(configs))
-    if workers == 1:
-        yield from map(render, samples)
-        return
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        ahead = deque()
-        for i in samples:
-            ahead.append(pool.submit(render, i))
-            if len(ahead) > workers:
+    def rendered() -> Iterator[np.ndarray]:
+        if workers == 1:
+            yield from map(render, starts)
+            return
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            ahead = deque()
+            for i in starts:
+                ahead.append(pool.submit(render, i))
+                if len(ahead) > workers:
+                    yield ahead.popleft().result()
+            while ahead:
                 yield ahead.popleft().result()
-        while ahead:
-            yield ahead.popleft().result()
-    finally:
-        # closed early: the queued samples are dropped, the running ones joined
-        pool.shutdown(cancel_futures=True)
+        finally:
+            # closed early: the queued samples are dropped, the running ones joined
+            pool.shutdown(cancel_futures=True)
+
+    with closing(rendered()) as frames:
+        for frame, count in zip(frames, counts):
+            yield from repeat(frame, count)
 
 
 def spacetime_composite(frames) -> np.ndarray:

@@ -61,9 +61,11 @@ class TestPeriod:
             measure_frame(np.full((120, 640), 37, dtype=np.uint8))
 
     def test_too_few_periods_rejected(self):
+        # two periods, a peak at bin 2: too coarse, but a fringe
         img = render_simple(separation_for_pixel_period(320.0))
-        with pytest.raises(AnalysisError, match="fewer than 3"):
+        with pytest.raises(AnalysisError, match="fewer than 3") as err:
             measure_frame(img)
+        assert not isinstance(err.value, NoFringeError)
 
     def test_undersampled_fringe_rejected(self):
         # a 3.2 px fringe, which render_frame refuses to render: fewer than
@@ -128,12 +130,12 @@ class TestPhaseAtKnownPeriod:
         assert slope == pytest.approx(1.0, abs=0.01)
 
     def test_single_beam_has_no_fringe(self):
-        # the period is measured before the projection, so a single beam is
-        # rejected for its too coarse spectral peak
+        # the period is measured before the projection: a single beam's
+        # dominant peak is its envelope's, at bin 1
         img = render_simple(8000.0, amp2=0.0)
         results, trace = measure_run([img], [self.d_um], PIXEL_SCALE)
-        assert isinstance(results[0], AnalysisError)
-        assert "fewer than 3 fringe periods" in str(results[0])
+        assert isinstance(results[0], NoFringeError)
+        assert "scale of the beam envelope" in str(results[0])
         assert trace is None
 
     @pytest.mark.parametrize("spacing, shown", [(0.0, "0.0"), (-5.32, "-62.36"),
@@ -158,7 +160,7 @@ class TestContrast:
     def test_single_beam_is_rejected(self):
         # no fringe, so no contrast: the envelope's peak sits at bin 1
         img = render_simple(6864.5, amp2=0.0)
-        with pytest.raises(AnalysisError, match="fewer than 3 fringe periods"):
+        with pytest.raises(NoFringeError, match="scale of the beam envelope"):
             measure_frame(img)
 
 

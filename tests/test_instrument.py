@@ -32,6 +32,34 @@ FIG6B_DRIVE = MirrorDrive(initial_separation=43810.0, speed=20000.0,
                           travel=20000.0, dwell=0.5, frame_rate=30.0)
 
 
+@pytest.fixture
+def rendered(monkeypatch):
+    """The config and the number of sensor rows of each frame rendered so
+    far, in any thread."""
+    calls = []
+    fringes_at = instrument.fringes_at
+
+    def counting(cfg, x, envelopes):
+        calls.append((cfg, envelopes[0].shape[0]))
+        return fringes_at(cfg, x, envelopes)
+
+    monkeypatch.setattr(instrument, "fringes_at", counting)
+    return calls
+
+
+def assert_each_frame_is_render_frame(traj, base, cam, workers=1):
+    """Render the sweep and check frame i against render_frame of sample
+    i's config; returns the frames."""
+    frames = list(render_sequence(traj, base, cam, workers=workers)[0])
+    assert len(frames) == len(traj)
+    for i, image in enumerate(frames):
+        cfg = replace(base, optics=replace(base.optics,
+                                           separation=float(traj.separations[i])),
+                      path_difference=float(traj.path_differences[i]))
+        assert np.array_equal(image, render_frame(cfg, cam, frame_index=i))
+    return frames
+
+
 class TestBuildTrajectory:
     def test_fast_sweep_sampling(self):
         traj = build_trajectory(FIG6B_DRIVE)
@@ -207,13 +235,7 @@ class TestRenderSequence:
         cam = make_camera(read_noise=1.5, seed=4, gain=255 / 1.7 ** 2)
         traj = Trajectory(np.array([0.0, 0.1]), np.array([0.0, 6905.0]),
                           np.array([43810.0, 30000.0]), np.array([0.0, 0.19]))
-        frames = list(render_sequence(traj, base, cam)[0])
-        for i, image in enumerate(frames):
-            cfg = replace(base, optics=replace(base.optics,
-                                               separation=float(traj.separations[i])),
-                          path_difference=float(traj.path_differences[i]))
-            direct = render_frame(cfg, cam, frame_index=i)
-            assert np.array_equal(image, direct)
+        frames = assert_each_frame_is_render_frame(traj, base, cam)
         assert not np.array_equal(frames[0], frames[1])
 
     def test_parallel_matches_serial(self):
@@ -302,19 +324,6 @@ class TestRenderSequence:
 
 
 class TestStreamedFrames:
-    @pytest.fixture
-    def rendered(self, monkeypatch):
-        """The configs of the frames rendered so far, in any thread."""
-        configs = []
-        fringes_at = instrument.fringes_at
-
-        def counting(cfg, x, envelopes):
-            configs.append(cfg)
-            return fringes_at(cfg, x, envelopes)
-
-        monkeypatch.setattr(instrument, "fringes_at", counting)
-        return configs
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_every_sample_is_checked_before_any_frame_renders(self, rendered, workers):
         traj = static_sweep([43810.0, 30000.0, 20000.0, 150000.0])
@@ -348,6 +357,55 @@ class TestStreamedFrames:
         # the two frames taken and at most one sample per worker ahead of them
         assert 2 <= len(rendered) <= 2 + workers
         assert len(taken) == 2 and list(frames) == []
+
+
+class TestNoiseFreeRender:
+    """Without read noise a sweep renders each distinct sensor row and each
+    run of identical samples once."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("read_noise, calls, rows", [(0.0, 61, 60), (2.0, 76, 120)])
+    def test_fig6b_render_counts(self, rendered, workers, read_noise, calls, rows):
+        # both beams on the axis: 60 distinct rows of 120, and the 16 dwell
+        # frames share one config; read noise makes every pixel differ
+        frames, _ = render_sequence(build_trajectory(FIG6B_DRIVE), make_config(),
+                                    make_camera(read_noise=read_noise), workers=workers)
+        assert sum(1 for _ in frames) == 76
+        assert [n for _, n in rendered] == [rows] * calls
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_beams_offset_in_y_repeat_no_row(self, rendered, workers):
+        # mirror rows share their cross-term factor, but unequal amplitudes
+        # make their envelopes differ
+        base = LatticeConfig(OpticalParams(0.532, 80000.0, 43810.0),
+                             BeamSpec(36.0, 1.0, (0.0, 2.0)), BeamSpec(36.0, 0.8, (0.0, -2.0)))
+        traj = static_sweep([43810.0, 30000.0, 20000.0])
+        assert_each_frame_is_render_frame(traj, base, make_camera(), workers)
+        assert [n for _, n in rendered] == [120] * 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_path_difference_changed_mid_dwell_is_rendered(self, rendered, workers):
+        drive = MirrorDrive(initial_separation=43810.0, speed=20000.0,
+                            travel=5000.0, dwell=0.2, frame_rate=30.0)
+        traj = build_trajectory(drive)
+        held = np.flatnonzero(traj.mirror_positions == drive.travel)
+        assert held.size == 6
+        path = np.where(np.arange(len(traj)) >= held[3], 0.1, 0.0)
+        frames = assert_each_frame_is_render_frame(
+            traj.with_path_difference(path), make_config(), make_camera(), workers)
+        assert not np.array_equal(frames[held[3]], frames[held[2]])
+        # the hold renders twice, once per path difference
+        assert len(rendered) == len(traj) - held.size + 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_consumer_cannot_change_a_repeated_frame(self, workers):
+        cfg, cam = make_config(), make_camera()
+        frames, _ = render_sequence(static_sweep([43810.0, 43810.0]), cfg, cam,
+                                    workers=workers)
+        first = next(frames)
+        with pytest.raises(ValueError, match="read-only"):
+            first[:] = 0
+        assert np.array_equal(next(frames), render_frame(cfg, cam, frame_index=1))
 
 
 class TestComposite:
