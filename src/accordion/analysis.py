@@ -109,18 +109,6 @@ def _spectrum(image, window_rows: int | None) -> _Spectrum:
     return _Spectrum(float(total), windowed, np.abs(np.fft.rfft(windowed)))
 
 
-def _dominant_peak(s: _Spectrum) -> tuple[int, float, float]:
-    """Dominant non-DC bin, 6 dB-gated vs the median.  A peak whose implied
-    modulation depth is below 1e-9 of the windowed sum is rounding dust."""
-    k = 1 + int(np.argmax(s.spec[1:-1]))
-    floor = float(np.median(s.spec[1:]))
-    peak = float(s.spec[k])
-    if peak <= 0 or floor <= 0 or peak < 1e-9 * abs(s.total) \
-            or 20 * math.log10(peak / floor) < PEAK_GATE_DB:
-        raise NoFringeError("no fringe found")
-    return k, peak, floor
-
-
 def _period(s: _Spectrum) -> tuple[float, float]:
     """Period in pixels, refined by a parabola through the log magnitudes of
     the peak bin and its neighbours, and a heuristic 1-sigma uncertainty
@@ -128,7 +116,14 @@ def _period(s: _Spectrum) -> tuple[float, float]:
     n, spec = s.windowed.size, s.spec
     if spec.size < 5:
         raise AnalysisError(f"profile of {n} samples is too short to analyze")
-    k, peak, floor = _dominant_peak(s)
+    # the dominant non-DC bin, 6 dB-gated vs the median; a peak whose implied
+    # modulation depth is below 1e-9 of the windowed sum is rounding dust
+    k = 1 + int(np.argmax(spec[1:-1]))
+    floor = float(np.median(spec[1:]))
+    peak = float(spec[k])
+    if peak <= 0 or floor <= 0 or peak < 1e-9 * abs(s.total) \
+            or 20 * math.log10(peak / floor) < PEAK_GATE_DB:
+        raise NoFringeError("no fringe found")
     if k == 1:
         # under 1.5 periods fit: a peak there is the beam envelope's own scale
         raise NoFringeError("no fringe found: the dominant peak at bin 1 is the "
@@ -167,20 +162,6 @@ def _contrast(s: _Spectrum, amplitude: float) -> float:
     return float(min(max(2 * amplitude / s.total, 0.0), 1.0))
 
 
-def _phase_at(s: _Spectrum, period_px: float) -> tuple[float, float]:
-    """Phase and center at a given period, as _project gives them."""
-    phase, center, _ = _project(s, period_px)
-    # the 6 dB guard of the period estimate, and the peak must sit at the
-    # given period: quantization contouring of a fringe-free beam passes a
-    # floor test
-    k, _, _ = _dominant_peak(s)
-    expected_bin = s.windowed.size / period_px
-    if abs(k - expected_bin) > max(0.25 * expected_bin, 1.5):
-        raise NoFringeError(
-            f"no fringe found at the expected period ({period_px:.3g} px)")
-    return phase, center
-
-
 def measure_frame(image, pixel_scale: float | None = None,
                   window_rows: int | None = None) -> FringeMeasurement:
     """Full single-frame measurement: period, phase, center and contrast,
@@ -197,7 +178,6 @@ def measure_frame(image, pixel_scale: float | None = None,
 
 def _measure(s: _Spectrum, pixel_scale: float | None) -> FringeMeasurement:
     period, sigma = _period(s)
-    # within half a bin of the peak: _phase_at's peak guard cannot fire
     phase, center_px, amplitude = _project(s, period)
     contrast = _contrast(s, amplitude)
     period_um = center_um = None
@@ -375,11 +355,11 @@ def measure_run(frames, spacings_um, pixel_scale: float, window_rows: int | None
     not at the measured one.  pixel_scale is in um per pixel.
 
     Returns, per frame, its measure_frame result or the AnalysisError that
-    rejected it: measure_frame's, the projection's at the manifest period
-    (a period that is not positive and finite, or no fringe there), or one
-    naming a measured period more than PERIOD_TOLERANCE
-    (relative) off the manifest period, as a wrong pixel scale gives.  The
-    drift trace comes with them when no frame was rejected, else None.
+    rejected it: measure_frame's, the projection's at a manifest period that
+    is not positive and finite, or one naming a measured period more than
+    PERIOD_TOLERANCE (relative) off the manifest period, as a wrong pixel
+    scale gives: the only rule for an off-period frame.  The drift trace
+    comes with them when no frame was rejected, else None.
     Each position is continued onto the branch nearest the previous frame's;
     a frame is flagged when even the best branch jumps by more than a quarter
     period.  max_drift_um is the largest |position| over the run.
@@ -396,7 +376,8 @@ def measure_run(frames, spacings_um, pixel_scale: float, window_rows: int | None
             s = _spectrum(image, window_rows)
             m = _measure(s, pixel_scale)
             expected_px = d_um / pixel_scale
-            positions[i] = _phase_at(s, expected_px)[1] * pixel_scale
+            # before the division: a manifest period <= 0 is rejected by name
+            positions[i] = _project(s, expected_px)[1] * pixel_scale
             off = m.period_px / expected_px - 1
             if abs(off) > PERIOD_TOLERANCE:
                 raise AnalysisError(

@@ -87,10 +87,11 @@ def intensity_at(cfg: LatticeConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray
     in x.  Returns the module's formula with shape (len(y), len(x)); every
     term factors into an x and a y profile, so it is a sum of three outer
     products.  For identical beams and zero path difference it reduces
-    exactly to 2 (cos(2 pi D x/(lam f)) + 1) I0.  Raises ValueError if the
-    x spacing resolves the fringe with fewer than 4 samples per period; an
-    undersampled lattice would alias silently otherwise.
+    exactly to 2 (cos(2 pi D x/(lam f)) + 1) I0.  Checks the sampling with
+    require_resolved: fewer than 4 samples per period is a ValueError, as
+    an undersampled lattice would alias silently otherwise.
     """
+    require_resolved(cfg, x)
     return fringes_at(cfg, x, beam_envelopes(cfg, x, y))
 
 
@@ -129,8 +130,8 @@ def fringes_at(cfg: LatticeConfig, x: np.ndarray,
     """intensity_at(cfg, x, y), given beam_envelopes(c, x, y) of any config c
     with cfg's beams: adds the cos(2 pi D x/(lam f) + 2 pi dL/lam) cross
     term to the envelope sum in one outer product, in a fresh array.
-    Raises ValueError as require_resolved does."""
-    require_resolved(cfg, x)
+    The sampling is not checked here: a caller checks it once per config
+    with require_resolved, before the first frame."""
     envelope, cross_y, cross_x = envelopes
     phase = (2 * math.pi * cfg.optics.separation
              / (cfg.optics.wavelength * cfg.optics.focal_length) * x

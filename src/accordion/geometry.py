@@ -82,8 +82,15 @@ def separation_for_spacing(wavelength: float, focal_length: float,
     """Beam separation D = lam*f/d that produces a wanted fringe period.
 
     Inverse of spacing_fourier; round-trips with it to machine precision.
+    A spacing not above lam/2 needs D >= 2f, which OpticalParams rejects: a
+    ValueError naming that smallest reachable spacing.
     """
     for name, v in (("wavelength", wavelength), ("focal_length", focal_length),
                     ("spacing", spacing)):
         require_positive(name, v)
-    return wavelength * focal_length / spacing
+    try:
+        return OpticalParams(wavelength, focal_length,
+                             wavelength * focal_length / spacing).separation
+    except ValueError as err:
+        raise ValueError(f"spacing {spacing} um must exceed the smallest reachable "
+                         f"spacing, lam/2 = {wavelength / 2} um; {err}") from None

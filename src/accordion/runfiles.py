@@ -25,6 +25,7 @@ directory without one is not a complete run.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import re
 from pathlib import Path
@@ -117,26 +118,34 @@ def write_manifest(path, records) -> None:
                              repr(r.path_difference_um)])
 
 
+def _read_text(path) -> str:
+    """path's text, newlines untranslated; a ValueError names an undecodable file."""
+    try:
+        with open(path, newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
 def read_manifest(path) -> list[FrameRecord]:
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(MANIFEST_FIELDS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"{path}: manifest is missing columns {sorted(missing)}")
-        for row in reader:
-            if None in row:  # DictReader's key for cells beyond the header
-                raise ValueError(f"{path}: line {reader.line_num}: more cells "
-                                 f"than the header has columns")
-            values = {}
-            # a short row leaves its last cells None
-            for name in MANIFEST_FIELDS[1:]:
-                try:
-                    values[name] = float(row[name])
-                except (TypeError, ValueError):
-                    raise ValueError(f"{path}: line {reader.line_num}, column {name}: "
-                                     f"expected a number, got {row[name]!r}") from None
-            records.append(FrameRecord(frame=row["frame"], **values))
+    reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
+    missing = set(MANIFEST_FIELDS) - set(reader.fieldnames or ())
+    if missing:
+        raise ValueError(f"{path}: manifest is missing columns {sorted(missing)}")
+    for row in reader:
+        if None in row:  # DictReader's key for cells beyond the header
+            raise ValueError(f"{path}: line {reader.line_num}: more cells "
+                             f"than the header has columns")
+        values = {}
+        # a short row leaves its last cells None
+        for name in MANIFEST_FIELDS[1:]:
+            try:
+                values[name] = float(row[name])
+            except (TypeError, ValueError):
+                raise ValueError(f"{path}: line {reader.line_num}, column {name}: "
+                                 f"expected a number, got {row[name]!r}") from None
+        records.append(FrameRecord(frame=row["frame"], **values))
     return records
 
 
@@ -148,10 +157,10 @@ def write_config(path, values: dict) -> None:
 
 
 def read_config(path) -> dict[str, str]:
-    """key=value lines, blank and '#' lines skipped; a line without '=' or a
-    key given twice is a ValueError naming the file."""
+    """key=value lines, blank and '#' lines skipped; a line without '=', a key
+    given twice or an undecodable byte is a ValueError naming the file."""
     values: dict[str, str] = {}
-    for line in Path(path).read_text().splitlines():
+    for line in _read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -23,6 +23,7 @@ from accordion import (
     spacing_fourier,
     static_sweep,
 )
+from accordion.analysis import PERIOD_TOLERANCE
 from accordion.fields import BeamSpec
 from conftest import PIXEL_SCALE, WAVELENGTH, make_camera, make_config, render_simple
 from oracles import autocorr_period, beam_intensity, half_plane_knife_profile
@@ -396,6 +397,30 @@ def test_knife_edge_recovers_random_edges_or_fails_cleanly(
     assert abs(fit.center - center) <= 6 * std_center + 1e-6 * waist
 
 
+@settings(max_examples=100, deadline=None)
+@given(separation=st.floats(6000.0, 110000.0), waist=st.floats(20.0, 80.0),
+       waist2=st.floats(20.0, 80.0), ratio=st.floats(0.0, 1.0),
+       read_noise=st.floats(0.0, 20.0),
+       scale_factor=st.floats(0.5, 2.0) | st.floats(0.9, 1.1))
+def test_measure_run_accepts_exactly_the_frames_within_tolerance(
+        separation, waist, waist2, ratio, read_noise, scale_factor):
+    # the one rule for an off-period frame: measure_run keeps a frame when
+    # measure_frame measures it within PERIOD_TOLERANCE of the manifest
+    # period, whatever the pixel scale it is given
+    cfg = make_config(separation=separation, waist=waist, waist2=waist2, amp2=ratio)
+    image = render_frame(cfg, make_camera(read_noise=read_noise, seed=3))
+    d_um = spacing_fourier(cfg.optics)
+    pixel_scale = PIXEL_SCALE * scale_factor
+    (result,), _ = measure_run([image], [d_um], pixel_scale)
+    try:
+        m = measure_frame(image, pixel_scale)
+    except AnalysisError:
+        m = None
+    within = (m is not None
+              and abs(m.period_px / (d_um / pixel_scale) - 1) <= PERIOD_TOLERANCE)
+    assert result == m if within else isinstance(result, AnalysisError)
+
+
 class TestNoiseRobustness:
     def test_period_and_center_errors_over_100_seeds(self):
         """8-bit frames with read_noise 2: period within 1%, center within
@@ -486,11 +511,13 @@ class TestMeasureRun:
         assert trace is None
 
     def test_center_off_the_manifest_period_rejects_the_frame(self):
-        # a wrong pixel scale puts the manifest period 30% off the fringe
+        # a wrong pixel scale puts the measured period 41% off the manifest's
         frames, spacings = self._frames()
         results, trace = measure_run(frames, spacings, 0.12)
-        assert all(isinstance(r, NoFringeError) for r in results)
-        assert "no fringe found at the expected period" in str(results[0])
+        for r in results:
+            assert isinstance(r, AnalysisError) and not isinstance(r, NoFringeError)
+            assert "+40.7% off the manifest period" in str(r)
+            assert "tolerance 5%" in str(r)
         assert trace is None
 
     def test_period_off_the_manifest_beyond_tolerance_rejects_the_frame(self):
@@ -506,6 +533,21 @@ class TestMeasureRun:
         results, trace = measure_run(frames, spacings, PIXEL_SCALE * 1.03)
         assert all(isinstance(r, FringeMeasurement) for r in results)
         assert trace is not None
+
+    def test_one_peak_search_per_frame(self, monkeypatch):
+        # the period's argmax over the spectrum is the frame's only peak
+        # search: the center is projected at the manifest period directly
+        frames, spacings = self._frames()
+        searches = []
+        argmax = np.argmax
+
+        def counting(a, *args, **kwargs):
+            searches.append(np.shape(a))
+            return argmax(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argmax", counting)
+        assert measure_run(frames, spacings, PIXEL_SCALE)[1] is not None
+        assert len(searches) == len(frames) == 3
 
     @pytest.mark.parametrize("n_frames, n_spacings", [(2, 3), (3, 2)])
     def test_length_mismatch_of_a_generator_rejected(self, n_frames, n_spacings):

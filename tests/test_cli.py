@@ -48,6 +48,14 @@ class TestSpacingCommand:
         vals = parse_keyvals(capsys.readouterr().out)
         assert float(vals["separation_for_target_um"]) == pytest.approx(3800.0, abs=0.5)
 
+    def test_unreachable_target_spacing_is_usage_error(self, capsys):
+        # 0.1 um needs D = 159.6 mm, beyond 2f = 60 mm: sweep would reject it
+        assert main(["spacing", "--wavelength", "0.532", "--focal", "30000",
+                     "--separation", "19250", "--target-spacing", "0.1"]) == 2
+        captured = capsys.readouterr()
+        assert "separation_for_target_um" not in captured.out
+        assert "lam/2 = 0.266 um" in captured.err
+
     def test_missing_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["spacing", "--wavelength", "0.532"])
@@ -172,6 +180,14 @@ class TestSweepCommand:
         cfg.write_text("focal=30000\nseparations=19250\nfocal=80000\n")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert "run.cfg: config key 'focal' given twice" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_undecodable_config_file_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"focal=30000\nseparations=19250\n# caf\xe9\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}: 'utf-8' codec can't decode byte 0xe9")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -494,15 +510,18 @@ class TestAnalyzeCommand:
 
     def test_frames_off_the_expected_period_are_listed(self, ladder_run, tmp_path,
                                                        capsys):
-        # a wrong pixel scale puts every manifest period 30% off its fringe:
-        # each frame is rejected by name and both reports describe this run
+        # a wrong pixel scale puts every measured period 41% off the
+        # manifest's: each frame is rejected by name, by the one off-period
+        # rule, and both reports describe this run
         assert main(["analyze", str(ladder_run), "--calibrate", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         assert main(["analyze", str(ladder_run), "--pixel-scale", "0.12",
                      "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 6
-        assert err[0].startswith("frame_0000.pgm: no fringe found at the expected period")
+        assert err[0] == ("frame_0000.pgm: measured period 9.721 px is +40.7% off the "
+                          "manifest period 6.909 px (tolerance 5%)")
+        assert all("off the manifest period" in line for line in err)
         assert (tmp_path / "measurements.csv").read_text() == (
             "frame,time_s,separation_um,period_px,period_um,center_um,contrast\n")
         assert not (tmp_path / "calibration.csv").exists()
@@ -521,6 +540,16 @@ class TestAnalyzeCommand:
             assert "off the manifest period" in err[i]
         assert (run / "measurements.csv").read_text() == (
             "frame,time_s,separation_um,period_px,period_um,center_um,contrast\n")
+
+    @pytest.mark.parametrize("name", ["config.txt", "manifest.csv"])
+    def test_undecodable_run_file_is_named(self, ladder_run, tmp_path, name, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(ladder_run, run)
+        with open(run / name, "ab") as fh:
+            fh.write(b"\xff\n")
+        assert main(["analyze", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run / name}: 'utf-8' codec can't decode byte 0xff")
 
     def test_malformed_pgm_is_usage_error(self, tmp_path, capsys):
         (tmp_path / "short.pgm").write_bytes(b"P5\n3 2\n255\n" + bytes(5))

@@ -72,6 +72,14 @@ class TestSeparationForSpacing:
         d = spacing_fourier(p)
         assert separation_for_spacing(0.532, 80000, d) == pytest.approx(p.separation, rel=1e-14)
 
+    @pytest.mark.parametrize("spacing", [0.1, 0.266])
+    def test_spacing_not_above_half_the_wavelength_rejected(self, spacing):
+        # d <= lam/2 needs D >= 2f: the beams would miss the lens
+        with pytest.raises(ValueError, match=r"smallest reachable spacing, lam/2 = 0\.266 um"
+                                             r".*the beams miss the lens"):
+            separation_for_spacing(0.532, 30000, spacing)
+        assert separation_for_spacing(0.532, 30000, 0.27) < 2 * 30000
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             separation_for_spacing(0.532, 80000, 0.0)

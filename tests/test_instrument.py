@@ -16,6 +16,7 @@ from accordion import (
     bs_translation_path_difference,
     build_trajectory,
     center_fringe_shift,
+    fields,
     instrument,
     measure_frame,
     measure_run,
@@ -343,6 +344,26 @@ class TestStreamedFrames:
                 cfg.optics, separation=records[i].separation_um)), cam, i)
             assert np.array_equal(image, direct)
         assert list(frames) == []  # single pass
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sampling_is_checked_once_per_sample(self, monkeypatch, workers):
+        # render_sequence checks every sample up front; no rendered frame,
+        # nor a repeated one, checks its sampling again
+        checked = []
+        require_resolved = fields.require_resolved
+
+        def counting(cfg, x):
+            checked.append(cfg)
+            return require_resolved(cfg, x)
+
+        monkeypatch.setattr(fields, "require_resolved", counting)
+        monkeypatch.setattr(instrument, "require_resolved", counting)
+        traj = build_trajectory(FIG6B_DRIVE)
+        frames, records = render_sequence(traj, make_config(), make_camera(),
+                                          workers=workers)
+        assert len(checked) == len(records) == 76  # before any frame renders
+        assert len(list(frames)) == 76
+        assert len(checked) == 76  # and none while they render
 
     def test_closing_early_cancels_the_queue_and_joins_the_pool(self, rendered):
         workers = 2
