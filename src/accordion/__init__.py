@@ -41,7 +41,7 @@ from .instrument import (
 from .analysis import (
     AnalysisError,
     CalibrationFit,
-    DriftTrace,
+    FrameResult,
     FringeMeasurement,
     KnifeEdgeFit,
     NoFringeError,
@@ -53,4 +53,4 @@ from .analysis import (
     measure_run,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -4,8 +4,8 @@ Each frame gets one spectral pass: one profile averaged over a band of rows
 around the sensor center, one Hann window and one FFT.  The period comes
 from the dominant peak with sub-bin refinement; phase and contrast come from
 one projection of the windowed profile onto quadratures at that period.
-measure_run reads a whole run that way, one frame at a time, and tracks the
-center fringe from the same spectrum, projected at the manifest period.
+measure_run reads a run one frame at a time into one FrameResult each, tracking
+the center fringe at the manifest period from one accepted frame to the next.
 Pixel-scale calibration and knife-edge waist fitting close the loop between
 pixel and physical units.  The knife-edge fit is a variable-projection
 least-squares fit in numpy: the total power is solved in closed form and
@@ -69,13 +69,13 @@ class KnifeEdgeFit:
     rms_residual: float
 
 
-@dataclass(frozen=True)
-class DriftTrace:
-    """Per-frame center-fringe positions (um), unwrapped across frames."""
+class FrameResult(NamedTuple):
+    """Per frame of a run: the measurement or the AnalysisError rejecting it,
+    the tracked center fringe (um; None when rejected) and the unwrap flag."""
 
-    positions_um: np.ndarray
-    max_drift_um: float
-    flagged: tuple[int, ...]
+    measurement: FringeMeasurement | AnalysisError
+    position_um: float | None
+    flagged: bool
 
 
 def fringe_profile(image, window_rows: int | None = None) -> np.ndarray:
@@ -171,8 +171,10 @@ def measure_frame(image, pixel_scale: float | None = None,
     image.  A best non-DC peak less than 6 dB above the median spectrum
     magnitude, or at bin 1, the scale of the beam envelope itself, is a
     NoFringeError; too few periods or samples per period, or an empty image,
-    is an AnalysisError.
+    is an AnalysisError; a pixel scale not positive and finite, a ValueError.
     """
+    if pixel_scale is not None:
+        require_positive("pixel_scale", pixel_scale)
     return _measure(_spectrum(image, window_rows), pixel_scale)
 
 
@@ -344,56 +346,56 @@ def knife_edge_waist(positions, powers) -> float:
     return fit_knife_edge(positions, powers).waist
 
 
-def measure_run(frames, spacings_um, pixel_scale: float, window_rows: int | None = None
-                ) -> tuple[list[FringeMeasurement | AnalysisError], DriftTrace | None]:
-    """Measure each frame of a run and track its center fringe, one spectral
-    pass per frame.
+def measure_run(frames, spacings_um, pixel_scale: float,
+                window_rows: int | None = None) -> list[FrameResult]:
+    """Measure each frame of a run into one FrameResult and track its center
+    fringe, one spectral pass per frame.
 
     frames is any iterable of 2-D arrays, read once and in order (a generator
     that loads each frame will do).  spacings_um holds each frame's analytic
     spacing from the run manifest: the center is projected at that period,
-    not at the measured one.  pixel_scale is in um per pixel.
+    not at the measured one.  pixel_scale is in um per pixel, checked
+    positive and finite (a ValueError) before any frame is read.
 
-    Returns, per frame, its measure_frame result or the AnalysisError that
-    rejected it: measure_frame's, the projection's at a manifest period that
-    is not positive and finite, or one naming a measured period more than
-    PERIOD_TOLERANCE (relative) off the manifest period, as a wrong pixel
-    scale gives: the only rule for an off-period frame.  The drift trace
-    comes with them when no frame was rejected, else None.
-    Each position is continued onto the branch nearest the previous frame's;
-    a frame is flagged when even the best branch jumps by more than a quarter
-    period.  max_drift_um is the largest |position| over the run.
+    A frame is rejected by measure_frame's AnalysisError, the projection's at
+    a manifest period that is not positive and finite, or one naming a
+    measured period more than PERIOD_TOLERANCE (relative) off the manifest
+    period, as a wrong pixel scale gives: the only rule for an off-period
+    frame.  Each accepted frame is unwrapped onto the branch nearest the last
+    accepted one's, flagged if even that branch is over a quarter period off.
     """
+    require_positive("pixel_scale", pixel_scale)
     spacings = np.asarray(spacings_um, dtype=float)
     if spacings.size == 0:
         raise AnalysisError("nothing to track")
-    results: list[FringeMeasurement | AnalysisError] = []
-    positions = np.empty(spacings.size)
+    results: list[FrameResult] = []
+    last = None
     frames = iter(frames)
     # spacings first: zip stops at the last spacing without reading a frame more
-    for i, (d_um, image) in enumerate(zip(spacings, frames)):
+    for d_um, image in zip(spacings, frames):
         try:
             s = _spectrum(image, window_rows)
             m = _measure(s, pixel_scale)
             expected_px = d_um / pixel_scale
             # before the division: a manifest period <= 0 is rejected by name
-            positions[i] = _project(s, expected_px)[1] * pixel_scale
+            position = _project(s, expected_px)[1] * pixel_scale
             off = m.period_px / expected_px - 1
             if abs(off) > PERIOD_TOLERANCE:
+                # the fewest decimals, at least one, that show the breach
+                digits = next((k for k in range(1, 16)
+                               if abs(float(f"{off:.{k}%}"[:-1])) > 100 * PERIOD_TOLERANCE), 1)
                 raise AnalysisError(
-                    f"measured period {m.period_px:.4g} px is {off:+.1%} off the "
+                    f"measured period {m.period_px:.4g} px is {off:+.{digits}%} off the "
                     f"manifest period {expected_px:.4g} px (tolerance "
                     f"{PERIOD_TOLERANCE:.0%})")
         except AnalysisError as err:
-            m = err
-        results.append(m)
+            results.append(FrameResult(err, None, False))
+            continue
+        if last is not None:
+            position += d_um * round((last - position) / d_um)
+        flagged = last is not None and bool(abs(position - last) > d_um / 4)
+        results.append(FrameResult(m, float(position), flagged))
+        last = position
     if len(results) != spacings.size or next(frames, None) is not None:
         raise AnalysisError("frames and spacings differ in length")
-    if not all(isinstance(m, FringeMeasurement) for m in results):
-        return results, None
-    flagged: list[int] = []
-    for i, d_um in enumerate(spacings[1:], 1):
-        positions[i] += d_um * round((positions[i - 1] - positions[i]) / d_um)
-        if abs(positions[i] - positions[i - 1]) > d_um / 4:
-            flagged.append(i)
-    return results, DriftTrace(positions, float(np.max(np.abs(positions))), tuple(flagged))
+    return results

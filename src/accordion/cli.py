@@ -272,13 +272,13 @@ def cmd_analyze(args) -> int:
         raise ValueError("--calibrate needs wavelength and focal length "
                          "(from config.txt or --wavelength/--focal)")
 
-    results, trace = analysis.measure_run(
+    results = analysis.measure_run(
         (runfiles.read_pgm(target / rec.frame) for rec in records),
         [rec.analytic_spacing_um for rec in records], pixel_scale, args.window_rows)
-    errors = [f"{rec.frame}: {m}" for rec, m in zip(records, results)
-              if isinstance(m, analysis.AnalysisError)]
-    measured = [(i, rec, m) for i, (rec, m) in enumerate(zip(records, results))
-                if isinstance(m, analysis.FringeMeasurement)]
+    errors = [f"{rec.frame}: {r.measurement}" for rec, r in zip(records, results)
+              if r.position_um is None]
+    measured = [(rec, r.measurement, r.position_um) for rec, r in zip(records, results)
+                if r.position_um is not None]
 
     out_dir = Path(args.out) if args.out else target
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -287,22 +287,20 @@ def cmd_analyze(args) -> int:
     (out_dir / "calibration.csv").unlink(missing_ok=True)
     with runfiles.create(out_dir / "measurements.csv") as fh:
         fh.write("frame,time_s,separation_um,period_px,period_um,center_um,contrast\n")
-        for i, rec, m in measured:
-            center = float(trace.positions_um[i]) if trace is not None else m.center_um
+        for rec, m, center in measured:
             fh.write(f"{rec.frame},{rec.time_s!r},{rec.separation_um!r},"
                      f"{m.period_px!r},{m.period_um!r},{center!r},{m.contrast!r}\n")
 
     if measured:
-        lo = min(m.period_um for _, _, m in measured)
-        hi = max(m.period_um for _, _, m in measured)
+        periods = [m.period_um for _, m, _ in measured]
+        flagged = [i for i, r in enumerate(results) if r.flagged]
         print(f"measured {len(measured)}/{len(records)} frames; "
-              f"period range [{lo:.4g}, {hi:.4g}] um")
-    if trace is not None:
-        print(f"max center-fringe drift {trace.max_drift_um:.4g} um"
-              + (f"; unwrap flagged at frames {list(trace.flagged)}" if trace.flagged else ""))
+              f"period range [{min(periods):.4g}, {max(periods):.4g}] um")
+        print(f"max center-fringe drift {max(abs(c) for _, _, c in measured):.4g} um"
+              + (f"; unwrap flagged at frames {flagged}" if flagged else ""))
 
     if args.calibrate:
-        points = [(rec.separation_um, m.period_px) for _, rec, m in measured]
+        points = [(rec.separation_um, m.period_px) for rec, m, _ in measured]
         try:
             fit = analysis.calibrate_pixel_scale(points, wavelength, focal)
         except analysis.AnalysisError as err:

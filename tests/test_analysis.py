@@ -33,12 +33,20 @@ def separation_for_pixel_period(period_px, focal=80000.0):
     return WAVELENGTH * focal / (period_px * PIXEL_SCALE)
 
 
+def tracked(results):
+    """The tracked positions (um) of a run in which every frame was measured,
+    and the indices of the frames whose unwrap was flagged."""
+    positions = np.array([r.position_um for r in results], dtype=float)
+    assert not np.isnan(positions).any(), [r.measurement for r in results]
+    return positions, [i for i, r in enumerate(results) if r.flagged]
+
+
 def phase_at(img, d_um):
     """Phase and center (px) of one frame projected at the lattice spacing
     d_um, as measure_run tracks it."""
-    results, trace = measure_run([img], [d_um], PIXEL_SCALE)
-    assert trace is not None, results[0]
-    position = float(trace.positions_um[0])
+    (result,) = measure_run([img], [d_um], PIXEL_SCALE)
+    assert result.position_um is not None, result.measurement
+    position = result.position_um
     return -2 * math.pi * position / d_um, position / PIXEL_SCALE
 
 
@@ -134,18 +142,18 @@ class TestPhaseAtKnownPeriod:
         # the period is measured before the projection: a single beam's
         # dominant peak is its envelope's, at bin 1
         img = render_simple(8000.0, amp2=0.0)
-        results, trace = measure_run([img], [self.d_um], PIXEL_SCALE)
-        assert isinstance(results[0], NoFringeError)
-        assert "scale of the beam envelope" in str(results[0])
-        assert trace is None
+        (result,) = measure_run([img], [self.d_um], PIXEL_SCALE)
+        assert isinstance(result.measurement, NoFringeError)
+        assert "scale of the beam envelope" in str(result.measurement)
+        assert result.position_um is None
 
     @pytest.mark.parametrize("spacing, shown", [(0.0, "0.0"), (-5.32, "-62.36"),
                                                 (math.nan, "nan")])
     def test_rejects_nonpositive_period(self, spacing, shown):
-        results, trace = measure_run([render_simple(8000.0)], [spacing], PIXEL_SCALE)
-        assert isinstance(results[0], AnalysisError)
-        assert f"period must be positive, got {shown}" in str(results[0])
-        assert trace is None
+        (result,) = measure_run([render_simple(8000.0)], [spacing], PIXEL_SCALE)
+        assert isinstance(result.measurement, AnalysisError)
+        assert f"period must be positive, got {shown}" in str(result.measurement)
+        assert result.position_um is None
 
 
 class TestContrast:
@@ -177,9 +185,9 @@ class TestFringeProfile:
 
 
 def _measure_run_or_raise(image):
-    results, trace = measure_run([image], [10.0 * PIXEL_SCALE], PIXEL_SCALE)
-    assert trace is None
-    raise results[0]
+    (result,) = measure_run([image], [10.0 * PIXEL_SCALE], PIXEL_SCALE)
+    assert result.position_um is None
+    raise result.measurement
 
 
 @pytest.mark.parametrize("shape", [(5, 0), (0, 5)])
@@ -411,7 +419,7 @@ def test_measure_run_accepts_exactly_the_frames_within_tolerance(
     image = render_frame(cfg, make_camera(read_noise=read_noise, seed=3))
     d_um = spacing_fourier(cfg.optics)
     pixel_scale = PIXEL_SCALE * scale_factor
-    (result,), _ = measure_run([image], [d_um], pixel_scale)
+    result = measure_run([image], [d_um], pixel_scale)[0].measurement
     try:
         m = measure_frame(image, pixel_scale)
     except AnalysisError:
@@ -452,33 +460,33 @@ class TestTrackCenterFringe:
 
     def test_constant_offset_reads_constant(self):
         frames, spacings, cam = self._run(0.05, n=5)
-        trace = measure_run(frames, spacings, cam.pixel_scale)[1]
-        assert np.ptp(trace.positions_um) <= 1e-3
+        positions, flagged = tracked(measure_run(frames, spacings, cam.pixel_scale))
+        assert np.ptp(positions) <= 1e-3
         expected = -0.05 * 80000.0 / 8000.0
-        assert trace.positions_um[0] == pytest.approx(expected, rel=0.01)
-        assert trace.flagged == ()
+        assert positions[0] == pytest.approx(expected, rel=0.01)
+        assert flagged == []
 
     def test_sinusoidal_injection_matches_closed_form(self):
         amplitude = 0.1
         times = np.arange(31) / 30.0
         frames, spacings, cam = self._run(amplitude * np.sin(2 * math.pi * times))
-        trace = measure_run(frames, spacings, cam.pixel_scale)[1]
+        positions, flagged = tracked(measure_run(frames, spacings, cam.pixel_scale))
         expected = -amplitude * np.sin(2 * math.pi * times) * 80000.0 / 8000.0
         scale = amplitude * 80000.0 / 8000.0
-        assert np.all(np.abs(trace.positions_um - expected) <= 0.05 * scale)
-        assert trace.max_drift_um == pytest.approx(np.abs(expected).max(), rel=0.05)
-        assert trace.flagged == ()
+        assert np.all(np.abs(positions - expected) <= 0.05 * scale)
+        assert np.abs(positions).max() == pytest.approx(np.abs(expected).max(), rel=0.05)
+        assert flagged == []
 
     def test_large_jump_is_flagged(self):
         frames, spacings, cam = self._run(
             np.array([0.0, 0.0, 0.3 * WAVELENGTH]), n=3)
-        trace = measure_run(frames, spacings, cam.pixel_scale)[1]
-        assert trace.flagged == (2,)
+        _, flagged = tracked(measure_run(frames, spacings, cam.pixel_scale))
+        assert flagged == [2]
 
     def test_length_mismatch_rejected(self):
         frames, spacings, cam = self._run(0.0, n=3)
         with pytest.raises(AnalysisError):
-            measure_run(frames, spacings[:-1], cam.pixel_scale)[1]
+            measure_run(frames, spacings[:-1], cam.pixel_scale)
 
 
 class TestMeasureRun:
@@ -496,43 +504,43 @@ class TestMeasureRun:
     @pytest.mark.parametrize("window_rows", [None, 3])
     def test_each_result_equals_measure_frame(self, window_rows, bit_depth, read_noise):
         frames, spacings = self._frames(read_noise, bit_depth)
-        results, trace = measure_run((img for img in frames), spacings, PIXEL_SCALE,
-                                     window_rows)
-        assert results == [measure_frame(img, PIXEL_SCALE, window_rows) for img in frames]
-        assert trace is not None and trace.positions_um.shape == (3,)
+        results = measure_run((img for img in frames), spacings, PIXEL_SCALE, window_rows)
+        assert [r.measurement for r in results] == [
+            measure_frame(img, PIXEL_SCALE, window_rows) for img in frames]
+        assert tracked(results)[0].shape == (3,)
 
     def test_rejected_frame_is_returned_in_its_place(self):
         frames, spacings = self._frames()
         frames[1] = np.full_like(frames[1], 900)
-        results, trace = measure_run(iter(frames), spacings, PIXEL_SCALE)
-        assert isinstance(results[1], NoFringeError)
-        assert results[0] == measure_frame(frames[0], PIXEL_SCALE)
-        assert results[2] == measure_frame(frames[2], PIXEL_SCALE)
-        assert trace is None
+        results = measure_run(iter(frames), spacings, PIXEL_SCALE)
+        assert isinstance(results[1].measurement, NoFringeError)
+        assert results[0].measurement == measure_frame(frames[0], PIXEL_SCALE)
+        assert results[2].measurement == measure_frame(frames[2], PIXEL_SCALE)
+        assert results[1].position_um is None and not results[1].flagged
 
     def test_center_off_the_manifest_period_rejects_the_frame(self):
         # a wrong pixel scale puts the measured period 41% off the manifest's
         frames, spacings = self._frames()
-        results, trace = measure_run(frames, spacings, 0.12)
-        for r in results:
-            assert isinstance(r, AnalysisError) and not isinstance(r, NoFringeError)
-            assert "+40.7% off the manifest period" in str(r)
-            assert "tolerance 5%" in str(r)
-        assert trace is None
+        for r in measure_run(frames, spacings, 0.12):
+            assert isinstance(r.measurement, AnalysisError)
+            assert not isinstance(r.measurement, NoFringeError)
+            assert "+40.7% off the manifest period" in str(r.measurement)
+            assert "tolerance 5%" in str(r.measurement)
+            assert r.position_um is None
 
     def test_period_off_the_manifest_beyond_tolerance_rejects_the_frame(self):
         # 8% off: the fringe sits near enough to the expected period for the
         # projection, but its measured period is farther off than 5%
         frames, spacings = self._frames()
-        results, trace = measure_run(frames, spacings, PIXEL_SCALE * 1.08)
-        assert trace is None
-        for r in results:
-            assert isinstance(r, AnalysisError) and not isinstance(r, NoFringeError)
-            assert "off the manifest period" in str(r)
-            assert "tolerance 5%" in str(r)
-        results, trace = measure_run(frames, spacings, PIXEL_SCALE * 1.03)
-        assert all(isinstance(r, FringeMeasurement) for r in results)
-        assert trace is not None
+        for r in measure_run(frames, spacings, PIXEL_SCALE * 1.08):
+            assert r.position_um is None
+            assert isinstance(r.measurement, AnalysisError)
+            assert not isinstance(r.measurement, NoFringeError)
+            assert "off the manifest period" in str(r.measurement)
+            assert "tolerance 5%" in str(r.measurement)
+        results = measure_run(frames, spacings, PIXEL_SCALE * 1.03)
+        assert all(isinstance(r.measurement, FringeMeasurement) for r in results)
+        assert all(r.position_um is not None for r in results)
 
     def test_one_peak_search_per_frame(self, monkeypatch):
         # the period's argmax over the spectrum is the frame's only peak
@@ -546,7 +554,8 @@ class TestMeasureRun:
             return argmax(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "argmax", counting)
-        assert measure_run(frames, spacings, PIXEL_SCALE)[1] is not None
+        assert all(r.position_um is not None
+                   for r in measure_run(frames, spacings, PIXEL_SCALE))
         assert len(searches) == len(frames) == 3
 
     @pytest.mark.parametrize("n_frames, n_spacings", [(2, 3), (3, 2)])
@@ -559,3 +568,51 @@ class TestMeasureRun:
     def test_empty_run_rejected(self):
         with pytest.raises(AnalysisError, match="nothing to track"):
             measure_run([], [], PIXEL_SCALE)
+
+
+class TestTrackAcrossRejectedFrames:
+    def _ramp(self, path_differences):
+        cfg = make_config(separation=8000.0)
+        cam = make_camera()
+        traj = static_sweep([8000.0] * len(path_differences)).with_path_difference(
+            np.asarray(path_differences))
+        frames, records = render_sequence(traj, cfg, cam)
+        return list(frames), [r.analytic_spacing_um for r in records], cam
+
+    def test_a_rejected_frame_leaves_the_others_as_in_the_clean_run(self):
+        # dL 0 -> 0.4 um moves the center 0 -> -4 um, past the fold at
+        # -d/2 = -2.66 um; the unwrap passes over the flat frame 2, and frame
+        # 3, 1.6 um from frame 1, is flagged
+        frames, spacings, cam = self._ramp(np.linspace(0.0, 0.4, 6))
+        clean = measure_run(frames, spacings, cam.pixel_scale)
+        assert tracked(clean)[0] == pytest.approx(-np.linspace(0.0, 4.0, 6), abs=0.01)
+        assert tracked(clean)[1] == []
+        frames[2] = np.full_like(frames[2], 100)
+        results = measure_run(frames, spacings, cam.pixel_scale)
+        assert isinstance(results[2].measurement, NoFringeError)
+        assert results[2][1:] == (None, False)
+        assert [r[:2] for r in results[:2] + results[3:]] == [
+            r[:2] for r in clean[:2] + clean[3:]]
+        assert [r.flagged for r in results] == [False] * 3 + [True] + [False] * 2
+
+    def test_a_jump_across_a_rejected_frame_is_flagged(self):
+        # 0.15 wavelength of path difference a frame moves the center 0.15
+        # period a frame; across the rejected frame 2 it jumps 0.3 period
+        frames, spacings, cam = self._ramp(np.array([0.0, 0.0, 0.15, 0.3]) * WAVELENGTH)
+        assert tracked(measure_run(frames, spacings, cam.pixel_scale))[1] == []
+        frames[2] = np.full_like(frames[2], 100)
+        results = measure_run(frames, spacings, cam.pixel_scale)
+        assert [r.flagged for r in results] == [False, False, False, True]
+        assert results[3].position_um == pytest.approx(-0.3 * spacings[3], abs=0.01)
+
+
+@pytest.mark.parametrize("scale", [0.0, -PIXEL_SCALE, math.nan, math.inf])
+def test_bad_pixel_scale_is_rejected_by_name(scale):
+    def frames():
+        pytest.fail("a frame was read before the pixel scale was checked")
+        yield
+
+    with pytest.raises(ValueError, match="pixel_scale must be positive and finite"):
+        measure_run(frames(), [5.32], scale)
+    with pytest.raises(ValueError, match="pixel_scale must be positive and finite"):
+        measure_frame(render_simple(8000.0), scale)

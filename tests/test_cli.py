@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from accordion import analysis, runfiles
+from accordion import analysis, render_sequence, runfiles, static_sweep
 from accordion.cli import PRESETS, main
-from accordion.runfiles import read_config, read_manifest, read_pgm, write_pgm
+from accordion.runfiles import read_config, read_manifest, read_pgm, write_pgm, write_run
+from conftest import PIXEL_SCALE, make_camera, make_config
 
 
 def parse_keyvals(text):
@@ -541,6 +542,20 @@ class TestAnalyzeCommand:
         assert (run / "measurements.csv").read_text() == (
             "frame,time_s,separation_um,period_px,period_um,center_um,contrast\n")
 
+    def test_an_off_period_breach_shows_in_its_decimals(self, tmp_path, capsys):
+        # at 0.081 um/px (true 0.0853) the first frames measure just over 5%
+        # off their manifest periods: one decimal would print -5.0%, no breach
+        # of a 5% tolerance, so the offset takes as many as show the breach
+        run = tmp_path / "fig6b"
+        assert main(["sweep", "--preset", "fig6b", "--seed", "7", "--out", str(run)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(run), "--pixel-scale", "0.081"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[1] == ("frame_0001.pgm: measured period 11.75 px is -5.04% off the "
+                          "manifest period 12.37 px (tolerance 5%)")
+        assert [line.split(" is ")[1].split(" off ")[0] for line in err[:7]] == [
+            "-5.1%", "-5.04%", "-5.03%", "-5.05%", "-5.1%", "-5.03%", "-5.04%"]
+
     @pytest.mark.parametrize("name", ["config.txt", "manifest.csv"])
     def test_undecodable_run_file_is_named(self, ladder_run, tmp_path, name, capsys):
         run = tmp_path / "run"
@@ -609,6 +624,30 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(out)]) == 1
         err = capsys.readouterr().err
         assert "frame_0001.pgm" in err and "no fringe" in err
+
+    def test_a_rejected_frame_drops_only_its_own_row(self, tmp_path, capsys):
+        # dL 0 -> 0.4 um moves the center fringe 0 -> -4 um, past the fold at
+        # -d/2 = -2.66 um: every measured row reports its tracked center,
+        # whether or not another frame of the run was rejected; frame 3,
+        # 1.6 um from frame 1 across the rejected frame, is flagged
+        traj = static_sweep([8000.0] * 6).with_path_difference(np.linspace(0.0, 0.4, 6))
+        frames, records = render_sequence(traj, make_config(separation=8000.0),
+                                          make_camera())
+        run = tmp_path / "ramp"
+        write_run(run, frames, records)
+        args = ["analyze", str(run), "--pixel-scale", str(PIXEL_SCALE)]
+        assert main([*args, "--out", str(tmp_path / "clean")]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "max center-fringe drift 4 um"
+        write_pgm(run / "frame_0002.pgm", np.full((120, 640), 40, np.uint8))
+        assert main(args) == 1
+        clean = (tmp_path / "clean" / "measurements.csv").read_text().splitlines(True)
+        assert (run / "measurements.csv").read_text() == "".join(
+            line for line in clean if not line.startswith("frame_0002"))
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [
+            "measured 5/6 frames; period range [5.315, 5.316] um",
+            "max center-fringe drift 4 um; unwrap flagged at frames [3]"]
+        assert err == "frame_0002.pgm: no fringe found\n"
 
     def test_missing_target_is_usage_error(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope")]) == 2

@@ -267,8 +267,8 @@ class TestRenderSequence:
 
         def center_px(image):
             # one frame per run: across frames the half-period jump would be unwrapped
-            trace = measure_run([image], [d_um], cam.pixel_scale)[1]
-            return trace.positions_um[0] / cam.pixel_scale
+            (result,) = measure_run([image], [d_um], cam.pixel_scale)
+            return result.position_um / cam.pixel_scale
 
         c0, c1 = center_px(plain[0]), center_px(shifted[0])
         assert abs(c1 - c0) == pytest.approx(d_px / 2, abs=0.05)
