@@ -13,6 +13,7 @@ only the edge centre and waist are iterated."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -98,14 +99,32 @@ class _Spectrum(NamedTuple):
     spec: np.ndarray      # |rfft(windowed)|
 
 
+# the frames of a run share one width: their window and pixel grid are
+# computed once per width, read-only
+@functools.lru_cache(maxsize=8)
+def _hann(n: int) -> tuple[np.ndarray, float]:
+    """Hann window of n samples and its sum."""
+    h = np.hanning(n)
+    h.flags.writeable = False
+    return h, h.sum()
+
+
+@functools.lru_cache(maxsize=8)
+def _centred_pixels(n: int) -> np.ndarray:
+    """Pixel positions of n samples about the sensor center."""
+    x = np.arange(n) - (n - 1) / 2
+    x.flags.writeable = False
+    return x
+
+
 def _spectrum(image, window_rows: int | None) -> _Spectrum:
     """One profile, Hann window and FFT: all that period, phase and contrast read."""
     if np.size(image) == 0:
         raise AnalysisError(f"empty image of shape {np.shape(image)}: no profile to analyze")
     profile = fringe_profile(image, window_rows)
-    h = np.hanning(profile.size)
+    h, h_sum = _hann(profile.size)
     total = (h * profile).sum()
-    windowed = h * (profile - total / h.sum())
+    windowed = h * (profile - total / h_sum)
     return _Spectrum(float(total), windowed, np.abs(np.fft.rfft(windowed)))
 
 
@@ -148,8 +167,7 @@ def _project(s: _Spectrum, period_px: float) -> tuple[float, float, float]:
     the windowed profile at 1/period_px, pixel origin at the sensor center."""
     if not (period_px > 0 and math.isfinite(period_px)):
         raise AnalysisError(f"period must be positive, got {float(period_px)!r}")
-    n = s.windowed.size
-    x = np.arange(n) - (n - 1) / 2
+    x = _centred_pixels(s.windowed.size)
     projection = np.sum(s.windowed * np.exp(-2j * math.pi * x / period_px))
     phase = float(np.angle(projection))
     center = fold_to_period(-phase * period_px / (2 * math.pi), period_px)

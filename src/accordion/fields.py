@@ -106,7 +106,11 @@ def beam_envelopes(cfg: LatticeConfig, x: np.ndarray, y: np.ndarray
     f1x, f1y = _profiles(cfg.beam_plus, x, y)
     f2x, f2y = _profiles(cfg.beam_minus, x, y)
     envelope = np.multiply.outer((a1 * f1y) ** 2, f1x * f1x)
-    envelope += np.multiply.outer((a2 * f2y) ** 2, f2x * f2x)
+    # the second beam is added row by row, so the sum holds no second array
+    # of the envelope's size
+    g2x = f2x * f2x
+    for row, g2y in zip(envelope, (a2 * f2y) ** 2):
+        row += g2y * g2x
     envelope.flags.writeable = False
     return envelope, f1y * f2y, 2 * a1 * a2 * f1x * f2x
 

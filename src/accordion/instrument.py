@@ -12,21 +12,26 @@ render_frame renders one configuration.  render_sequence checks every
 sample of a sweep up front and returns its frames as an iterator that
 renders them on demand: the beam envelopes once per sweep, then each
 frame's fringes, in sample order, on the calling thread or on a pool that
-runs at most one sample per worker ahead of the consumer.  A sweep written
-to disk that way holds about one frame per worker, not the whole run.
-render_frame and render_sequence apply gain, optional Gaussian read noise
-and quantization in one shared digitizer.  The noise stream is keyed by
-(seed, frame_index) so that frames rendered in parallel, serially, or in
-any order, or one at a time by render_frame, are bit-identical.
+runs at most one sample per worker ahead of the consumer.  Both go through
+one renderer, which computes and digitizes a frame one block of rows at a
+time: gain, optional Gaussian read noise and quantization are applied to
+each block, and the block is stored into the frame's integer array.  A
+frame in progress therefore holds its integer frame and a float64 block
+or two (fringes, read noise) of a few hundred KB, never a float64 array
+of the whole frame, and a sweep written to disk holds about one integer
+frame per worker, not the whole run.  The noise stream is keyed by (seed, frame_index) and drawn block
+after block in row order, which is the stream one draw for the whole frame
+would give, so that frames rendered in parallel, serially, or in any
+order, or one at a time by render_frame, are bit-identical.
 
 Without read noise the digitizer does not read the frame index, so equal
 inputs give equal bytes, and render_sequence renders each of them once.
 Sensor rows with the same envelope and cross-term factors, such as the
 mirror rows of two beams on the axis, are rendered once per frame and
-copied into place by a row index.  A sample whose config equals the
-previous sample's yields the previous frame again, as during the hold at
-the far end of a sweep.  With read noise every pixel differs, and each
-sample renders all its rows.
+copied into place by a row index after digitizing.  A sample whose config
+equals the previous sample's yields the previous frame again, as during
+the hold at the far end of a sweep.  With read noise every pixel differs,
+and each sample renders all its rows.
 """
 
 from __future__ import annotations
@@ -41,8 +46,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .fields import (LatticeConfig, beam_envelopes, fringes_at, intensity_at,
-                     require_resolved)
+from .fields import LatticeConfig, beam_envelopes, fringes_at, require_resolved
 from .geometry import require_positive, spacing_fourier
 
 
@@ -195,18 +199,50 @@ class CameraModel:
         return (np.arange(ny) - (ny - 1) / 2) * self.pixel_scale
 
 
-def _digitize(counts: np.ndarray, cam: CameraModel, frame_index: int) -> np.ndarray:
-    # works in place on `counts`, a fresh intensity array the caller hands over
+# float64 elements in one row block of a frame being rendered: 320 KB, small
+# next to the frames of a fine-fringed sensor, yet one block holds the 60
+# distinct rows of a noise-free frame of the default 640-pixel-wide sensor.
+# Each block pays a fixed cost, the fringe phase and its cosine (about 40 us
+# at 640 pixels), so fewer blocks per frame render faster
+_BLOCK_ELEMENTS = 5 << 13
+
+
+def _digitize(counts: np.ndarray, cam: CameraModel,
+              rng: np.random.Generator | None) -> np.ndarray:
+    """clip(rint(gain * counts + read_noise * z)) of one block of rows, in
+    place on `counts`, a fresh intensity block the caller hands over.  z
+    comes from rng, the frame's noise stream (None without read noise),
+    drawn next for this block: blocks digitized in row order draw what one
+    draw of the whole frame would."""
     counts *= cam.exposure_gain
-    if cam.read_noise > 0:
-        rng = np.random.default_rng([cam.seed, frame_index])
+    if rng is not None:
         # sigma * z bit for bit equals rng.normal(0.0, sigma)'s 0.0 + sigma * z
         noise = rng.standard_normal(counts.shape)
         noise *= cam.read_noise
         counts += noise
     np.rint(counts, out=counts)
     np.clip(counts, 0, cam.full_scale, out=counts)
-    return counts.astype(cam.dtype)
+    return counts
+
+
+def _render(cfg: LatticeConfig, px: np.ndarray,
+            envelopes: tuple[np.ndarray, np.ndarray, np.ndarray],
+            cam: CameraModel, frame_index: int) -> np.ndarray:
+    """The digitized fringes of cfg on the rows of envelopes, a fresh array
+    of the camera's dtype, rendered and digitized one block of rows at a
+    time; every step is elementwise, so the bytes do not depend on the
+    block size."""
+    envelope, cross_y, cross_x = envelopes
+    frame = np.empty(envelope.shape, cam.dtype)
+    rng = (np.random.default_rng([cam.seed, frame_index])
+           if cam.read_noise > 0 else None)
+    step = max(1, _BLOCK_ELEMENTS // frame.shape[1])
+    for start in range(0, frame.shape[0], step):
+        rows = slice(start, start + step)
+        block = fringes_at(cfg, px, (envelope[rows], cross_y[rows], cross_x))
+        # the values are whole numbers within the bit depth: the cast is exact
+        frame[rows] = _digitize(block, cam, rng)
+    return frame
 
 
 def render_frame(cfg: LatticeConfig, cam: CameraModel,
@@ -228,7 +264,9 @@ def render_frame(cfg: LatticeConfig, cam: CameraModel,
         render_sequence sample with cfg's separation and path difference.
         Raises ValueError if a fringe spans fewer than 4 pixels.
     """
-    return _digitize(intensity_at(cfg, cam.pixel_x(), cam.pixel_y()), cam, frame_index)
+    px = cam.pixel_x()
+    require_resolved(cfg, px)
+    return _render(cfg, px, beam_envelopes(cfg, px, cam.pixel_y()), cam, frame_index)
 
 
 @dataclass(frozen=True)
@@ -260,9 +298,11 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
     are read-only.  Without read noise each distinct sensor row is rendered
     once per frame, and a sample whose config equals the previous one is not
     rendered: it yields the previous frame, the same array.  Rendering
-    starts at the first next().  With workers > 1 a thread pool renders at
-    most `workers` samples ahead of the consumer, so a sweep holds about one
-    frame per worker, whatever its length, and the output is identical to
+    starts at the first next().  Each frame is rendered one block of rows
+    at a time into its integer array.  With workers > 1 a thread pool
+    renders at most `workers` samples ahead of the consumer, so a sweep
+    holds about one integer frame per worker, whatever its length and
+    however fine its fringes, and the output is identical to
     the serial render.  Closing the iterator early cancels the samples not
     yet started and joins the pool.  A worker count below 1 is a ValueError.
     """
@@ -321,7 +361,7 @@ def _render_frames(base_cfg: LatticeConfig, configs: list[LatticeConfig],
     counts = np.diff([*starts, len(configs)]).tolist()
 
     def render(i: int) -> np.ndarray:
-        frame = _digitize(fringes_at(configs[i], px, envelopes), cam, i)
+        frame = _render(configs[i], px, envelopes, cam, i)
         if rows is not None:
             frame = frame[rows]
         # a repeated sample yields this same array again

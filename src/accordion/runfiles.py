@@ -28,6 +28,7 @@ import csv
 import io
 import os
 import re
+from collections.abc import Sized
 from pathlib import Path
 
 import numpy as np
@@ -185,7 +186,9 @@ def write_run(out_dir, frames, records, config: dict | None = None) -> Path:
     frames is any iterable of 2-D arrays, read once, alongside records; each
     frame is written as it arrives, and only a copy of its central row is
     kept, for the spacetime composite written when the run has at least 2
-    frames."""
+    frames.  Fewer or more frames than records is a ValueError naming both
+    counts, raised before the manifest is written: the directory is then not
+    a complete run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.csv").unlink(missing_ok=True)
@@ -193,13 +196,21 @@ def write_run(out_dir, frames, records, config: dict | None = None) -> Path:
         for entry in entries:
             if _RUN_FILE.fullmatch(entry.name):
                 os.unlink(entry.path)
+    count = len(frames) if isinstance(frames, Sized) else None
+    frames = iter(frames)
     # one-row copies, whose central row spacetime_composite takes; a view of
     # the row would keep its whole frame alive
     rows = []
-    for image, rec in zip(frames, records):
+    # records first: zip stops at the last record without reading a frame more
+    for rec, image in zip(records, frames):
         write_pgm(out / rec.frame, image)
         middle = image.shape[0] // 2
         rows.append(image[middle:middle + 1].copy())
+    if len(rows) < len(records) or next(frames, None) is not None:
+        if count is None:
+            count = len(rows) if len(rows) < len(records) else f"more than {len(rows)}"
+        raise ValueError(f"{count} frames for {len(records)} manifest records; "
+                         f"a run needs one record per frame")
     if len(rows) >= 2:
         write_pgm(out / "composite.pgm", spacetime_composite(rows))
     if config is not None:

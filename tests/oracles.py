@@ -8,7 +8,10 @@ Deliberately separate from the package:
 - the period oracle works in the time domain (tapered autocorrelation,
   direct O(n^2) correlation), never touching the spectral path it
   verifies;
-- the knife-edge oracle integrates an intensity image over a half plane.
+- the knife-edge oracle integrates an intensity image over a half plane;
+- the digitizer oracle applies gain, read noise and quantization to the
+  whole frame at once, its noise drawn in one call, which the renderer
+  does one block of rows at a time.
 
 Coordinates are 1-D vectors in micrometers; images have shape
 (len(y), len(x)), x varying fastest.
@@ -17,6 +20,8 @@ Coordinates are 1-D vectors in micrometers; images have shape
 import math
 
 import numpy as np
+
+from accordion import intensity_at
 
 
 def beam_field(beam, x, y):
@@ -100,3 +105,15 @@ def half_plane_knife_profile(values, x, y, positions):
     cumulative = np.concatenate(
         [[0.0], np.cumsum((column[1:] + column[:-1]) / 2 * dx)])
     return np.interp(positions, x, cumulative)
+
+
+def digitized_frame(cfg, cam, frame_index=0):
+    """clip(rint(gain * I + read_noise * z)) in the camera's dtype, with I
+    from intensity_at at the camera's pixel centres and z one standard
+    normal draw of the whole frame from the stream keyed by
+    (cam.seed, frame_index)."""
+    counts = cam.exposure_gain * intensity_at(cfg, cam.pixel_x(), cam.pixel_y())
+    if cam.read_noise > 0:
+        z = np.random.default_rng([cam.seed, frame_index]).standard_normal(counts.shape)
+        counts = counts + cam.read_noise * z
+    return np.clip(np.rint(counts), 0, cam.full_scale).astype(cam.dtype)

@@ -1,10 +1,13 @@
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from accordion import (
     BeamSpec,
@@ -28,6 +31,7 @@ from accordion import (
 )
 from accordion.runfiles import read_manifest, read_pgm, write_manifest, write_pgm
 from conftest import make_camera, make_config, render_simple
+from oracles import digitized_frame
 
 FIG6B_DRIVE = MirrorDrive(initial_separation=43810.0, speed=20000.0,
                           travel=20000.0, dwell=0.5, frame_rate=30.0)
@@ -36,12 +40,22 @@ FIG6B_DRIVE = MirrorDrive(initial_separation=43810.0, speed=20000.0,
 @pytest.fixture
 def rendered(monkeypatch):
     """The config and the number of sensor rows of each frame rendered so
-    far, in any thread."""
+    far, in any thread.  A frame renders as blocks of rows, one fringes_at
+    call each, in a row on one thread and with one config object: a block
+    adds its rows to its thread's last entry when that entry names the same
+    config object, and starts a new entry otherwise."""
     calls = []
+    current = threading.local()
     fringes_at = instrument.fringes_at
 
     def counting(cfg, x, envelopes):
-        calls.append((cfg, envelopes[0].shape[0]))
+        rows = envelopes[0].shape[0]
+        entry = getattr(current, "entry", None)
+        if entry is not None and entry[0] is cfg:
+            entry[1] += rows
+        else:
+            current.entry = [cfg, rows]
+            calls.append(current.entry)
         return fringes_at(cfg, x, envelopes)
 
     monkeypatch.setattr(instrument, "fringes_at", counting)
@@ -50,14 +64,20 @@ def rendered(monkeypatch):
 
 def assert_each_frame_is_render_frame(traj, base, cam, workers=1):
     """Render the sweep and check frame i against render_frame of sample
-    i's config; returns the frames."""
+    i's config; returns the frames.  render_frame renders through the same
+    fringes_at as the sweep: it runs on the unpatched one, so the rendered
+    fixture counts the sweep's frames only."""
     frames = list(render_sequence(traj, base, cam, workers=workers)[0])
     assert len(frames) == len(traj)
-    for i, image in enumerate(frames):
-        cfg = replace(base, optics=replace(base.optics,
-                                           separation=float(traj.separations[i])),
-                      path_difference=float(traj.path_differences[i]))
-        assert np.array_equal(image, render_frame(cfg, cam, frame_index=i))
+    counting, instrument.fringes_at = instrument.fringes_at, fields.fringes_at
+    try:
+        for i, image in enumerate(frames):
+            cfg = replace(base, optics=replace(base.optics,
+                                               separation=float(traj.separations[i])),
+                          path_difference=float(traj.path_differences[i]))
+            assert np.array_equal(image, render_frame(cfg, cam, frame_index=i))
+    finally:
+        instrument.fringes_at = counting
     return frames
 
 
@@ -427,6 +447,64 @@ class TestNoiseFreeRender:
         with pytest.raises(ValueError, match="read-only"):
             first[:] = 0
         assert np.array_equal(next(frames), render_frame(cfg, cam, frame_index=1))
+
+
+# every sensor row count up to 90 at widths up to 1500, and sensors wider
+# than one row block (1 row per block) with up to 3 rows
+sensors = st.one_of(
+    st.tuples(st.integers(2, 1500), st.integers(1, 90)),
+    st.tuples(st.integers(instrument._BLOCK_ELEMENTS + 1, 50000), st.integers(1, 3)))
+
+
+class TestBlockedRender:
+    """Frames are rendered and digitized one block of rows at a time, with
+    the bytes of the whole frame at once."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sensor=sensors, bit_depth=st.sampled_from([8, 16]),
+           read_noise=st.sampled_from([0.0, 0.7, 40.0]),
+           separation=st.floats(5000.0, 43810.0), over=st.floats(0.5, 2.0),
+           seed=st.integers(0, 2**32))
+    @example(sensor=(640, 1), bit_depth=8, read_noise=2.0, separation=43810.0,
+             over=1.0, seed=0)
+    @example(sensor=(1283, 241), bit_depth=16, read_noise=40.0, separation=19250.0,
+             over=1.0, seed=1)
+    @example(sensor=(1283, 241), bit_depth=8, read_noise=0.0, separation=19250.0,
+             over=1.0, seed=1)
+    @example(sensor=(50000, 3), bit_depth=16, read_noise=40.0, separation=43810.0,
+             over=1.5, seed=2)
+    def test_blocked_frames_equal_the_unblocked_oracle(
+            self, sensor, bit_depth, read_noise, separation, over, seed):
+        cfg = make_config(separation=separation, waist2=40.0, amp2=0.8)
+        cam = make_camera(read_noise=read_noise, seed=seed, sensor=sensor,
+                          bit_depth=bit_depth,
+                          gain=over * ((1 << bit_depth) - 1) / 3.24)
+        assert np.array_equal(render_frame(cfg, cam, 3), digitized_frame(cfg, cam, 3))
+        traj = static_sweep([separation, 0.8 * separation])
+        for workers in (1, 2):
+            frames, _ = render_sequence(traj, cfg, cam, workers=workers)
+            for i, image in enumerate(frames):
+                cfg_i = replace(cfg, optics=replace(cfg.optics,
+                                                    separation=float(traj.separations[i])))
+                assert np.array_equal(image, digitized_frame(cfg_i, cam, i))
+
+    def test_a_noisy_sweep_holds_no_float64_frame(self):
+        # the ladder's camera: fine fringes on a 1280 x 240 16-bit sensor
+        cfg = make_config(focal=30000.0, separation=19250.0, amp2=0.8)
+        cam = make_camera(read_noise=40.0, sensor=(1280, 240), bit_depth=16)
+        traj = static_sweep(np.linspace(19250.0, 5000.0, 4))
+        float_frame = 1280 * 240 * 8  # bytes, and those of the beam envelope
+        # a first sweep imports and caches whatever the render path needs
+        list(render_sequence(traj, cfg, cam)[0])
+        tracemalloc.start()
+        try:
+            frames, _ = render_sequence(traj, cfg, cam, workers=1)
+            for _ in frames:
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - float_frame < float_frame
 
 
 class TestComposite:

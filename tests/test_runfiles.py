@@ -167,3 +167,23 @@ def test_rerun_creates_files_new(tmp_path):
         assert (out / name).read_bytes() != old
         assert not os.path.samefile(out / name, tmp_path / name)
     assert np.array_equal(read_pgm(out / "frame_0000.pgm"), frames[0])
+
+
+@pytest.mark.parametrize("frames, records, counted", [
+    (2, 3, "2 frames for 3 manifest records"),
+    (4, 2, "4 frames for 2 manifest records"),
+])
+@pytest.mark.parametrize("stream", [False, True], ids=["list", "generator"])
+def test_frames_and_records_must_pair_up(tmp_path, frames, records, counted, stream):
+    images, _ = _run(frames, 10)
+    _, rows = _run(records, 10)
+    if stream:
+        images = (image for image in images)
+        # a stream is not read past the first frame without a record
+        counted = counted.replace("4 frames", "more than 2 frames")
+    with pytest.raises(ValueError, match=counted):
+        write_run(tmp_path, images, rows)
+    # no manifest: the directory is not a complete run
+    assert not (tmp_path / "manifest.csv").exists()
+    assert sorted(os.listdir(tmp_path)) == [f"frame_{i:04d}.pgm"
+                                            for i in range(min(frames, records))]
