@@ -35,7 +35,6 @@ from .instrument import (
     build_trajectory,
     render_frame,
     render_sequence,
-    spacetime_composite,
     static_sweep,
 )
 from .analysis import (
@@ -48,9 +47,8 @@ from .analysis import (
     calibrate_pixel_scale,
     fit_knife_edge,
     fringe_profile,
-    knife_edge_waist,
     measure_frame,
     measure_run,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

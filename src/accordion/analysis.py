@@ -3,13 +3,13 @@
 Each frame gets one spectral pass: one profile averaged over a band of rows
 around the sensor center, one Hann window and one FFT.  The period comes
 from the dominant peak with sub-bin refinement; phase and contrast come from
-one projection of the windowed profile onto quadratures at that period.
-measure_run reads a run one frame at a time into one FrameResult each, tracking
-the center fringe at the manifest period from one accepted frame to the next.
-Pixel-scale calibration and knife-edge waist fitting close the loop between
-pixel and physical units.  The knife-edge fit is a variable-projection
-least-squares fit in numpy: the total power is solved in closed form and
-only the edge centre and waist are iterated."""
+one projection of the windowed profile onto quadratures at that period,
+in pixels.  measure_run reads a run one frame at a time into one FrameResult
+each, tracking the center fringe, in um, at the manifest period from one
+accepted frame to the next.  Pixel-scale calibration and knife-edge waist
+fitting close the loop between pixel and physical units.  The knife-edge
+fit is a variable-projection least-squares fit in numpy: the total power is
+solved in closed form and only the edge centre and waist are iterated."""
 
 from __future__ import annotations
 
@@ -41,16 +41,14 @@ class NoFringeError(AnalysisError):
 
 @dataclass(frozen=True)
 class FringeMeasurement:
-    """Everything measured on one frame.  period_um and center_um are None
-    when no pixel scale was supplied."""
+    """Everything measured on one frame, in pixels: times a pixel scale in
+    um per pixel, period_px and center_px are micrometers."""
 
     period_px: float
     period_uncertainty_px: float
     fringe_phase: float
     center_px: float
     contrast: float
-    period_um: float | None = None
-    center_um: float | None = None
 
 
 @dataclass(frozen=True)
@@ -180,8 +178,7 @@ def _contrast(s: _Spectrum, amplitude: float) -> float:
     return float(min(max(2 * amplitude / s.total, 0.0), 1.0))
 
 
-def measure_frame(image, pixel_scale: float | None = None,
-                  window_rows: int | None = None) -> FringeMeasurement:
+def measure_frame(image, window_rows: int | None = None) -> FringeMeasurement:
     """Full single-frame measurement: period, phase, center and contrast,
     from one spectral pass and one projection at the measured period.
 
@@ -189,23 +186,14 @@ def measure_frame(image, pixel_scale: float | None = None,
     image.  A best non-DC peak less than 6 dB above the median spectrum
     magnitude, or at bin 1, the scale of the beam envelope itself, is a
     NoFringeError; too few periods or samples per period, or an empty image,
-    is an AnalysisError; a pixel scale not positive and finite, a ValueError.
-    """
-    if pixel_scale is not None:
-        require_positive("pixel_scale", pixel_scale)
-    return _measure(_spectrum(image, window_rows), pixel_scale)
+    is an AnalysisError."""
+    return _measure(_spectrum(image, window_rows))
 
 
-def _measure(s: _Spectrum, pixel_scale: float | None) -> FringeMeasurement:
+def _measure(s: _Spectrum) -> FringeMeasurement:
     period, sigma = _period(s)
     phase, center_px, amplitude = _project(s, period)
-    contrast = _contrast(s, amplitude)
-    period_um = center_um = None
-    if pixel_scale is not None:
-        period_um = period * pixel_scale
-        center_um = center_px * pixel_scale
-    return FringeMeasurement(period, sigma, phase, center_px, contrast,
-                             period_um, center_um)
+    return FringeMeasurement(period, sigma, phase, center_px, _contrast(s, amplitude))
 
 
 def calibrate_pixel_scale(points, wavelength: float,
@@ -359,11 +347,6 @@ def fit_knife_edge(positions, powers) -> KnifeEdgeFit:
     return KnifeEdgeFit(waist, center, total, rms)
 
 
-def knife_edge_waist(positions, powers) -> float:
-    """1/e^2 intensity radius from a knife-edge scan, micrometers."""
-    return fit_knife_edge(positions, powers).waist
-
-
 def measure_run(frames, spacings_um, pixel_scale: float,
                 window_rows: int | None = None) -> list[FrameResult]:
     """Measure each frame of a run into one FrameResult and track its center
@@ -393,7 +376,7 @@ def measure_run(frames, spacings_um, pixel_scale: float,
     for d_um, image in zip(spacings, frames):
         try:
             s = _spectrum(image, window_rows)
-            m = _measure(s, pixel_scale)
+            m = _measure(s)
             expected_px = d_um / pixel_scale
             # before the division: a manifest period <= 0 is rejected by name
             position = _project(s, expected_px)[1] * pixel_scale

@@ -40,7 +40,10 @@ class _Parsed(tuple):
 
 
 def _separations(text: str) -> _Parsed:
-    return _Parsed((float(tok) for tok in text.split(",") if tok), text)
+    values = [float(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise ValueError(f"must list at least one separation, got {text!r}")
+    return _Parsed(values, text)
 
 
 def _sensor(text: str) -> _Parsed:
@@ -220,11 +223,11 @@ def cmd_sweep(args) -> int:
 
 def _analyze_single(path: Path, pixel_scale, window_rows) -> int:
     image = runfiles.read_pgm(path)
-    m = analysis.measure_frame(image, pixel_scale, window_rows)
+    m = analysis.measure_frame(image, window_rows)
     print(f"period_px   {m.period_px:.4f} +- {m.period_uncertainty_px:.4f}")
-    if m.period_um is not None:
-        print(f"period_um   {m.period_um:.6g}")
-        print(f"center_um   {m.center_um:+.6g}")
+    if pixel_scale is not None:
+        print(f"period_um   {m.period_px * pixel_scale:.6g}")
+        print(f"center_um   {m.center_px * pixel_scale:+.6g}")
     else:
         print(f"center_px   {m.center_px:+.4f}  (pixel units; no pixel scale given)")
     print(f"phase_rad   {m.fringe_phase:+.4f}")
@@ -289,10 +292,11 @@ def cmd_analyze(args) -> int:
         fh.write("frame,time_s,separation_um,period_px,period_um,center_um,contrast\n")
         for rec, m, center in measured:
             fh.write(f"{rec.frame},{rec.time_s!r},{rec.separation_um!r},"
-                     f"{m.period_px!r},{m.period_um!r},{center!r},{m.contrast!r}\n")
+                     f"{m.period_px!r},{m.period_px * pixel_scale!r},{center!r},"
+                     f"{m.contrast!r}\n")
 
     if measured:
-        periods = [m.period_um for _, m, _ in measured]
+        periods = [m.period_px * pixel_scale for _, m, _ in measured]
         flagged = [i for i, r in enumerate(results) if r.flagged]
         print(f"measured {len(measured)}/{len(records)} frames; "
               f"period range [{min(periods):.4g}, {max(periods):.4g}] um")

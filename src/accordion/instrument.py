@@ -389,18 +389,3 @@ def _render_frames(base_cfg: LatticeConfig, configs: list[LatticeConfig],
         for frame, count in zip(frames, counts):
             yield from repeat(frame, count)
 
-
-def spacetime_composite(frames) -> np.ndarray:
-    """Stack the central row of each frame into a position-vs-time image.
-
-    Row k of the result is the central sensor row of frame k, so a still
-    lattice yields identical rows and a sweep shows the fringes fanning
-    out and back.
-    """
-    if len(frames) < 2:
-        raise ValueError("composite needs at least 2 frames")
-    widths = {f.shape[1] for f in frames}
-    if len(widths) != 1:
-        raise ValueError(f"frames have mismatched widths: {sorted(widths)}")
-    rows = [f[f.shape[0] // 2] for f in frames]
-    return np.stack(rows)

@@ -2,10 +2,10 @@
 
 A run directory holds:
     config.txt      resolved run parameters, one key=value per line
-    manifest.csv    frame,time_s,mirror_um,separation_um,analytic_spacing_um,
-                    path_difference_um
+    manifest.csv    FrameRecord's fields: frame,time_s,mirror_um,separation_um,
+                    analytic_spacing_um,path_difference_um
     frame_NNNN.pgm  binary P5 graymaps (maxval 255, or big-endian 65535)
-    composite.pgm   space-time composite, when the run has >= 2 frames
+    composite.pgm   each frame's central row, when the run has >= 2 frames
 
 analyze adds measurements.csv and, with --calibrate, calibration.csv.
 
@@ -25,6 +25,7 @@ directory without one is not a complete run.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import os
 import re
@@ -33,15 +34,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .instrument import FrameRecord, spacetime_composite
+from .instrument import FrameRecord
 
 # width, height and maxval, separated by whitespace and '#' comment lines,
 # then the single whitespace byte that precedes the samples
 _SEP = rb"(?:\s|#[^\n]*\n)+"
 _PGM_HEADER = re.compile(rb"P5%s(\d+)%s(\d+)%s(\d+)\s" % (_SEP, _SEP, _SEP))
 
-MANIFEST_FIELDS = ("frame", "time_s", "mirror_um", "separation_um",
-                   "analytic_spacing_um", "path_difference_um")
+MANIFEST_FIELDS = tuple(field.name for field in dataclasses.fields(FrameRecord))
 
 # the files of a run directory that a new run replaces; manifest.csv is
 # removed before all of them
@@ -114,9 +114,8 @@ def write_manifest(path, records) -> None:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_FIELDS)
         for r in records:
-            writer.writerow([r.frame, repr(r.time_s), repr(r.mirror_um),
-                             repr(r.separation_um), repr(r.analytic_spacing_um),
-                             repr(r.path_difference_um)])
+            writer.writerow([r.frame, *(repr(getattr(r, name))
+                                        for name in MANIFEST_FIELDS[1:])])
 
 
 def _read_text(path) -> str:
@@ -129,6 +128,8 @@ def _read_text(path) -> str:
 
 
 def read_manifest(path) -> list[FrameRecord]:
+    """A missing column, a surplus cell, a frame that is not a plain file
+    name or a cell that is not a number is a ValueError naming the file."""
     records = []
     reader = csv.DictReader(io.StringIO(_read_text(path), newline=""))
     missing = set(MANIFEST_FIELDS) - set(reader.fieldnames or ())
@@ -138,6 +139,11 @@ def read_manifest(path) -> list[FrameRecord]:
         if None in row:  # DictReader's key for cells beyond the header
             raise ValueError(f"{path}: line {reader.line_num}: more cells "
                              f"than the header has columns")
+        frame = row["frame"]
+        # a frame name with a directory in it would point out of the run
+        if not frame or frame in (".", "..") or Path(frame).name != frame:
+            raise ValueError(f"{path}: line {reader.line_num}, column frame: "
+                             f"expected a file name, got {frame!r}")
         values = {}
         # a short row leaves its last cells None
         for name in MANIFEST_FIELDS[1:]:
@@ -146,7 +152,7 @@ def read_manifest(path) -> list[FrameRecord]:
             except (TypeError, ValueError):
                 raise ValueError(f"{path}: line {reader.line_num}, column {name}: "
                                  f"expected a number, got {row[name]!r}") from None
-        records.append(FrameRecord(frame=row["frame"], **values))
+        records.append(FrameRecord(frame=frame, **values))
     return records
 
 
@@ -185,10 +191,10 @@ def write_run(out_dir, frames, records, config: dict | None = None) -> Path:
 
     frames is any iterable of 2-D arrays, read once, alongside records; each
     frame is written as it arrives, and only a copy of its central row is
-    kept, for the spacetime composite written when the run has at least 2
-    frames.  Fewer or more frames than records is a ValueError naming both
-    counts, raised before the manifest is written: the directory is then not
-    a complete run."""
+    kept: stacked, those rows are composite.pgm, the space-time composite
+    written when the run has at least 2 frames.  Fewer or more frames than
+    records, or frames of mismatched widths, is a ValueError raised before
+    the composite and the manifest: the directory is then not a complete run."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.csv").unlink(missing_ok=True)
@@ -198,21 +204,22 @@ def write_run(out_dir, frames, records, config: dict | None = None) -> Path:
                 os.unlink(entry.path)
     count = len(frames) if isinstance(frames, Sized) else None
     frames = iter(frames)
-    # one-row copies, whose central row spacetime_composite takes; a view of
-    # the row would keep its whole frame alive
+    # copies: a view of the central row would keep its whole frame alive
     rows = []
     # records first: zip stops at the last record without reading a frame more
     for rec, image in zip(records, frames):
         write_pgm(out / rec.frame, image)
-        middle = image.shape[0] // 2
-        rows.append(image[middle:middle + 1].copy())
+        rows.append(image[image.shape[0] // 2].copy())
     if len(rows) < len(records) or next(frames, None) is not None:
         if count is None:
             count = len(rows) if len(rows) < len(records) else f"more than {len(rows)}"
         raise ValueError(f"{count} frames for {len(records)} manifest records; "
                          f"a run needs one record per frame")
+    widths = {row.size for row in rows}
+    if len(widths) > 1:
+        raise ValueError(f"frames have mismatched widths: {sorted(widths)}")
     if len(rows) >= 2:
-        write_pgm(out / "composite.pgm", spacetime_composite(rows))
+        write_pgm(out / "composite.pgm", np.stack(rows))
     if config is not None:
         write_config(out / "config.txt", config)
     write_manifest(out / "manifest.csv", records)

@@ -14,8 +14,8 @@ from accordion import (
     beam_angle,
     build_trajectory,
     calibrate_pixel_scale,
+    fit_knife_edge,
     intensity_at,
-    knife_edge_waist,
     measure_frame,
     measure_run,
     render_frame,
@@ -182,7 +182,7 @@ def test_criterion_7_knife_edge():
         y = np.linspace(-3 * waist, 3 * waist, 501)
         positions = np.linspace(-1.5 * waist, 1.5 * waist, 15)
         powers = half_plane_knife_profile(beam_intensity(beam, x, y), x, y, positions)
-        results[waist] = knife_edge_waist(positions, powers)
+        results[waist] = fit_knife_edge(positions, powers).waist
     ok = all(abs(results[w] - w) <= 0.2 for w in results)
     report(7, "knife-edge waists", ok,
            f"36 -> {results[36.0]:.3f} um, 40 -> {results[40.0]:.3f} um")

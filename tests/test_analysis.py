@@ -15,7 +15,6 @@ from accordion import (
     calibrate_pixel_scale,
     fit_knife_edge,
     fringe_profile,
-    knife_edge_waist,
     measure_frame,
     measure_run,
     render_frame,
@@ -201,18 +200,16 @@ def test_empty_image_is_analysis_error(measure, shape):
 class TestMeasureFrame:
     def test_combined_measurement(self):
         img = render_simple(8000.0, path_difference=0.1)
-        m = measure_frame(img, PIXEL_SCALE)
+        m = measure_frame(img)
         d = spacing_fourier(make_config(separation=8000.0).optics)
-        assert m.period_um == pytest.approx(d, rel=5e-3)
-        assert m.period_um == pytest.approx(m.period_px * PIXEL_SCALE, rel=1e-12)
-        assert m.center_um == pytest.approx(-0.1 * d / WAVELENGTH, abs=0.01)
+        assert m.period_px * PIXEL_SCALE == pytest.approx(d, rel=5e-3)
+        assert m.center_px * PIXEL_SCALE == pytest.approx(-0.1 * d / WAVELENGTH, abs=0.01)
         assert m.contrast == pytest.approx(1.0, abs=0.02)
         assert -math.pi < m.fringe_phase <= math.pi
 
     def test_without_pixel_scale(self):
         img = render_simple(8000.0)
         m = measure_frame(img)
-        assert m.period_um is None and m.center_um is None
         assert m.period_px > 0
 
 
@@ -299,7 +296,7 @@ class TestKnifeEdge:
     @pytest.mark.parametrize("waist", [36.0, 40.0])
     def test_recovers_waist(self, waist):
         positions, powers = self._profile(waist)
-        assert knife_edge_waist(positions, powers) == pytest.approx(waist, abs=0.2)
+        assert fit_knife_edge(positions, powers).waist == pytest.approx(waist, abs=0.2)
 
     def test_translation_shifts_center_only(self):
         positions, powers = self._profile(36.0, offset=7.3)
@@ -310,7 +307,7 @@ class TestKnifeEdge:
     def test_needs_eight_points(self):
         positions, powers = self._profile(36.0, n_points=6)
         with pytest.raises(AnalysisError, match="8"):
-            knife_edge_waist(positions, powers)
+            fit_knife_edge(positions, powers).waist
 
     def test_garbage_fails_cleanly(self, rng):
         positions = np.linspace(-50, 50, 15)
@@ -318,7 +315,7 @@ class TestKnifeEdge:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(AnalysisError, match="fit failed"):
-                knife_edge_waist(positions, powers)
+                fit_knife_edge(positions, powers).waist
         assert caught == []
 
     # (waist, center, total_power, rms_residual) from scipy.optimize.curve_fit
@@ -421,7 +418,7 @@ def test_measure_run_accepts_exactly_the_frames_within_tolerance(
     pixel_scale = PIXEL_SCALE * scale_factor
     result = measure_run([image], [d_um], pixel_scale)[0].measurement
     try:
-        m = measure_frame(image, pixel_scale)
+        m = measure_frame(image)
     except AnalysisError:
         m = None
     within = (m is not None
@@ -506,7 +503,7 @@ class TestMeasureRun:
         frames, spacings = self._frames(read_noise, bit_depth)
         results = measure_run((img for img in frames), spacings, PIXEL_SCALE, window_rows)
         assert [r.measurement for r in results] == [
-            measure_frame(img, PIXEL_SCALE, window_rows) for img in frames]
+            measure_frame(img, window_rows) for img in frames]
         assert tracked(results)[0].shape == (3,)
 
     def test_rejected_frame_is_returned_in_its_place(self):
@@ -514,8 +511,8 @@ class TestMeasureRun:
         frames[1] = np.full_like(frames[1], 900)
         results = measure_run(iter(frames), spacings, PIXEL_SCALE)
         assert isinstance(results[1].measurement, NoFringeError)
-        assert results[0].measurement == measure_frame(frames[0], PIXEL_SCALE)
-        assert results[2].measurement == measure_frame(frames[2], PIXEL_SCALE)
+        assert results[0].measurement == measure_frame(frames[0])
+        assert results[2].measurement == measure_frame(frames[2])
         assert results[1].position_um is None and not results[1].flagged
 
     def test_center_off_the_manifest_period_rejects_the_frame(self):
@@ -614,5 +611,3 @@ def test_bad_pixel_scale_is_rejected_by_name(scale):
 
     with pytest.raises(ValueError, match="pixel_scale must be positive and finite"):
         measure_run(frames(), [5.32], scale)
-    with pytest.raises(ValueError, match="pixel_scale must be positive and finite"):
-        measure_frame(render_simple(8000.0), scale)

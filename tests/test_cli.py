@@ -269,6 +269,26 @@ class TestSweepCommand:
             assert f"'{key}'" in err and "run.cfg" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("value", [",", ",,"])
+    @pytest.mark.parametrize("from_flag", [True, False], ids=["flag", "config"])
+    def test_separations_without_a_number_is_usage_error(self, tmp_path, capsys, value,
+                                                         from_flag):
+        # given but empty, the list would leave the preset's timed sweep in place
+        out = tmp_path / "run"
+        argv = ["sweep", "--preset", "fig6b", "--out", str(out)]
+        if from_flag:
+            argv += ["--separations", value]
+            source = "--separations"
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"separations={value}\n")
+            argv += ["--config", str(cfg)]
+            source = f"{cfg}: config key 'separations'"
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {source}: must list at least one separation, got {value!r}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("dwell", ["nan", "inf"])
     def test_nonfinite_dwell_is_usage_error(self, tmp_path, capsys, dwell):
         out = tmp_path / "run"
@@ -667,6 +687,22 @@ class TestAnalyzeCommand:
         manifest.write_text("\n".join(lines) + "\n")
         assert main(["analyze", str(run)]) == 2
         assert f"error: {manifest}: line 3, {message}\n" in capsys.readouterr().err
+
+    def test_frame_name_outside_the_run_is_usage_error(self, ladder_run, tmp_path, capsys):
+        # frame 1's cell names a frame of another run by its absolute path
+        run = tmp_path / "run"
+        shutil.copytree(ladder_run, run, ignore=shutil.ignore_patterns("*.csv"))
+        shutil.copy(ladder_run / "manifest.csv", run)
+        manifest = run / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        other = str(ladder_run / "frame_0000.pgm")
+        lines[2] = ",".join([other] + lines[2].split(",")[1:])
+        manifest.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(run)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: line 3, column frame: expected a file name, "
+            f"got {other!r}\n")
+        assert not (run / "measurements.csv").exists()
 
     def test_calibrate_single_image_is_usage_error(self, ladder_run, capsys):
         assert main(["analyze", str(ladder_run / "frame_0000.pgm"), "--calibrate",

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from accordion import FrameRecord, spacetime_composite
+from accordion import FrameRecord
 from accordion.runfiles import (
     read_config,
     read_manifest,
@@ -83,7 +83,13 @@ def test_manifest_round_trip(scratch, rows):
     (lambda cells: cells[:1] + ["abc"] + cells[2:],
      "line 3, column time_s: expected a number, got 'abc'"),
     (lambda cells: cells + ["0.0"], "line 3: more cells than the header has columns"),
-], ids=["short-row", "non-numeric", "long-row"])
+    # a frame name with a directory in it would point out of the run
+    *[(lambda cells, frame=frame: [frame] + cells[1:],
+       f"line 3, column frame: expected a file name, got {frame!r}")
+      for frame in ("", ".", "..", "sub/frame_0001.pgm", "../run2/frame_0001.pgm",
+                    "/tmp/frame_0001.pgm")],
+], ids=["short-row", "non-numeric", "long-row", "frame-empty", "frame-dot", "frame-dotdot",
+        "frame-subdirectory", "frame-parent", "frame-absolute"])
 def test_malformed_manifest_row_names_the_line_and_column(tmp_path, edit, message):
     path = tmp_path / "manifest.csv"
     write_manifest(path, [FrameRecord(f"frame_{i:04d}.pgm", i / 30, 0.0, 8000.0, 5.32, 0.0)
@@ -132,8 +138,8 @@ def test_rerun_removes_the_earlier_runs_files(tmp_path):
         (tmp_path / name).write_text("x\n")
     frames, rows = _run(1, 50)
     write_run(tmp_path, frames, rows)
-    # the old frames, composite, config and reports are gone; files a run
-    # does not write are left alone
+    # the old frames, composite, config and reports are gone, and one frame
+    # writes no composite; files a run does not write are left alone
     assert sorted(os.listdir(tmp_path)) == ["frame_0000.pgm", "frame_a.pgm",
                                             "manifest.csv", "notes.txt"]
     assert np.array_equal(read_pgm(tmp_path / "frame_0000.pgm"), frames[0])
@@ -146,7 +152,8 @@ def test_run_from_a_generator_writes_its_frames_and_composite(tmp_path):
     write_run(tmp_path, (image for image in frames), rows)
     for image, rec in zip(frames, rows):
         assert np.array_equal(read_pgm(tmp_path / rec.frame), image)
-    assert np.array_equal(read_pgm(tmp_path / "composite.pgm"), spacetime_composite(frames))
+    assert np.array_equal(read_pgm(tmp_path / "composite.pgm"),
+                          np.stack([image[image.shape[0] // 2] for image in frames]))
     assert read_manifest(tmp_path / "manifest.csv") == rows
 
 
@@ -187,3 +194,12 @@ def test_frames_and_records_must_pair_up(tmp_path, frames, records, counted, str
     assert not (tmp_path / "manifest.csv").exists()
     assert sorted(os.listdir(tmp_path)) == [f"frame_{i:04d}.pgm"
                                             for i in range(min(frames, records))]
+
+
+def test_mismatched_widths_are_rejected_before_the_composite_and_manifest(tmp_path):
+    frames, rows = _run(3, 10)
+    frames[1] = np.zeros((3, 5), np.uint8)
+    with pytest.raises(ValueError, match=r"frames have mismatched widths: \[4, 5\]"):
+        write_run(tmp_path, frames, rows)
+    assert not (tmp_path / "composite.pgm").exists()
+    assert not (tmp_path / "manifest.csv").exists()
