@@ -106,11 +106,11 @@ def _flag(key: str) -> str:
 
 def _convert(key: str, text: str, source: str):
     """The text of a sweep key as its declared type; source names the flag,
-    or the file and key, in the error of a value that does not convert."""
-    kind, default, _ = SWEEP_KEYS[key]
-    if text in ("", "None"):  # as sweep echoes an unset key
-        if default is None:
-            return None
+    or the file and key, in the error of a value that does not convert.
+    Empty text is a ValueError: only read_sweep_config reads an empty value
+    as unset."""
+    kind = SWEEP_KEYS[key][0]
+    if text == "":
         raise ValueError(f"{source} needs a value")
     try:
         return kind(text)
@@ -121,12 +121,15 @@ def _convert(key: str, text: str, source: str):
 def read_sweep_config(path) -> dict:
     """The sweep keys of a --config file or a run's config.txt as their
     declared types, 'command' and 'preset' passed over; an unknown key or a
-    value that does not convert is a ValueError naming the file and key."""
+    value that does not convert is a ValueError naming the file and key.
+    A key without a built-in default is unset (None) by an empty value, as
+    sweep echoes it, or by 'None'."""
     values = runfiles.read_config(path)
     unknown = set(values) - set(SWEEP_KEYS) - {"preset", "command"}
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
-    return {key: _convert(key, text, f"{path}: config key {key!r}")
+    return {key: None if text in ("", "None") and SWEEP_KEYS[key][1] is None
+            else _convert(key, text, f"{path}: config key {key!r}")
             for key, text in values.items() if key in SWEEP_KEYS}
 
 

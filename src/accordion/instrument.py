@@ -10,35 +10,48 @@ a perpendicular deviation delta costs 2*delta of path difference.
 The camera sees the closed-form lattice at its pixel centres.
 render_frame renders one configuration.  render_sequence checks every
 sample of a sweep up front and returns its frames as an iterator that
-renders them on demand: the beam envelopes once per sweep, then each
-frame's fringes, in sample order, on the calling thread or on a pool that
-runs at most one sample per worker ahead of the consumer.  Both go through
-one renderer, which computes and digitizes a frame one block of rows at a
-time: gain, optional Gaussian read noise and quantization are applied to
-each block, and the block is stored into the frame's integer array.  A
-frame in progress therefore holds its integer frame and a float64 block
-or two (fringes, read noise) of a few hundred KB, never a float64 array
-of the whole frame, and a sweep written to disk holds about one integer
-frame per worker, not the whole run.  The noise stream is keyed by (seed, frame_index) and drawn block
-after block in row order, which is the stream one draw for the whole frame
-would give, so that frames rendered in parallel, serially, or in any
-order, or one at a time by render_frame, are bit-identical.
+renders them on demand: the beam envelopes once per sweep, on the distinct
+sensor rows only (a row equals another when both beams' y-factors do, as
+the mirror rows of two beams on the axis do), then each frame's fringes,
+in sample order, on the calling thread or on a pool that runs at most one
+sample per worker ahead of the consumer.  Both go through one renderer,
+which computes a frame's cross row once and then renders and digitizes
+the frame one block of rows at a time: gain, optional Gaussian read noise
+and quantization are applied to each block, and the block is stored into
+the frame's integer array.  The noise stream is keyed by (seed,
+frame_index) and drawn block after block in row order, which is the
+stream one draw for the whole frame would give, so that frames rendered
+in parallel, serially, or in any order, or one at a time by render_frame,
+are bit-identical.
+
+Memory: beyond the float64 envelope of the distinct rows (120 of the 240
+rows of a 1280-pixel-wide sensor with beams on the axis, 1.2 MB), a frame
+being rendered holds its integer frame and two float64 blocks of at most
+320 KB (a block's fringes and its read noise, or the next block's
+fringes), never a float64 array of the whole frame.  A sweep holds at
+most one such frame per worker, and each yielded frame is dropped by the
+iterator before it pulls the next, so a consumer that drops it too, as
+write_run does, adds only the frame it works on while a pool renders: on
+a noisy 1280 x 240 16-bit sensor, a sweep written by write_run peaks at
+about 2.2 integer frames above the envelope on 1 worker and 5.4 on 2.
 
 Without read noise the digitizer does not read the frame index, so equal
-inputs give equal bytes, and render_sequence renders each of them once.
-Sensor rows with the same envelope and cross-term factors, such as the
-mirror rows of two beams on the axis, are rendered once per frame and
-copied into place by a row index after digitizing.  A sample whose config
-equals the previous sample's yields the previous frame again, as during
-the hold at the far end of a sweep.  With read noise every pixel differs,
-and each sample renders all its rows.
+inputs give equal bytes, and render_sequence renders each of them once:
+a frame renders each distinct row once and copies it into its sensor rows
+by a row index after digitizing, holding the distinct rows and the whole
+frame for that copy.  A sample whose config equals the previous sample's
+yields the previous frame again, as during the hold at the far end of a
+sweep.  With read noise every pixel differs, and each sample renders all
+its rows, in the order of its noise stream, reading the distinct rows as
+ascending and descending runs of views, and a run of equal rows, as
+past both beams, as one row broadcast over its block.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import closing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -46,7 +59,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .fields import LatticeConfig, beam_envelopes, fringes_at, require_resolved
+from .fields import (LatticeConfig, beam_envelopes, cross_row, fringes_into,
+                     require_resolved)
 from .geometry import require_positive, spacing_fourier
 
 
@@ -202,8 +216,8 @@ class CameraModel:
 # float64 elements in one row block of a frame being rendered: 320 KB, small
 # next to the frames of a fine-fringed sensor, yet one block holds the 60
 # distinct rows of a noise-free frame of the default 640-pixel-wide sensor.
-# Each block pays a fixed cost, the fringe phase and its cosine (about 40 us
-# at 640 pixels), so fewer blocks per frame render faster
+# A frame computes its cross row once, so a block costs a few NumPy calls
+# per run of its rows beyond its elementwise work
 _BLOCK_ELEMENTS = 5 << 13
 
 
@@ -225,24 +239,59 @@ def _digitize(counts: np.ndarray, cam: CameraModel,
     return counts
 
 
-def _render(cfg: LatticeConfig, px: np.ndarray,
-            envelopes: tuple[np.ndarray, np.ndarray, np.ndarray],
-            cam: CameraModel, frame_index: int) -> np.ndarray:
-    """The digitized fringes of cfg on the rows of envelopes, a fresh array
-    of the camera's dtype, rendered and digitized one block of rows at a
-    time; every step is elementwise, so the bytes do not depend on the
-    block size."""
-    envelope, cross_y, cross_x = envelopes
-    frame = np.empty(envelope.shape, cam.dtype)
-    rng = (np.random.default_rng([cam.seed, frame_index])
-           if cam.read_noise > 0 else None)
-    step = max(1, _BLOCK_ELEMENTS // frame.shape[1])
-    for start in range(0, frame.shape[0], step):
-        rows = slice(start, start + step)
-        block = fringes_at(cfg, px, (envelope[rows], cross_y[rows], cross_x))
-        # the values are whole numbers within the bit depth: the cast is exact
-        frame[rows] = _digitize(block, cam, rng)
-    return frame
+def _row_blocks(order: np.ndarray, width: int) -> list[tuple[slice, slice]]:
+    """The row blocks of a frame whose row k is distinct row order[k], as
+    pairs of slices (frame rows, distinct rows): each block is at most
+    _BLOCK_ELEMENTS // width rows of one run of frame rows whose index
+    steps by +1, -1 or 0, so it reads the distinct-row arrays through a
+    view, never a copy.  A run of equal rows, as past both beams, reads its
+    one distinct row, which broadcasts over the block."""
+    step = max(1, _BLOCK_ELEMENTS // width)
+    order = order.tolist()
+    blocks, a = [], 0
+    while a < len(order):
+        b, sign = a + 1, 0
+        if b < len(order) and abs(order[b] - order[a]) <= 1:
+            sign = order[b] - order[a]
+        while b < len(order) and b - a < step and order[b] - order[b - 1] == sign:
+            b += 1
+        last = order[b - 1] + (sign or 1)
+        blocks.append((slice(a, b),
+                       slice(order[a], last if last >= 0 else None, sign or 1)))
+        a = b
+    return blocks
+
+
+def _frame_renderer(base_cfg: LatticeConfig, cam: CameraModel
+                    ) -> Callable[[LatticeConfig, int], np.ndarray]:
+    """render(cfg, frame_index): the digitized fringes of a config with
+    base_cfg's beams, a fresh array of the camera's dtype, frame_index
+    keying the noise stream.  The beam envelopes are evaluated here, once.
+    A frame computes its cross row once, then renders and digitizes one
+    block of rows at a time; every step is elementwise, so the bytes do not
+    depend on the blocks.  With read noise a frame renders its sensor rows
+    in row order, the order of its noise stream; without, it renders each
+    distinct row once and copies it to its sensor rows after digitizing."""
+    px = cam.pixel_x()
+    envelope, cross_y, cross_x, rows = beam_envelopes(base_cfg, px, cam.pixel_y())
+    order = rows if cam.read_noise > 0 else np.arange(cross_y.size)
+    blocks = _row_blocks(order, px.size)
+
+    def render(cfg: LatticeConfig, frame_index: int) -> np.ndarray:
+        cross = cross_row(cfg, px, cross_x)
+        frame = np.empty((order.size, px.size), cam.dtype)
+        rng = (np.random.default_rng([cam.seed, frame_index])
+               if cam.read_noise > 0 else None)
+        for frame_rows, src in blocks:
+            # rebound before it is filled: the last block is freed by then
+            block = np.empty((frame_rows.stop - frame_rows.start, px.size))
+            fringes_into(block, envelope[src], cross_y[src], cross)
+            # the values are whole numbers within the bit depth: the cast is exact
+            frame[frame_rows] = _digitize(block, cam, rng)
+        # order already covers every sensor row (read noise, or no equal rows)
+        return frame if order.size == rows.size else frame[rows]
+
+    return render
 
 
 def render_frame(cfg: LatticeConfig, cam: CameraModel,
@@ -264,9 +313,8 @@ def render_frame(cfg: LatticeConfig, cam: CameraModel,
         render_sequence sample with cfg's separation and path difference.
         Raises ValueError if a fringe spans fewer than 4 pixels.
     """
-    px = cam.pixel_x()
-    require_resolved(cfg, px)
-    return _render(cfg, px, beam_envelopes(cfg, px, cam.pixel_y()), cam, frame_index)
+    require_resolved(cfg, cam.pixel_x())
+    return _frame_renderer(cfg, cam)(cfg, frame_index)
 
 
 @dataclass(frozen=True)
@@ -294,17 +342,20 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
 
     The frames are a single-pass iterator in sample order, and frame i is
     byte for byte render_frame(cfg_i, cam, i); the beam envelopes, which
-    depend on neither D nor dL, are evaluated once per sweep.  The frames
-    are read-only.  Without read noise each distinct sensor row is rendered
-    once per frame, and a sample whose config equals the previous one is not
-    rendered: it yields the previous frame, the same array.  Rendering
-    starts at the first next().  Each frame is rendered one block of rows
-    at a time into its integer array.  With workers > 1 a thread pool
-    renders at most `workers` samples ahead of the consumer, so a sweep
-    holds about one integer frame per worker, whatever its length and
-    however fine its fringes, and the output is identical to
-    the serial render.  Closing the iterator early cancels the samples not
-    yet started and joins the pool.  A worker count below 1 is a ValueError.
+    depend on neither D nor dL, are evaluated once per sweep, on the
+    distinct sensor rows.  The frames are read-only.  Without read noise
+    each distinct sensor row is rendered once per frame, and a sample whose
+    config equals the previous one is not rendered: it yields the previous
+    frame, the same array.  Rendering starts at the first next().  With
+    workers > 1 a thread pool renders at most `workers` samples ahead of
+    the consumer, and the output is identical to the serial render.
+    Beyond the distinct-row envelope, each sample being rendered holds its
+    integer frame and two float64 blocks of rows of at most 320 KB, and the
+    iterator drops each frame before it pulls the next: a consumer that
+    does too holds at most workers + 1 integer frames, whatever the sweep's
+    length and however fine its fringes, and on 1 worker one frame.
+    Closing the iterator early cancels the samples not yet started and
+    joins the pool.  A worker count below 1 is a ValueError.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
@@ -333,37 +384,19 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
     return _render_frames(base_cfg, configs, cam, workers), records
 
 
-def _distinct_rows(envelope: np.ndarray, cross_y: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Each sensor row's index among the distinct rows of (cross_y,
-    envelope), in order of first appearance, and the first row of each."""
-    index = {}
-    rows = np.array([index.setdefault((y, row.tobytes()), len(index))
-                     for y, row in zip(cross_y.tolist(), envelope)])
-    return rows, np.unique(rows, return_index=True)[1]
-
-
 def _render_frames(base_cfg: LatticeConfig, configs: list[LatticeConfig],
                    cam: CameraModel, workers: int) -> Iterator[np.ndarray]:
-    px = cam.pixel_x()
-    envelope, cross_y, cross_x = beam_envelopes(base_cfg, px, cam.pixel_y())
+    render_config = _frame_renderer(base_cfg, cam)
     # the first sample of each run of samples that render alike
     starts = list(range(len(configs)))
-    rows = None
     if cam.read_noise == 0:
         # without read noise the digitizer ignores the frame index, so equal
-        # rows digitize to equal bytes, and equal configs to equal frames:
-        # render each distinct row once and expand it with a row index
-        rows, first = _distinct_rows(envelope, cross_y)
-        envelope, cross_y = envelope[first], cross_y[first]
+        # configs render equal frames
         starts = [i for i in starts if i == 0 or configs[i] != configs[i - 1]]
-    envelopes = envelope, cross_y, cross_x
     counts = np.diff([*starts, len(configs)]).tolist()
 
     def render(i: int) -> np.ndarray:
-        frame = _render(configs[i], px, envelopes, cam, i)
-        if rows is not None:
-            frame = frame[rows]
+        frame = render_config(configs[i], i)
         # a repeated sample yields this same array again
         frame.flags.writeable = False
         return frame
@@ -386,6 +419,7 @@ def _render_frames(base_cfg: LatticeConfig, configs: list[LatticeConfig],
             pool.shutdown(cancel_futures=True)
 
     with closing(rendered()) as frames:
-        for frame, count in zip(frames, counts):
-            yield from repeat(frame, count)
-
+        for count in counts:
+            # no name here holds a frame: once the consumer drops it, it is
+            # freed before the next one is pulled and rendered
+            yield from repeat(next(frames), count)

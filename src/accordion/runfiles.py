@@ -41,6 +41,9 @@ from .instrument import FrameRecord
 _SEP = rb"(?:\s|#[^\n]*\n)+"
 _PGM_HEADER = re.compile(rb"P5%s(\d+)%s(\d+)%s(\d+)\s" % (_SEP, _SEP, _SEP))
 
+# the most bytes write_pgm converts for one write
+_CHUNK_BYTES = 1 << 16
+
 MANIFEST_FIELDS = tuple(field.name for field in dataclasses.fields(FrameRecord))
 
 # the files of a run directory that a new run replaces; manifest.csv is
@@ -61,22 +64,30 @@ def create(path, mode: str = "x", **kwargs):
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:
-    """Write a 2-D uint8 or uint16 array as a binary P5 graymap."""
+    """Write a 2-D uint8 or uint16 array as a binary P5 graymap.
+
+    The samples are row-major, big-endian for 16 bits.  A C-contiguous
+    array already in that byte order, as every uint8 one is, is written
+    from its own buffer in one write; any other is converted and written in
+    chunks of rows of at most 64 KB (one row when a row is larger), so
+    writing holds no second copy of the frame."""
     pixels = np.asarray(pixels)
     if pixels.ndim != 2 or pixels.size == 0:
         raise ValueError(f"expected a non-empty 2-D image, got shape {pixels.shape}")
-    # row-major samples, big-endian for 16 bits, written from the array's
-    # own buffer (a copy only when the layout or byte order differs)
     if pixels.dtype == np.uint8:
-        maxval, raw = 255, np.ascontiguousarray(pixels)
+        maxval = 255
     elif pixels.dtype == np.uint16:
-        maxval, raw = 65535, pixels.astype(">u2", order="C", copy=False)
+        maxval = 65535
     else:
         raise ValueError(f"unsupported dtype {pixels.dtype}; use uint8 or uint16")
     h, w = pixels.shape
+    raw = pixels.dtype.newbyteorder(">")
+    step = (h if pixels.flags.c_contiguous and pixels.dtype == raw
+            else max(1, _CHUNK_BYTES // (w * raw.itemsize)))
     with create(path, "xb") as fh:
         fh.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
-        fh.write(raw)
+        for start in range(0, h, step):
+            fh.write(pixels[start:start + step].astype(raw, order="C", copy=False))
 
 
 def read_pgm(path) -> np.ndarray:
@@ -206,10 +217,15 @@ def write_run(out_dir, frames, records, config: dict | None = None) -> Path:
     frames = iter(frames)
     # copies: a view of the central row would keep its whole frame alive
     rows = []
-    # records first: zip stops at the last record without reading a frame more
-    for rec, image in zip(records, frames):
+    # one frame per record, and not one more read
+    for rec in records:
+        image = next(frames, None)
+        if image is None:
+            break
         write_pgm(out / rec.frame, image)
         rows.append(image[image.shape[0] // 2].copy())
+        # dropped before the next frame is pulled, which may render it
+        del image
     if len(rows) < len(records) or next(frames, None) is not None:
         if count is None:
             count = len(rows) if len(rows) < len(records) else f"more than {len(rows)}"

@@ -235,6 +235,18 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert "'seed'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("preset, flag", [
+        ("fig6b", "--separations"), ("fig4b", "--waist2"),
+        ("fig4b", "--initial-separation"),
+    ])
+    def test_empty_flag_is_usage_error(self, tmp_path, capsys, preset, flag):
+        # only a key= line of a config file unsets a key: an empty flag would
+        # drop the preset's value, fig4b's 40 um waist2, or set nothing
+        out = tmp_path / "run"
+        assert main(["sweep", "--preset", preset, flag, "", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {flag} needs a value\n"
+        assert not out.exists()
+
     def test_echoed_config_round_trips(self, tmp_path):
         # waist2 and initial_separation are unset, so config.txt leaves them empty
         assert main(["sweep", "--separations", "19250,12000", "--focal", "30000",

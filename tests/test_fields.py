@@ -17,7 +17,7 @@ from accordion import (
     intensity_at,
     spacing_fourier,
 )
-from accordion.fields import beam_envelopes, fringes_at
+from accordion.fields import beam_envelopes, cross_row, fringes_into
 from conftest import make_config
 from oracles import beam_field, beam_intensity, shifted_field, tilted_fields
 
@@ -156,13 +156,15 @@ class TestInterferenceIntensity:
                              BeamSpec(30.0, 0.9, (4.0, 2.5)), BeamSpec(42.0, 0.5))
         x = np.linspace(-80.0, 80.0, 801)
         y = np.linspace(-30.0, 30.0, 40)
-        envelopes = beam_envelopes(base, x, y)
-        assert not envelopes[0].flags.writeable
+        envelope, cross_y, cross_x, rows = beam_envelopes(base, x, y)
+        assert not envelope.flags.writeable
         for separation, path_difference in ((20000.0, 0.0), (35000.0, 0.19),
                                              (9000.0, -0.4)):
             cfg = replace(base, optics=replace(base.optics, separation=separation),
                           path_difference=path_difference)
-            assert np.array_equal(fringes_at(cfg, x, envelopes), intensity_at(cfg, x, y))
+            fringes = fringes_into(np.empty(envelope.shape), envelope, cross_y,
+                                   cross_row(cfg, x, cross_x))
+            assert np.array_equal(fringes[rows], intensity_at(cfg, x, y))
 
     def test_common_phase_invariance(self, rng):
         cfg = make_config(separation=20000.0, waist=30.0, waist2=45.0, amp2=0.7)

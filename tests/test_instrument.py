@@ -40,36 +40,37 @@ FIG6B_DRIVE = MirrorDrive(initial_separation=43810.0, speed=20000.0,
 @pytest.fixture
 def rendered(monkeypatch):
     """The config and the number of sensor rows of each frame rendered so
-    far, in any thread.  A frame renders as blocks of rows, one fringes_at
-    call each, in a row on one thread and with one config object: a block
-    adds its rows to its thread's last entry when that entry names the same
-    config object, and starts a new entry otherwise."""
+    far, in any thread.  A frame computes its cross row once, one cross_row
+    call, then renders its rows on the same thread in blocks, one
+    fringes_into call each: a cross_row call starts its thread's entry, and
+    each block adds its rows to it."""
     calls = []
     current = threading.local()
-    fringes_at = instrument.fringes_at
+    cross_row, fringes_into = instrument.cross_row, instrument.fringes_into
 
-    def counting(cfg, x, envelopes):
-        rows = envelopes[0].shape[0]
-        entry = getattr(current, "entry", None)
-        if entry is not None and entry[0] is cfg:
-            entry[1] += rows
-        else:
-            current.entry = [cfg, rows]
-            calls.append(current.entry)
-        return fringes_at(cfg, x, envelopes)
+    def counting_cross_row(cfg, x, cross_x):
+        current.entry = [cfg, 0]
+        calls.append(current.entry)
+        return cross_row(cfg, x, cross_x)
 
-    monkeypatch.setattr(instrument, "fringes_at", counting)
+    def counting_fringes_into(out, envelope, cross_y, row):
+        current.entry[1] += out.shape[0]
+        return fringes_into(out, envelope, cross_y, row)
+
+    monkeypatch.setattr(instrument, "cross_row", counting_cross_row)
+    monkeypatch.setattr(instrument, "fringes_into", counting_fringes_into)
     return calls
 
 
 def assert_each_frame_is_render_frame(traj, base, cam, workers=1):
     """Render the sweep and check frame i against render_frame of sample
     i's config; returns the frames.  render_frame renders through the same
-    fringes_at as the sweep: it runs on the unpatched one, so the rendered
-    fixture counts the sweep's frames only."""
+    cross_row and fringes_into as the sweep: it runs on the unpatched ones,
+    so the rendered fixture counts the sweep's frames only."""
     frames = list(render_sequence(traj, base, cam, workers=workers)[0])
     assert len(frames) == len(traj)
-    counting, instrument.fringes_at = instrument.fringes_at, fields.fringes_at
+    counting = instrument.cross_row, instrument.fringes_into
+    instrument.cross_row, instrument.fringes_into = fields.cross_row, fields.fringes_into
     try:
         for i, image in enumerate(frames):
             cfg = replace(base, optics=replace(base.optics,
@@ -77,7 +78,7 @@ def assert_each_frame_is_render_frame(traj, base, cam, workers=1):
                           path_difference=float(traj.path_differences[i]))
             assert np.array_equal(image, render_frame(cfg, cam, frame_index=i))
     finally:
-        instrument.fringes_at = counting
+        instrument.cross_row, instrument.fringes_into = counting
     return frames
 
 
@@ -408,7 +409,8 @@ class TestNoiseFreeRender:
     @pytest.mark.parametrize("read_noise, calls, rows", [(0.0, 61, 60), (2.0, 76, 120)])
     def test_fig6b_render_counts(self, rendered, workers, read_noise, calls, rows):
         # both beams on the axis: 60 distinct rows of 120, and the 16 dwell
-        # frames share one config; read noise makes every pixel differ
+        # frames share one config; read noise makes every pixel differ, and a
+        # noisy frame renders 2 blocks of rows but its cross row once
         frames, _ = render_sequence(build_trajectory(FIG6B_DRIVE), make_config(),
                                     make_camera(read_noise=read_noise), workers=workers)
         assert sum(1 for _ in frames) == 76
@@ -493,7 +495,7 @@ class TestBlockedRender:
         cfg = make_config(focal=30000.0, separation=19250.0, amp2=0.8)
         cam = make_camera(read_noise=40.0, sensor=(1280, 240), bit_depth=16)
         traj = static_sweep(np.linspace(19250.0, 5000.0, 4))
-        float_frame = 1280 * 240 * 8  # bytes, and those of the beam envelope
+        float_frame, envelope = 1280 * 240 * 8, 120 * 1280 * 8  # bytes
         # a first sweep imports and caches whatever the render path needs
         list(render_sequence(traj, cfg, cam)[0])
         tracemalloc.start()
@@ -504,7 +506,57 @@ class TestBlockedRender:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - float_frame < float_frame
+        assert peak - envelope < float_frame
+
+    @pytest.mark.parametrize("workers, frames_held", [(1, 3), (2, 6)])
+    def test_a_written_noisy_sweep_holds_the_frames_in_flight(
+            self, tmp_path, workers, frames_held):
+        # beyond the envelope of its 120 distinct rows, a sweep that write_run
+        # consumes holds per worker the frame being rendered and two float64
+        # blocks of 0.53 frames each, and with a pool the frame being written:
+        # about 2.2 integer frames on 1 worker and 5.4 on 2
+        cfg = make_config(focal=30000.0, separation=19250.0, amp2=0.8)
+        cam = make_camera(read_noise=40.0, sensor=(1280, 240), bit_depth=16)
+        traj = static_sweep(np.linspace(19250.0, 5000.0, 6))
+        frame, envelope = 1280 * 240 * 2, 120 * 1280 * 8  # bytes
+        write_run(tmp_path, *render_sequence(traj, cfg, cam, workers=workers))
+        tracemalloc.start()
+        try:
+            write_run(tmp_path, *render_sequence(traj, cfg, cam, workers=workers))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - envelope < frames_held * frame
+
+    @pytest.mark.parametrize("read_noise", [0.0, 3.0])
+    def test_rows_past_both_beams_render_as_one(self, rendered, read_noise):
+        # a sensor 2.4 mm tall at 1 um per pixel: both beams' y-factors
+        # underflow to 0 beyond about 1.1 mm, so those rows, at both ends,
+        # are one distinct row, and the mirror rows between them pair up
+        cfg = make_config(separation=10000.0, waist2=40.0, amp2=0.8)
+        cam = make_camera(read_noise=read_noise, sensor=(64, 2400), pixel_scale=1.0)
+        envelope, _, _, rows = fields.beam_envelopes(cfg, cam.pixel_x(), cam.pixel_y())
+        assert rows[0] == rows[-1] == 0 and np.count_nonzero(rows == 0) > 2
+        assert len(envelope) == rows.max() + 1 < 1200
+        # a noisy frame reads the rows past the beams at each end as one block,
+        # and the mirror rows between as two runs of at most 640 rows each
+        assert len(instrument._row_blocks(rows, 64)) == 6
+        frames, _ = render_sequence(static_sweep([10000.0]), cfg, cam)
+        assert np.array_equal(next(frames), digitized_frame(cfg, cam, 0))
+        assert [n for _, n in rendered] == [2400 if read_noise else len(envelope)]
+
+    @given(order=st.lists(st.integers(0, 6), min_size=1, max_size=40),
+           width=st.integers(2, 3 * instrument._BLOCK_ELEMENTS))
+    def test_row_blocks_read_every_row_in_order(self, order, width):
+        step = max(1, instrument._BLOCK_ELEMENTS // width)
+        blocks = instrument._row_blocks(np.array(order), width)
+        assert [k for frame_rows, _ in blocks for k in range(len(order))[frame_rows]] \
+            == list(range(len(order)))
+        for frame_rows, src in blocks:
+            n = frame_rows.stop - frame_rows.start
+            assert n <= step
+            # a run of equal rows reads its one distinct row, broadcast
+            assert np.broadcast_to(np.arange(7)[src], n).tolist() == order[frame_rows]
 
 
 def central_rows(frames):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from accordion import FrameRecord
+from accordion import FrameRecord, runfiles
 from accordion.runfiles import (
     read_config,
     read_manifest,
@@ -59,6 +59,53 @@ def test_pgm_round_trip(scratch, image):
     maxval = 255 if image.dtype == np.uint8 else 65535
     assert path.read_bytes() == (f"P5\n{w} {h}\n{maxval}\n".encode()
                                  + image.astype(image.dtype.newbyteorder(">")).tobytes())
+
+
+class _Recorder:
+    """A binary file that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def write(self, data):
+        self.writes.append(bytes(memoryview(data)))
+        return len(self.writes[-1])
+
+
+_big = np.random.default_rng(7).integers(0, 1 << 16, (2 * 241, 2 * 1280))
+
+
+@pytest.mark.parametrize("image, payload_writes", [
+    # 25 rows of 1280 16-bit samples per 64 KB chunk: 9 chunks and 16 rows
+    (_big[:241, :1280].astype(np.uint16), 10),
+    (_big[::2, ::2].astype(np.uint16), 10),
+    (_big[:241, :1280].astype(np.uint16)[::-1], 10),
+    (_big[:241, :1280].astype(np.uint8), 1),
+    # 51 rows of 1280 8-bit samples per chunk
+    (_big.astype(np.uint8)[::2, ::2], 5),
+], ids=["16bit", "16bit-strided", "16bit-reversed", "8bit", "8bit-strided"])
+def test_pgm_payload_is_written_in_chunks_of_at_most_64_kb(
+        tmp_path, monkeypatch, image, payload_writes):
+    # a frame already in file order is one write; any other is converted
+    # a chunk of rows at a time, never as a whole
+    expected = (f"P5\n1280 241\n{255 if image.dtype == np.uint8 else 65535}\n".encode()
+                + image.astype(image.dtype.newbyteorder(">")).tobytes())
+    write_pgm(tmp_path / "image.pgm", image)
+    assert (tmp_path / "image.pgm").read_bytes() == expected
+    assert np.array_equal(read_pgm(tmp_path / "image.pgm"), image)
+    recorder = _Recorder()
+    monkeypatch.setattr(runfiles, "create", lambda path, mode: recorder)
+    write_pgm(tmp_path / "image.pgm", image)
+    assert b"".join(recorder.writes) == expected
+    payload = [len(data) for data in recorder.writes[1:]]
+    assert len(payload) == payload_writes
+    assert payload_writes == 1 or max(payload) <= 1 << 16
 
 
 numbers = st.floats(allow_nan=False)
