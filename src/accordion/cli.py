@@ -11,6 +11,10 @@ files and the config.txt echo follow it, resolved flag > --config file >
 preset > built-in, and analyze reads config.txt through the same typed
 reader.  The default output root ./runs can be overridden with the
 ACCORDION_OUT_DIR environment variable.
+
+Only geometry, pure math, is imported up front: spacing, sensitivity, --help
+and usage errors run without numpy.  sweep and analyze both import the same
+numeric layers when they run, so a process that ran either holds them all.
 """
 
 from __future__ import annotations
@@ -22,8 +26,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import analysis, geometry, instrument, runfiles
-from .fields import BeamSpec, LatticeConfig
+from . import geometry
 from .geometry import require_positive
 
 
@@ -124,6 +127,7 @@ def read_sweep_config(path) -> dict:
     value that does not convert is a ValueError naming the file and key.
     A key without a built-in default is unset (None) by an empty value, as
     sweep echoes it, or by 'None'."""
+    from . import runfiles
     values = runfiles.read_config(path)
     unknown = set(values) - set(SWEEP_KEYS) - {"preset", "command"}
     if unknown:
@@ -173,6 +177,7 @@ def _resolve_sweep_params(args) -> dict:
 
 
 def _build_run(params: dict):
+    from . import fields, instrument
     if params["separations"]:
         trajectory = instrument.static_sweep(params["separations"], params["frame_rate"])
         initial = params["separations"][0]
@@ -187,9 +192,9 @@ def _build_run(params: dict):
 
     waist, amp1, amp2 = params["waist"], params["amplitude"], params["amplitude2"]
     waist2 = params["waist2"] if params["waist2"] is not None else waist
-    base_cfg = LatticeConfig(
+    base_cfg = fields.LatticeConfig(
         optics=geometry.OpticalParams(params["wavelength"], params["focal"], initial),
-        beam_plus=BeamSpec(waist, amp1), beam_minus=BeamSpec(waist2, amp2))
+        beam_plus=fields.BeamSpec(waist, amp1), beam_minus=fields.BeamSpec(waist2, amp2))
     gain = params["gain"]
     if gain == "auto":
         gain = ((1 << params["bit_depth"]) - 1) / (amp1 + amp2) ** 2
@@ -201,6 +206,7 @@ def _build_run(params: dict):
 
 
 def cmd_sweep(args) -> int:
+    from . import analysis, instrument, runfiles
     params = _resolve_sweep_params(args)
     trajectory, base_cfg, cam = _build_run(params)
     # every sample is checked here, before the run directory is touched;
@@ -225,6 +231,7 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------- analyze
 
 def _analyze_single(path: Path, pixel_scale, window_rows) -> int:
+    from . import analysis, runfiles
     image = runfiles.read_pgm(path)
     m = analysis.measure_frame(image, window_rows)
     print(f"period_px   {m.period_px:.4f} +- {m.period_uncertainty_px:.4f}")
@@ -253,6 +260,7 @@ def _setting(args, config: dict, key: str, config_path: Path | None):
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis, instrument, runfiles
     if args.window_rows is not None and args.window_rows < 1:
         raise ValueError(f"--window-rows must be at least 1, got {args.window_rows}")
     target = Path(args.target)
@@ -339,13 +347,16 @@ def cmd_sensitivity(args) -> int:
     require_positive("--spacing", args.spacing)
     require_positive("--wavelength", args.wavelength)
     for dev in deviations:
-        if not math.isfinite(dev):
-            raise ValueError(f"--deviations must be finite, got {dev!r}")
+        # not finite when the deviation, its path difference or fringe count is not
+        shift = geometry.bs_translation_path_difference(dev) / args.wavelength * args.spacing
+        if not math.isfinite(shift):
+            raise ValueError(f"--deviations must be finite, with a finite path difference "
+                             f"and shift; got {dev!r}, which shifts by {shift!r} um")
     print(f"# lattice spacing {args.spacing} um, wavelength {args.wavelength} um")
     print(f"{'deviation_um':>14} {'path_diff_um':>14} {'shift_fringes':>14} "
           f"{'shift_um':>12} {'mirror_shift_um':>16}")
     for dev in deviations:
-        path = instrument.bs_translation_path_difference(dev)
+        path = geometry.bs_translation_path_difference(dev)
         fringes = path / args.wavelength
         shift = fringes * args.spacing
         print(f"{dev:14.4g} {path:14.4g} {fringes:14.6g} {shift:12.6g} "
@@ -403,12 +414,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except analysis.AnalysisError as err:
-        print(f"analysis error: {err}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        # an AnalysisError (a ValueError) can come only from a loaded analysis
+        analysis = sys.modules.get(f"{__package__}.analysis")
+        failed = analysis is not None and isinstance(err, analysis.AnalysisError)
+        print(f"{'analysis error' if failed else 'error'}: {err}", file=sys.stderr)
+        return 1 if failed else 2
 
 
 if __name__ == "__main__":

@@ -94,3 +94,9 @@ def separation_for_spacing(wavelength: float, focal_length: float,
     except ValueError as err:
         raise ValueError(f"spacing {spacing} um must exceed the smallest reachable "
                          f"spacing, lam/2 = {wavelength / 2} um; {err}") from None
+
+
+def bs_translation_path_difference(perpendicular_deviation: float) -> float:
+    """Path-length difference caused by a perpendicular deviation of the
+    translated beam-splitter pair: exactly twice the deviation."""
+    return 2.0 * perpendicular_deviation

@@ -61,6 +61,7 @@ import numpy as np
 
 from .fields import (LatticeConfig, beam_envelopes, cross_row, fringes_into,
                      require_resolved)
+from .geometry import bs_translation_path_difference  # noqa: F401 (re-exported)
 from .geometry import require_positive, spacing_fourier
 
 
@@ -124,12 +125,6 @@ class Trajectory:
         pd = np.broadcast_to(np.asarray(path_difference, dtype=float),
                              self.times.shape).copy()
         return replace(self, path_differences=pd)
-
-
-def bs_translation_path_difference(perpendicular_deviation: float) -> float:
-    """Path-length difference caused by a perpendicular deviation of the
-    translated beam-splitter pair: exactly twice the deviation."""
-    return 2.0 * perpendicular_deviation
 
 
 def build_trajectory(drive: MirrorDrive) -> Trajectory:

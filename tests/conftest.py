@@ -1,5 +1,10 @@
 """Shared builders for the test suite."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -50,3 +55,13 @@ def render_simple(separation, focal=80000.0, waist=36.0, read_noise=0.0,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def run_fresh(code: str, *args: str) -> str:
+    """stdout of code run by a fresh interpreter that imports the package
+    from src, with args as sys.argv[1:]."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout

@@ -1,8 +1,5 @@
 import hashlib
-import os
 import shutil
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +9,7 @@ import pytest
 from accordion import analysis, render_sequence, runfiles, static_sweep
 from accordion.cli import PRESETS, main
 from accordion.runfiles import read_config, read_manifest, read_pgm, write_pgm, write_run
-from conftest import PIXEL_SCALE, make_camera, make_config
+from conftest import PIXEL_SCALE, make_camera, make_config, run_fresh
 
 
 def parse_keyvals(text):
@@ -104,6 +101,21 @@ class TestSensitivityCommand:
                      f"--deviations={deviations}"]) == 2
         captured = capsys.readouterr()
         assert "--deviations must be finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("deviations, wavelength, named", [
+        ("1e308", "0.532", "1e+308"),        # 2*dev overflows
+        ("1,-1e308", "0.532", "-1e+308"),
+        ("1e10", "1e-300", "10000000000.0"),  # the path difference in fringes overflows
+        ("1e307", "0.532", "1e+307"),        # only the shift in um overflows
+    ])
+    def test_deviation_with_nonfinite_shift_is_usage_error(
+            self, capsys, deviations, wavelength, named):
+        assert main(["sensitivity", "--spacing", "10", "--wavelength", wavelength,
+                     f"--deviations={deviations}"]) == 2
+        captured = capsys.readouterr()
+        assert "--deviations must be finite" in captured.err
+        assert named in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("deviations, message", [
@@ -781,10 +793,67 @@ class TestAnalyzeCommand:
 
 
 def test_cli_start_up_does_not_import_scipy():
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, accordion.cli; accordion.cli.build_parser(); "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
-                          check=True)
-    assert done.stdout.strip() == "[]"
+    """Nor numpy, nor a numeric layer: not for the parser, spacing,
+    sensitivity, --help or a usage error, whether argparse or a command
+    rejects it.  The loaded modules are printed after each step."""
+    code = """if True:
+        import contextlib, io, sys
+        from accordion.cli import build_parser, main
+
+        def loaded(step):
+            print(step, sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy")
+                               or m in [f"accordion.{layer}" for layer in
+                                        ("fields", "instrument", "runfiles", "analysis")]))
+
+        def exit_code(argv):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    return main(argv)
+                except SystemExit as stop:
+                    return stop.code
+
+        build_parser()
+        loaded("parser")
+        assert exit_code(["spacing", "--wavelength", "0.532", "--focal", "30000",
+                          "--separation", "19250", "--target-spacing", "1"]) == 0
+        loaded("spacing")
+        assert exit_code(["sensitivity", "--spacing", "10", "--deviations", "2.13,0"]) == 0
+        loaded("sensitivity")
+        assert exit_code(["--help"]) == 0
+        assert exit_code(["sweep", "--help"]) == 0
+        loaded("help")
+        assert exit_code(["spacing", "--wavelength", "0.532"]) == 2
+        assert exit_code(["sweep", "--preset", "nope"]) == 2
+        loaded("argparse-usage-error")
+        assert exit_code(["sensitivity", "--spacing", "10", "--deviations", "1e308"]) == 2
+        assert exit_code(["spacing", "--wavelength", "0.532", "--focal", "30000",
+                          "--separation", "19250", "--target-spacing", "0.1"]) == 2
+        loaded("command-usage-error")
+    """
+    lines = run_fresh(code).splitlines()
+    assert lines == [f"{step} []" for step in (
+        "parser", "spacing", "sensitivity", "help", "argparse-usage-error",
+        "command-usage-error")]
+
+
+@pytest.mark.parametrize("command", ["sweep", "analyze"])
+def test_a_sweep_or_analyze_process_holds_every_traced_layer(tmp_path, command):
+    """bench/tracer.py patches the five layers it finds in sys.modules, after
+    warming up on sweeps alone in one workload: either command loads them
+    all, in a process that ran nothing else."""
+    run = tmp_path / "fig4a"
+    if command == "analyze":
+        assert main(["sweep", "--preset", "fig4a", "--out", str(run)]) == 0
+    argv = (["sweep", "--preset", "fig4a", "--out", str(run)] if command == "sweep"
+            else ["analyze", str(run), "--out", str(tmp_path / "reports")])
+    code = """if True:
+        import contextlib, io, sys
+        from accordion.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(sys.argv[1:]) == 0
+        print(*sys.modules)
+    """
+    held = run_fresh(code, *argv).split()
+    assert {f"accordion.{layer}" for layer in
+            ("fields", "instrument", "runfiles", "analysis", "cli")} <= set(held)
