@@ -4,12 +4,13 @@ Each frame gets one spectral pass: one profile averaged over a band of rows
 around the sensor center, one Hann window and one FFT.  The period comes
 from the dominant peak with sub-bin refinement; phase and contrast come from
 one projection of the windowed profile onto quadratures at that period,
-in pixels.  measure_run reads a run one frame at a time into one FrameResult
-each, tracking the center fringe, in um, at the manifest period from one
-accepted frame to the next.  Pixel-scale calibration and knife-edge waist
-fitting close the loop between pixel and physical units.  The knife-edge
-fit is a variable-projection least-squares fit in numpy: the total power is
-solved in closed form and only the edge centre and waist are iterated."""
+in pixels.  measure_run measures each frame of a run with measure_frame, as
+one image is measured; the manifest only referees the period and unwraps
+the center fringe, in um, from one accepted frame to the next.  Pixel-scale
+calibration and knife-edge waist fitting close the loop between pixel and
+physical units.  The knife-edge fit is a variable-projection least-squares
+fit in numpy: the total power is solved in closed form and only the edge
+centre and waist are iterated."""
 
 from __future__ import annotations
 
@@ -159,23 +160,22 @@ def _period(s: _Spectrum) -> tuple[float, float]:
     return float(period), float(period * sigma_delta / (k + delta))
 
 
+def _positive_period(period_px: float) -> float:
+    if not (period_px > 0 and math.isfinite(period_px)):
+        raise AnalysisError(f"period must be positive, got {float(period_px)!r}")
+    return period_px
+
+
 def _project(s: _Spectrum, period_px: float) -> tuple[float, float, float]:
     """Phase in (-pi, pi], bright-fringe center nearest the axis in
     (-period/2, period/2] and fundamental amplitude, from the quadratures of
     the windowed profile at 1/period_px, pixel origin at the sensor center."""
-    if not (period_px > 0 and math.isfinite(period_px)):
-        raise AnalysisError(f"period must be positive, got {float(period_px)!r}")
+    _positive_period(period_px)
     x = _centred_pixels(s.windowed.size)
     projection = np.sum(s.windowed * np.exp(-2j * math.pi * x / period_px))
     phase = float(np.angle(projection))
     center = fold_to_period(-phase * period_px / (2 * math.pi), period_px)
     return phase, float(center), abs(projection)
-
-
-def _contrast(s: _Spectrum, amplitude: float) -> float:
-    if s.total <= 0:
-        raise NoFringeError("no fringe found")
-    return float(min(max(2 * amplitude / s.total, 0.0), 1.0))
 
 
 def measure_frame(image, window_rows: int | None = None) -> FringeMeasurement:
@@ -187,13 +187,13 @@ def measure_frame(image, window_rows: int | None = None) -> FringeMeasurement:
     magnitude, or at bin 1, the scale of the beam envelope itself, is a
     NoFringeError; too few periods or samples per period, or an empty image,
     is an AnalysisError."""
-    return _measure(_spectrum(image, window_rows))
-
-
-def _measure(s: _Spectrum) -> FringeMeasurement:
+    s = _spectrum(image, window_rows)
     period, sigma = _period(s)
     phase, center_px, amplitude = _project(s, period)
-    return FringeMeasurement(period, sigma, phase, center_px, _contrast(s, amplitude))
+    if s.total <= 0:
+        raise NoFringeError("no fringe found")
+    contrast = float(min(max(2 * amplitude / s.total, 0.0), 1.0))
+    return FringeMeasurement(period, sigma, phase, center_px, contrast)
 
 
 def calibrate_pixel_scale(points, wavelength: float,
@@ -213,10 +213,9 @@ def calibrate_pixel_scale(points, wavelength: float,
     pts = [(float(d), float(p)) for d, p in points]
     if len(pts) < 3:
         raise AnalysisError(f"ill-conditioned: need at least 3 points, got {len(pts)}")
-    seps = np.array([d for d, _ in pts])
-    periods = np.array([p for _, p in pts])
-    if np.any(seps <= 0) or np.any(periods <= 0):
-        raise AnalysisError("separations and periods must be positive")
+    seps, periods = np.array(pts).T
+    if not (np.all(seps > 0) and np.all(periods > 0) and np.isfinite(pts).all()):
+        raise AnalysisError("separations and periods must be positive and finite")
     if seps.max() / seps.min() < 2.0:
         raise AnalysisError(f"ill-conditioned: separations span only "
                             f"{seps.max() / seps.min():.2f}x; need at least 2x")
@@ -349,21 +348,22 @@ def fit_knife_edge(positions, powers) -> KnifeEdgeFit:
 
 def measure_run(frames, spacings_um, pixel_scale: float,
                 window_rows: int | None = None) -> list[FrameResult]:
-    """Measure each frame of a run into one FrameResult and track its center
-    fringe, one spectral pass per frame.
+    """Measure each frame of a run with measure_frame into one FrameResult
+    and track its center fringe, one spectral pass per frame.
 
     frames is any iterable of 2-D arrays, read once and in order (a generator
-    that loads each frame will do).  spacings_um holds each frame's analytic
-    spacing from the run manifest: the center is projected at that period,
-    not at the measured one.  pixel_scale is in um per pixel, checked
-    positive and finite (a ValueError) before any frame is read.
+    that loads each frame will do), each measured blind, as one image is.
+    spacings_um, each frame's analytic spacing from the run manifest, only
+    referees.  pixel_scale is in um per pixel, checked positive and finite
+    (a ValueError) before any frame is read.
 
-    A frame is rejected by measure_frame's AnalysisError, the projection's at
-    a manifest period that is not positive and finite, or one naming a
-    measured period more than PERIOD_TOLERANCE (relative) off the manifest
-    period, as a wrong pixel scale gives: the only rule for an off-period
-    frame.  Each accepted frame is unwrapped onto the branch nearest the last
-    accepted one's, flagged if even that branch is over a quarter period off.
+    A frame is rejected by measure_frame's AnalysisError, then by a manifest
+    period that is not positive and finite, then by a measured period more
+    than PERIOD_TOLERANCE (relative) off the manifest period, as a wrong
+    pixel scale gives: the only rule for an off-period frame.  Each accepted
+    frame's center, center_px * pixel_scale, is unwrapped by the manifest
+    period onto the branch nearest the last accepted one's, flagged if even
+    that branch is over a quarter period off.
     """
     require_positive("pixel_scale", pixel_scale)
     spacings = np.asarray(spacings_um, dtype=float)
@@ -375,11 +375,9 @@ def measure_run(frames, spacings_um, pixel_scale: float,
     # spacings first: zip stops at the last spacing without reading a frame more
     for d_um, image in zip(spacings, frames):
         try:
-            s = _spectrum(image, window_rows)
-            m = _measure(s)
-            expected_px = d_um / pixel_scale
+            m = measure_frame(image, window_rows)
             # before the division: a manifest period <= 0 is rejected by name
-            position = _project(s, expected_px)[1] * pixel_scale
+            expected_px = _positive_period(d_um / pixel_scale)
             off = m.period_px / expected_px - 1
             if abs(off) > PERIOD_TOLERANCE:
                 # the fewest decimals, at least one, that show the breach
@@ -392,6 +390,7 @@ def measure_run(frames, spacings_um, pixel_scale: float,
         except AnalysisError as err:
             results.append(FrameResult(err, None, False))
             continue
+        position = m.center_px * pixel_scale
         if last is not None:
             position += d_um * round((last - position) / d_um)
         flagged = last is not None and bool(abs(position - last) > d_um / 4)

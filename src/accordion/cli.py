@@ -265,8 +265,9 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"--window-rows must be at least 1, got {args.window_rows}")
     target = Path(args.target)
     if target.is_file():
-        if args.calibrate:
-            raise ValueError(f"--calibrate needs a run directory; {target} is one image")
+        if args.calibrate or args.out:
+            flag = "--calibrate" if args.calibrate else "--out"
+            raise ValueError(f"{flag} needs a run directory; {target} is one image")
         pixel_scale, _, _ = (_setting(args, {}, key, None) for key in ANALYZE_KEYS)
         return _analyze_single(target, pixel_scale, args.window_rows)
     if not target.is_dir():

@@ -22,8 +22,11 @@ from accordion import (
     spacing_fourier,
     static_sweep,
 )
+from accordion import analysis
 from accordion.analysis import PERIOD_TOLERANCE
+from accordion.cli import main
 from accordion.fields import BeamSpec
+from accordion.runfiles import read_manifest, read_pgm
 from conftest import PIXEL_SCALE, WAVELENGTH, make_camera, make_config, render_simple
 from oracles import autocorr_period, beam_intensity, half_plane_knife_profile
 
@@ -41,8 +44,10 @@ def tracked(results):
 
 
 def phase_at(img, d_um):
-    """Phase and center (px) of one frame projected at the lattice spacing
-    d_um, as measure_run tracks it."""
+    """Phase and center (px) of one frame as measure_run tracks it: measured
+    as measure_frame measures one image, its center at the measured period;
+    the lattice spacing d_um only referees and converts the center to a
+    phase."""
     (result,) = measure_run([img], [d_um], PIXEL_SCALE)
     assert result.position_um is not None, result.measurement
     position = result.position_um
@@ -256,6 +261,16 @@ class TestCalibratePixelScale:
         points = [(d, WAVELENGTH * self.FOCAL / d / PIXEL_SCALE) for d in self.SEPS]
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             calibrate_pixel_scale(points, wavelength, focal)
+
+    @pytest.mark.parametrize("cell", [0, 1])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite_separation_or_period(self, cell, value):
+        points = [[d, WAVELENGTH * self.FOCAL / d / PIXEL_SCALE] for d in self.SEPS]
+        points[3][cell] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AnalysisError, match="must be positive and finite"):
+                calibrate_pixel_scale(points, WAVELENGTH, self.FOCAL)
 
     def test_requires_two_fold_span(self):
         points = [(d, 10.0) for d in (10000.0, 12000.0, 15000.0)]
@@ -526,8 +541,8 @@ class TestMeasureRun:
             assert r.position_um is None
 
     def test_period_off_the_manifest_beyond_tolerance_rejects_the_frame(self):
-        # 8% off: the fringe sits near enough to the expected period for the
-        # projection, but its measured period is farther off than 5%
+        # 8% off: every frame is measured, but its measured period is farther
+        # off the manifest's than 5%
         frames, spacings = self._frames()
         for r in measure_run(frames, spacings, PIXEL_SCALE * 1.08):
             assert r.position_um is None
@@ -541,19 +556,26 @@ class TestMeasureRun:
 
     def test_one_peak_search_per_frame(self, monkeypatch):
         # the period's argmax over the spectrum is the frame's only peak
-        # search: the center is projected at the manifest period directly
+        # search, and its one projection, at the measured period, gives the
+        # center: the manifest period is never projected at
         frames, spacings = self._frames()
-        searches = []
-        argmax = np.argmax
+        searches, projections = [], []
+        argmax, project = np.argmax, analysis._project
 
         def counting(a, *args, **kwargs):
             searches.append(np.shape(a))
             return argmax(a, *args, **kwargs)
 
+        def counting_project(s, period_px):
+            projections.append(period_px)
+            return project(s, period_px)
+
         monkeypatch.setattr(np, "argmax", counting)
-        assert all(r.position_um is not None
-                   for r in measure_run(frames, spacings, PIXEL_SCALE))
+        monkeypatch.setattr(analysis, "_project", counting_project)
+        results = measure_run(frames, spacings, PIXEL_SCALE)
+        assert all(r.position_um is not None for r in results)
         assert len(searches) == len(frames) == 3
+        assert projections == [r.measurement.period_px for r in results]
 
     @pytest.mark.parametrize("n_frames, n_spacings", [(2, 3), (3, 2)])
     def test_length_mismatch_of_a_generator_rejected(self, n_frames, n_spacings):
@@ -565,6 +587,36 @@ class TestMeasureRun:
     def test_empty_run_rejected(self):
         with pytest.raises(AnalysisError, match="nothing to track"):
             measure_run([], [], PIXEL_SCALE)
+
+
+@pytest.fixture(scope="module", params=["fig6b", "fig4b"])
+def drifted_run(request, tmp_path_factory):
+    """Frames and manifest spacings of a preset swept at a 0.1 um path
+    difference, which puts every center about 0.19 period off the axis."""
+    out = tmp_path_factory.mktemp(request.param) / "run"
+    assert main(["sweep", "--preset", request.param, "--path-difference", "0.1",
+                 "--out", str(out)]) == 0
+    records = read_manifest(out / "manifest.csv")
+    return ([read_pgm(out / r.frame) for r in records],
+            [r.analytic_spacing_um for r in records])
+
+
+class TestManifestOnlyReferees:
+    def test_each_center_is_the_single_frame_measurement(self, drifted_run):
+        # what analyze reports for one image is what it tracks in a run,
+        # for every frame that crosses no unwrap branch (none here do)
+        frames, spacings = drifted_run
+        results = measure_run(frames, spacings, PIXEL_SCALE)
+        assert [r.position_um for r in results] == [
+            measure_frame(img).center_px * PIXEL_SCALE for img in frames]
+        assert not any(r.flagged for r in results)
+
+    @pytest.mark.parametrize("factor", [0.98, 1.02])
+    def test_manifest_spacings_within_tolerance_change_nothing(self, drifted_run, factor):
+        frames, spacings = drifted_run
+        results = measure_run(frames, spacings, PIXEL_SCALE)
+        assert all(r.position_um is not None for r in results)
+        assert measure_run(frames, [d * factor for d in spacings], PIXEL_SCALE) == results
 
 
 class TestTrackAcrossRejectedFrames:

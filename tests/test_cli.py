@@ -681,7 +681,7 @@ class TestAnalyzeCommand:
         write_run(run, frames, records)
         args = ["analyze", str(run), "--pixel-scale", str(PIXEL_SCALE)]
         assert main([*args, "--out", str(tmp_path / "clean")]) == 0
-        assert capsys.readouterr().out.splitlines()[1] == "max center-fringe drift 4 um"
+        assert capsys.readouterr().out.splitlines()[1] == "max center-fringe drift 4.001 um"
         write_pgm(run / "frame_0002.pgm", np.full((120, 640), 40, np.uint8))
         assert main(args) == 1
         clean = (tmp_path / "clean" / "measurements.csv").read_text().splitlines(True)
@@ -690,7 +690,7 @@ class TestAnalyzeCommand:
         out, err = capsys.readouterr()
         assert out.splitlines() == [
             "measured 5/6 frames; period range [5.315, 5.316] um",
-            "max center-fringe drift 4 um; unwrap flagged at frames [3]"]
+            "max center-fringe drift 4.001 um; unwrap flagged at frames [3]"]
         assert err == "frame_0002.pgm: no fringe found\n"
 
     def test_missing_target_is_usage_error(self, tmp_path, capsys):
@@ -733,6 +733,39 @@ class TestAnalyzeCommand:
                      "--pixel-scale", "0.0853"]) == 2
         assert "--calibrate needs a run directory" in capsys.readouterr().err
 
+    def test_out_with_single_image_is_usage_error(self, ladder_run, tmp_path,
+                                                  monkeypatch, capsys):
+        # a single image writes no report, so --out would be silently ignored
+        monkeypatch.setattr(runfiles, "read_pgm",
+                            lambda path: pytest.fail(f"{path} read before the check"))
+        assert main(["analyze", str(ladder_run / "frame_0000.pgm"),
+                     "--out", str(tmp_path / "reports")]) == 2
+        captured = capsys.readouterr()
+        assert "--out needs a run directory" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "reports").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_manifest_separation_fails_calibration(self, ladder_run, tmp_path,
+                                                             capsys, value):
+        run = tmp_path / "run"
+        shutil.copytree(ladder_run, run, ignore=shutil.ignore_patterns("*.csv"))
+        shutil.copy(ladder_run / "manifest.csv", run)
+        manifest = run / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        column = lines[0].split(",").index("separation_um")
+        cells = lines[2].split(",")
+        cells[column] = value
+        lines[2] = ",".join(cells)
+        manifest.write_text("\n".join(lines) + "\n")
+        assert main(["analyze", str(run), "--calibrate"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("calibration: separations and periods must be "
+                                "positive and finite\n")
+        assert "pixel scale" not in captured.out
+        assert (run / "measurements.csv").exists()
+        assert not (run / "calibration.csv").exists()
+
     @pytest.mark.parametrize("rows", ["0", "-5"])
     def test_nonpositive_window_rows_is_usage_error(self, ladder_run, tmp_path,
                                                     capsys, rows):
@@ -772,16 +805,18 @@ class TestAnalyzeCommand:
         assert not (reports / "calibration.csv").exists()
 
     # SHA-256 of measurements.csv and calibration.csv, pinned at 0.2.0: one
-    # spectral pass per frame must not move a single bit of the reports
+    # spectral pass per frame must not move a single bit of the reports.
+    # measurements.csv re-pinned once each center came from measure_frame,
+    # at the measured period: its centers moved by at most 15 pm
     @pytest.mark.parametrize("args, digests", [
         (["--preset", "fig6b", "--read-noise", "2", "--seed", "7"],
-         ("03a0cfe31c5d5928e4e61d38bec40bea2d745a5bb604f0fe1495b86f13fe70c3",
+         ("0f2476123bc5a12724aa91114eb78e2e8831f5dd2161290439eb0c51b5bb0440",
           "d38a0ee4cfa3cd2fe88ca5abd4556536b4d777db52b5fd18b0357ff8e984fd26")),
         (["--separations", "19250,12000,8000", "--focal", "30000", "--waist", "36",
           "--waist2", "40", "--amplitude2", "0.8", "--sensor", "1280x240",
           "--bit-depth", "16", "--read-noise", "40", "--path-difference", "0.1",
           "--seed", "7"],
-         ("ee2b68c4a87ef05e3ef185f2a7a7c76aa8b8ecfdbbdd34aa94b41c999e12bb9c",
+         ("d0aa8797f422bed59ad5ab3bffdc1f4b3f43e55f44f9c47aa12fc4714ba053b7",
           "c53fa4f52bb5c1f9099c69b87404cbd805e27b4bf4ce25382e642aa3d4f5b81b")),
     ], ids=["fig6b-noise", "ladder-16bit-noise"])
     def test_report_bytes_are_pinned(self, tmp_path, args, digests):
