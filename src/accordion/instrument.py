@@ -28,23 +28,33 @@ Memory: beyond the float64 envelope of the distinct rows (120 of the 240
 rows of a 1280-pixel-wide sensor with beams on the axis, 1.2 MB), a frame
 being rendered holds its integer frame and two float64 blocks of at most
 320 KB (a block's fringes and its read noise, or the next block's
-fringes), never a float64 array of the whole frame.  A sweep holds at
-most one such frame per worker, and each yielded frame is dropped by the
-iterator before it pulls the next, so a consumer that drops it too, as
-write_run does, adds only the frame it works on while a pool renders: on
-a noisy 1280 x 240 16-bit sensor, a sweep written by write_run peaks at
-about 2.2 integer frames above the envelope on 1 worker and 5.4 on 2.
+fringes), never a float64 array of the whole frame.  The integer frame is
+allocated by the thread that consumes the frames, render_frame's caller
+or the iterator's, and handed to the renderer, so that the frames of a
+pooled sweep come from that thread's heap, which the consumer's own
+buffers reuse, and a worker thread holds only its float64 blocks.  A
+sweep holds at most one frame per worker, and each yielded frame is
+dropped by the iterator before it pulls the next, so a consumer that
+drops it too, as write_run does, adds only the frame it works on while a
+pool renders: on a noisy 1280 x 240 16-bit sensor, a sweep written by
+write_run peaks at about 2.2 integer frames above the envelope on 1
+worker and 5.4 on 2.
 
 Without read noise the digitizer does not read the frame index, so equal
 inputs give equal bytes, and render_sequence renders each of them once:
-a frame renders each distinct row once and copies it into its sensor rows
-by a row index after digitizing, holding the distinct rows and the whole
-frame for that copy.  A sample whose config equals the previous sample's
+a frame renders each distinct row once into a small integer array and
+copies it into its sensor rows by a row index after digitizing.  When the
+envelope and the frame's cross row read bit for bit the same reversed,
+as at zero path difference with both beams on the axis, where the center
+fringe sits on the sensor's center, the frame renders the columns up to
+its center only, ceil(width/2) of them, and copies their mirror after
+digitizing; a path difference, or a beam off the axis in x, renders the
+full width.  A sample whose config equals the previous sample's
 yields the previous frame again, as during the hold at the far end of a
 sweep.  With read noise every pixel differs, and each sample renders all
-its rows, in the order of its noise stream, reading the distinct rows as
-ascending and descending runs of views, and a run of equal rows, as
-past both beams, as one row broadcast over its block.
+its rows and columns, in the order of its noise stream, reading the
+distinct rows as ascending and descending runs of views, and a run of
+equal rows, as past both beams, as one row broadcast over its block.
 """
 
 from __future__ import annotations
@@ -132,11 +142,17 @@ def build_trajectory(drive: MirrorDrive) -> Trajectory:
 
     Samples sit at k/frame_rate with both endpoints included; the mirror
     motion does not alter the path difference, so it is zero throughout.
+    A sample count whose arrays cannot be allocated is a ValueError.
     """
     t_out = drive.travel / drive.speed
     total = 2 * t_out + drive.dwell
     n = int(math.floor(total * drive.frame_rate + 1e-9)) + 1
-    t = np.arange(n) / drive.frame_rate
+    try:
+        t = np.arange(n) / drive.frame_rate
+    except MemoryError as err:
+        # NumPy refuses an allocation beyond the host's memory before making it
+        raise ValueError(f"frame_rate {drive.frame_rate!r} samples the sweep "
+                         f"{n} times: {err}") from None
     m = np.where(
         t <= t_out,
         drive.speed * t,
@@ -257,34 +273,54 @@ def _row_blocks(order: np.ndarray, width: int) -> list[tuple[slice, slice]]:
     return blocks
 
 
+def _new_frame(cam: CameraModel) -> np.ndarray:
+    """An uninitialized sensor-sized frame of the camera's dtype."""
+    return np.empty(cam.sensor[::-1], cam.dtype)
+
+
 def _frame_renderer(base_cfg: LatticeConfig, cam: CameraModel
-                    ) -> Callable[[LatticeConfig, int], np.ndarray]:
-    """render(cfg, frame_index): the digitized fringes of a config with
-    base_cfg's beams, a fresh array of the camera's dtype, frame_index
-    keying the noise stream.  The beam envelopes are evaluated here, once.
-    A frame computes its cross row once, then renders and digitizes one
-    block of rows at a time; every step is elementwise, so the bytes do not
-    depend on the blocks.  With read noise a frame renders its sensor rows
-    in row order, the order of its noise stream; without, it renders each
-    distinct row once and copies it to its sensor rows after digitizing."""
+                    ) -> Callable[[LatticeConfig, int, np.ndarray], np.ndarray]:
+    """render(cfg, frame_index, frame): the digitized fringes of a config
+    with base_cfg's beams, written into and returned as frame, a
+    _new_frame(cam) of the caller's, frame_index keying the noise stream.
+    The beam envelopes are evaluated here, once.  A frame computes its
+    cross row once, then renders and digitizes one block of rows at a time;
+    every step is elementwise, so the bytes do not depend on the blocks.
+    With read noise a frame renders its sensor rows in row order, the order
+    of its noise stream; without, it renders each distinct row once and
+    copies it to its sensor rows after digitizing, and when the envelope
+    and the frame's cross row read bit for bit the same reversed, as at
+    zero path difference with both beams on the axis, it renders the
+    columns up to the center only and copies their mirror."""
     px = cam.pixel_x()
     envelope, cross_y, cross_x, rows = beam_envelopes(base_cfg, px, cam.pixel_y())
     order = rows if cam.read_noise > 0 else np.arange(cross_y.size)
     blocks = _row_blocks(order, px.size)
+    mirrored = (cam.read_noise == 0 and np.array_equal(envelope, envelope[:, ::-1])
+                and np.array_equal(cross_x, cross_x[::-1]))
 
-    def render(cfg: LatticeConfig, frame_index: int) -> np.ndarray:
+    def render(cfg: LatticeConfig, frame_index: int, frame: np.ndarray) -> np.ndarray:
         cross = cross_row(cfg, px, cross_x)
-        frame = np.empty((order.size, px.size), cam.dtype)
+        mirror = mirrored and np.array_equal(cross, cross[::-1])
+        width = (px.size + 1) // 2 if mirror else px.size
+        # order covers every sensor row with read noise, or with no equal rows
+        distinct = (frame if order.size == rows.size
+                    else np.empty((order.size, px.size), cam.dtype))
         rng = (np.random.default_rng([cam.seed, frame_index])
                if cam.read_noise > 0 else None)
         for frame_rows, src in blocks:
             # rebound before it is filled: the last block is freed by then
-            block = np.empty((frame_rows.stop - frame_rows.start, px.size))
-            fringes_into(block, envelope[src], cross_y[src], cross)
-            # the values are whole numbers within the bit depth: the cast is exact
-            frame[frame_rows] = _digitize(block, cam, rng)
-        # order already covers every sensor row (read noise, or no equal rows)
-        return frame if order.size == rows.size else frame[rows]
+            block = np.empty((frame_rows.stop - frame_rows.start, width))
+            fringes_into(block, envelope[src, :width], cross_y[src], cross[:width])
+            # the values are whole numbers within the bit depth: the casts are exact
+            _digitize(block, cam, rng)
+            distinct[frame_rows, :width] = block
+            # column j past the rendered ones mirrors column len(px) - 1 - j
+            distinct[frame_rows, width:] = block[:, :px.size - width][:, ::-1]
+        if distinct is not frame:
+            # mode="clip" writes straight into frame; "raise" would buffer a copy
+            np.take(distinct, rows, axis=0, out=frame, mode="clip")
+        return frame
 
     return render
 
@@ -309,7 +345,7 @@ def render_frame(cfg: LatticeConfig, cam: CameraModel,
         Raises ValueError if a fringe spans fewer than 4 pixels.
     """
     require_resolved(cfg, cam.pixel_x())
-    return _frame_renderer(cfg, cam)(cfg, frame_index)
+    return _frame_renderer(cfg, cam)(cfg, frame_index, _new_frame(cam))
 
 
 @dataclass(frozen=True)
@@ -344,11 +380,16 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
     frame, the same array.  Rendering starts at the first next().  With
     workers > 1 a thread pool renders at most `workers` samples ahead of
     the consumer, and the output is identical to the serial render.
-    Beyond the distinct-row envelope, each sample being rendered holds its
-    integer frame and two float64 blocks of rows of at most 320 KB, and the
-    iterator drops each frame before it pulls the next: a consumer that
-    does too holds at most workers + 1 integer frames, whatever the sweep's
-    length and however fine its fringes, and on 1 worker one frame.
+    Without read noise a frame that reads the same reversed, as at zero
+    path difference with both beams on the axis, renders its columns up to
+    the center once and copies their mirror.  Beyond the distinct-row
+    envelope, each sample being rendered holds its integer frame and two
+    float64 blocks of rows of at most 320 KB, and the iterator drops each
+    frame before it pulls the next: a consumer that does too holds at most
+    workers + 1 integer frames, whatever the sweep's length and however
+    fine its fringes, and on 1 worker one frame.  Every integer frame is
+    allocated on the thread that iterates the frames, before its sample is
+    handed to a worker, so a worker thread holds only its float64 blocks.
     Closing the iterator early cancels the samples not yet started and
     joins the pool.  A worker count below 1 is a ValueError.
     """
@@ -390,21 +431,23 @@ def _render_frames(base_cfg: LatticeConfig, configs: list[LatticeConfig],
         starts = [i for i in starts if i == 0 or configs[i] != configs[i - 1]]
     counts = np.diff([*starts, len(configs)]).tolist()
 
-    def render(i: int) -> np.ndarray:
-        frame = render_config(configs[i], i)
+    def render(i: int, frame: np.ndarray) -> np.ndarray:
+        render_config(configs[i], i, frame)
         # a repeated sample yields this same array again
         frame.flags.writeable = False
         return frame
 
     def rendered() -> Iterator[np.ndarray]:
+        # every frame is allocated here, on the consumer's thread, so it
+        # comes from that thread's heap; a worker allocates only its blocks
         if workers == 1:
-            yield from map(render, starts)
+            yield from (render(i, _new_frame(cam)) for i in starts)
             return
         pool = ThreadPoolExecutor(max_workers=workers)
         try:
             ahead = deque()
             for i in starts:
-                ahead.append(pool.submit(render, i))
+                ahead.append(pool.submit(render, i, _new_frame(cam)))
                 if len(ahead) > workers:
                     yield ahead.popleft().result()
             while ahead:

@@ -232,6 +232,18 @@ class TestSweepCommand:
         assert "frame_rate must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unallocatable_sweep_is_usage_error(self, tmp_path, capsys):
+        # 2.5e17 samples, 1.73 EiB per array: beyond any address space, so
+        # NumPy refuses the allocation at once, whatever the host's overcommit
+        out = tmp_path / "run"
+        assert main(["sweep", "--preset", "fig6b", "--frame-rate", "1e17",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: frame_rate 1e+17 samples the sweep "
+                              "250000000000000001 times: Unable to allocate")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_grid_options_are_gone(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("focal=30000\nseparations=19250\ngrid_nx=2048\n")

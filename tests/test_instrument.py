@@ -39,22 +39,23 @@ FIG6B_DRIVE = MirrorDrive(initial_separation=43810.0, speed=20000.0,
 
 @pytest.fixture
 def rendered(monkeypatch):
-    """The config and the number of sensor rows of each frame rendered so
-    far, in any thread.  A frame computes its cross row once, one cross_row
-    call, then renders its rows on the same thread in blocks, one
-    fringes_into call each: a cross_row call starts its thread's entry, and
-    each block adds its rows to it."""
+    """The config, the number of rows and the widths of the blocks of each
+    frame rendered so far, in any thread.  A frame computes its cross row
+    once, one cross_row call, then renders its rows on the same thread in
+    blocks, one fringes_into call each: a cross_row call starts its
+    thread's entry, and each block adds its rows and its width to it."""
     calls = []
     current = threading.local()
     cross_row, fringes_into = instrument.cross_row, instrument.fringes_into
 
     def counting_cross_row(cfg, x, cross_x):
-        current.entry = [cfg, 0]
+        current.entry = [cfg, 0, set()]
         calls.append(current.entry)
         return cross_row(cfg, x, cross_x)
 
     def counting_fringes_into(out, envelope, cross_y, row):
         current.entry[1] += out.shape[0]
+        current.entry[2].add(out.shape[1])
         return fringes_into(out, envelope, cross_y, row)
 
     monkeypatch.setattr(instrument, "cross_row", counting_cross_row)
@@ -414,7 +415,27 @@ class TestNoiseFreeRender:
         frames, _ = render_sequence(build_trajectory(FIG6B_DRIVE), make_config(),
                                     make_camera(read_noise=read_noise), workers=workers)
         assert sum(1 for _ in frames) == 76
-        assert [n for _, n in rendered] == [rows] * calls
+        assert [n for _, n, _ in rendered] == [rows] * calls
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sensor, read_noise, path_difference, width", [
+        ((640, 120), 0.0, 0.0, 320), ((641, 121), 0.0, 0.0, 321),
+        ((640, 120), 2.0, 0.0, 640), ((640, 120), 0.0, 0.1, 640)])
+    def test_fig6b_renders_mirror_columns_once(self, rendered, workers, sensor,
+                                               read_noise, path_difference, width):
+        # both beams on the axis at zero path difference: every row reads the
+        # same reversed, so a noise-free frame renders the columns up to the
+        # center and copies their mirror; read noise or a path difference
+        # renders every column
+        cfg = make_config(path_difference=path_difference)
+        cam = make_camera(read_noise=read_noise, sensor=sensor)
+        traj = build_trajectory(FIG6B_DRIVE).with_path_difference(path_difference)
+        frames, _ = render_sequence(traj, cfg, cam, workers=workers)
+        for i, image in enumerate(frames):
+            cfg_i = replace(cfg, optics=replace(cfg.optics,
+                                                separation=float(traj.separations[i])))
+            assert np.array_equal(image, digitized_frame(cfg_i, cam, i))
+        assert {w for _, _, widths in rendered for w in widths} == {width}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_beams_offset_in_y_repeat_no_row(self, rendered, workers):
@@ -424,7 +445,7 @@ class TestNoiseFreeRender:
                              BeamSpec(36.0, 1.0, (0.0, 2.0)), BeamSpec(36.0, 0.8, (0.0, -2.0)))
         traj = static_sweep([43810.0, 30000.0, 20000.0])
         assert_each_frame_is_render_frame(traj, base, make_camera(), workers)
-        assert [n for _, n in rendered] == [120] * 3
+        assert [n for _, n, _ in rendered] == [120] * 3
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_path_difference_changed_mid_dwell_is_rendered(self, rendered, workers):
@@ -449,6 +470,37 @@ class TestNoiseFreeRender:
         with pytest.raises(ValueError, match="read-only"):
             first[:] = 0
         assert np.array_equal(next(frames), render_frame(cfg, cam, frame_index=1))
+
+
+class TestFrameAllocation:
+    @pytest.mark.parametrize("read_noise", [0.0, 2.0])
+    def test_a_pooled_sweep_allocates_its_frames_on_the_consuming_thread(
+            self, monkeypatch, read_noise):
+        # each frame comes from the heap of the thread that iterates the
+        # sweep; the pool's threads allocate only their float64 blocks
+        cam = make_camera(read_noise=read_noise)
+        frames_made, blocks_made = [], set()
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, shape, dtype=float):
+                array = np.empty(shape, dtype)
+                if array.shape == cam.sensor[::-1] and array.dtype == cam.dtype:
+                    frames_made.append((array, threading.get_ident()))
+                elif array.dtype == np.float64:
+                    blocks_made.add(threading.get_ident())
+                return array
+
+        monkeypatch.setattr(instrument, "np", RecordingNumpy())
+        frames, _ = render_sequence(static_sweep(np.linspace(43810.0, 20000.0, 6)),
+                                    make_config(), cam, workers=2)
+        here = threading.get_ident()
+        for image in frames:
+            assert any(array is image for array, _ in frames_made)
+        assert {thread for _, thread in frames_made} == {here}
+        assert blocks_made and here not in blocks_made
 
 
 # every sensor row count up to 90 at widths up to 1500, and sensors wider
@@ -483,6 +535,38 @@ class TestBlockedRender:
                           gain=over * ((1 << bit_depth) - 1) / 3.24)
         assert np.array_equal(render_frame(cfg, cam, 3), digitized_frame(cfg, cam, 3))
         traj = static_sweep([separation, 0.8 * separation])
+        for workers in (1, 2):
+            frames, _ = render_sequence(traj, cfg, cam, workers=workers)
+            for i, image in enumerate(frames):
+                cfg_i = replace(cfg, optics=replace(cfg.optics,
+                                                    separation=float(traj.separations[i])))
+                assert np.array_equal(image, digitized_frame(cfg_i, cam, i))
+
+    @settings(max_examples=40, deadline=None)
+    @given(width=st.integers(2, 700), height=st.integers(1, 30),
+           path_difference=st.sampled_from([0.0, 0.1, -0.37]),
+           waist2=st.sampled_from([36.0, 40.0]), amp2=st.sampled_from([1.0, 0.8]),
+           offset_x=st.sampled_from([0.0, 0.5, -20.0]),
+           separation=st.floats(5000.0, 43810.0))
+    @example(width=640, height=120, path_difference=0.0, waist2=36.0, amp2=1.0,
+             offset_x=0.0, separation=43810.0)
+    @example(width=641, height=121, path_difference=0.0, waist2=40.0, amp2=0.8,
+             offset_x=0.0, separation=19250.0)
+    @example(width=641, height=121, path_difference=0.1, waist2=36.0, amp2=1.0,
+             offset_x=0.0, separation=43810.0)
+    @example(width=640, height=120, path_difference=0.0, waist2=36.0, amp2=1.0,
+             offset_x=0.5, separation=43810.0)
+    def test_noise_free_frames_equal_the_unblocked_oracle(
+            self, width, height, path_difference, waist2, amp2, offset_x, separation):
+        # mirror columns are rendered once only where the frame reads the same
+        # reversed bit for bit; any other frame renders its full width
+        cfg = LatticeConfig(OpticalParams(0.532, 80000.0, separation),
+                            BeamSpec(36.0, 1.0, (offset_x, 0.0)), BeamSpec(waist2, amp2),
+                            path_difference)
+        cam = make_camera(sensor=(width, height))
+        assert np.array_equal(render_frame(cfg, cam), digitized_frame(cfg, cam))
+        traj = static_sweep([separation, 0.8 * separation]).with_path_difference(
+            path_difference)
         for workers in (1, 2):
             frames, _ = render_sequence(traj, cfg, cam, workers=workers)
             for i, image in enumerate(frames):
@@ -543,7 +627,7 @@ class TestBlockedRender:
         assert len(instrument._row_blocks(rows, 64)) == 6
         frames, _ = render_sequence(static_sweep([10000.0]), cfg, cam)
         assert np.array_equal(next(frames), digitized_frame(cfg, cam, 0))
-        assert [n for _, n in rendered] == [2400 if read_noise else len(envelope)]
+        assert [n for _, n, _ in rendered] == [2400 if read_noise else len(envelope)]
 
     @given(order=st.lists(st.integers(0, 6), min_size=1, max_size=40),
            width=st.integers(2, 3 * instrument._BLOCK_ELEMENTS))
