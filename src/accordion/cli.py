@@ -197,7 +197,11 @@ def _build_run(params: dict):
         beam_plus=fields.BeamSpec(waist, amp1), beam_minus=fields.BeamSpec(waist2, amp2))
     gain = params["gain"]
     if gain == "auto":
-        gain = ((1 << params["bit_depth"]) - 1) / (amp1 + amp2) ** 2
+        try:
+            gain = ((1 << params["bit_depth"]) - 1) / (amp1 + amp2) ** 2
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(f"amplitudes {amp1!r} and {amp2!r} leave the auto gain "
+                             "no finite value; give --gain") from None
     cam = instrument.CameraModel(
         pixel_scale=params["pixel_scale"], sensor=params["sensor"],
         bit_depth=params["bit_depth"], read_noise=params["read_noise"],

@@ -38,8 +38,14 @@ class BeamSpec:
 
     def __post_init__(self):
         require_positive("focal_waist", self.focal_waist)
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude!r}")
+        # the profiles divide by the waist squared, and the envelopes hold
+        # the amplitudes squared
+        if not 0 < self.focal_waist * self.focal_waist < math.inf:
+            raise ValueError("focal_waist squared must be positive and finite, "
+                             f"got {self.focal_waist!r}")
+        if not (self.amplitude >= 0 and math.isfinite(self.amplitude * self.amplitude)):
+            raise ValueError("amplitude must be >= 0 and its square finite, "
+                             f"got {self.amplitude!r}")
 
 
 @dataclass(frozen=True)
@@ -86,42 +92,31 @@ def intensity_at(cfg: LatticeConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray
     x and y are uniformly spaced coordinates in micrometers, at least two
     in x.  Returns the module's formula with shape (len(y), len(x)); every
     term factors into an x and a y profile, so it is a sum of three outer
-    products, evaluated once per distinct row of beam_envelopes and
-    expanded to every y.  For identical beams and zero path difference it
-    reduces exactly to 2 (cos(2 pi D x/(lam f)) + 1) I0.  Checks the
-    sampling with require_resolved: fewer than 4 samples per period is a
-    ValueError, as an undersampled lattice would alias silently otherwise.
+    products.  For identical beams and zero path difference it reduces
+    exactly to 2 (cos(2 pi D x/(lam f)) + 1) I0.  Checks the sampling with
+    require_resolved: fewer than 4 samples per period is a ValueError, as
+    an undersampled lattice would alias silently otherwise.
     """
     require_resolved(cfg, x)
-    envelope, cross_y, cross_x, rows = beam_envelopes(cfg, x, y)
-    vals = fringes_into(np.empty(envelope.shape), envelope, cross_y,
+    envelope, cross_y, cross_x = beam_envelopes(cfg, x, y)
+    return fringes_into(np.empty(envelope.shape), envelope, cross_y,
                         cross_row(cfg, x, cross_x))
-    return vals[rows]
 
 
 def beam_envelopes(cfg: LatticeConfig, x: np.ndarray, y: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The part of intensity_at that reads only cfg's beams, not D or dL,
-    evaluated once per distinct row of y.
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The part of intensity_at that reads only cfg's beams, not D or dL.
 
-    Two rows are equal when both beams' y-factors are, as are the mirror
-    rows of two beams on the axis.  Returns the envelope sum
-    A1^2 G1 + A2^2 G2 of the distinct rows, read-only, their y factors
-    f1y*f2y of the cross-term amplitude, the x factor 2*a1*a2*f1x*f2x, and
-    each y's index among the distinct rows, numbered in order of first
-    appearance: row i of intensity_at reads distinct row rows[i].  The
-    envelope, the only 2-D array here, holds distinct rows x len(x)
-    float64s: for beams on the axis, half of len(y) rows, rounded up.
+    Returns the envelope sum A1^2 G1 + A2^2 G2 at the points (x, y),
+    read-only, of shape (len(y), len(x)) and the only 2-D array here; the
+    y factors f1y*f2y of the cross-term amplitude; and its x factor
+    2*a1*a2*f1x*f2x.
     """
     a1, a2 = cfg.beam_plus.amplitude, cfg.beam_minus.amplitude
     # field-modulus profiles: the intensities are their squares, and
     # sqrt(G1 G2) is the product of the two fields
     f1x, f1y = _profiles(cfg.beam_plus, x, y)
     f2x, f2y = _profiles(cfg.beam_minus, x, y)
-    index = {}
-    rows = np.array([index.setdefault(pair, len(index))
-                     for pair in zip(f1y.tolist(), f2y.tolist())])
-    f1y, f2y = np.array(list(index)).T
     envelope = np.multiply.outer((a1 * f1y) ** 2, f1x * f1x)
     # the second beam is added row by row, so the sum holds no second array
     # of the envelope's size
@@ -129,7 +124,7 @@ def beam_envelopes(cfg: LatticeConfig, x: np.ndarray, y: np.ndarray
     for row, g2y in zip(envelope, (a2 * f2y) ** 2):
         row += g2y * g2x
     envelope.flags.writeable = False
-    return envelope, f1y * f2y, 2 * a1 * a2 * f1x * f2x, rows
+    return envelope, f1y * f2y, 2 * a1 * a2 * f1x * f2x
 
 
 def require_resolved(cfg: LatticeConfig, x: np.ndarray) -> None:
@@ -162,9 +157,8 @@ def fringes_into(out: np.ndarray, envelope: np.ndarray, cross_y: np.ndarray,
                  row: np.ndarray) -> np.ndarray:
     """Rows of intensity_at into out, which it returns: the envelope rows
     plus the outer product of their cross-term y factors cross_y with a
-    config's cross_row, in place.  One envelope row and its cross_y
-    broadcast over every row of out.  The steps are elementwise, so any
-    split of the rows gives the same bytes."""
+    config's cross_row, in place.  The steps are elementwise, so any split
+    of the rows gives the same bytes."""
     np.multiply.outer(cross_y, row, out=out)
     out += envelope
     # the closed form is >= 0 analytically; clamp rounding dust

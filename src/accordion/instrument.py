@@ -9,52 +9,52 @@ a perpendicular deviation delta costs 2*delta of path difference.
 
 The camera sees the closed-form lattice at its pixel centres.
 render_frame renders one configuration.  render_sequence checks every
-sample of a sweep up front and returns its frames as an iterator that
-renders them on demand: the beam envelopes once per sweep, on the distinct
-sensor rows only (a row equals another when both beams' y-factors do, as
-the mirror rows of two beams on the axis do), then each frame's fringes,
-in sample order, on the calling thread or on a pool that runs at most one
-sample per worker ahead of the consumer.  Both go through one renderer,
-which computes a frame's cross row once and then renders and digitizes
-the frame one block of rows at a time: gain, optional Gaussian read noise
-and quantization are applied to each block, and the block is stored into
-the frame's integer array.  The noise stream is keyed by (seed,
-frame_index) and drawn block after block in row order, which is the
-stream one draw for the whole frame would give, so that frames rendered
-in parallel, serially, or in any order, or one at a time by render_frame,
-are bit-identical.
+sample of a sweep, and evaluates the beam envelopes, before it returns its
+frames as an iterator that renders them on demand, in sample order, on the
+calling thread or on a pool that runs at most one sample per worker ahead
+of the consumer.  Both go through one renderer, which computes a frame's
+cross row once and then renders and digitizes the frame one block of rows
+at a time: gain, optional Gaussian read noise and quantization are applied
+to each block, and the block is stored into the frame's integer array.
+The noise stream is keyed by (seed, frame_index) and drawn block after
+block in row order, which is the stream one draw for the whole frame would
+give, so that frames rendered in parallel, serially, or in any order, or
+one at a time by render_frame, are bit-identical.
 
-Memory: beyond the float64 envelope of the distinct rows (120 of the 240
-rows of a 1280-pixel-wide sensor with beams on the axis, 1.2 MB), a frame
-being rendered holds its integer frame and two float64 blocks of at most
-320 KB (a block's fringes and its read noise, or the next block's
-fringes), never a float64 array of the whole frame.  The integer frame is
-allocated by the thread that consumes the frames, render_frame's caller
-or the iterator's, and handed to the renderer, so that the frames of a
-pooled sweep come from that thread's heap, which the consumer's own
-buffers reuse, and a worker thread holds only its float64 blocks.  A
-sweep holds at most one frame per worker, and each yielded frame is
-dropped by the iterator before it pulls the next, so a consumer that
-drops it too, as write_run does, adds only the frame it works on while a
-pool renders: on a noisy 1280 x 240 16-bit sensor, a sweep written by
-write_run peaks at about 2.2 integer frames above the envelope on 1
-worker and 5.4 on 2.
+One mirror rule serves rows and columns: where a frame reads bit for bit
+the same reversed, only its rows or columns up to the center, ceil(n/2)
+of them, are computed.  In y that holds for every frame with both beams
+centred in y, since pixel_y is antisymmetric and each beam's y-factor
+even, so the envelopes are evaluated on those rows only.  In x it holds
+only where the envelope and the frame's cross row are checked to read the
+same reversed, as at zero path difference with both beams on the axis,
+where the center fringe sits on the sensor's center; NumPy's cos need not
+be even, and a path difference, or a beam off the axis in x, renders the
+full width.  A noise-free frame renders the quadrant up to both centers
+straight into the frame and copies the mirror columns, then the mirror
+rows, after digitizing.  A noisy frame, whose every pixel differs,
+renders all its rows and columns in the order of its noise stream, its
+mirror rows reading the envelope backwards.
+
+Memory: beyond the float64 envelope (120 of the 240 rows of a 1280-pixel-
+wide sensor with both beams centred in y, 1.2 MB), a frame being rendered
+holds its integer frame and two float64 blocks of at most 320 KB (a
+block's fringes and its read noise, or the next block's fringes), never a
+float64 array of the whole frame.  The integer frame is allocated by the
+thread that consumes the frames, render_frame's caller or the iterator's,
+and handed to the renderer, so that the frames of a pooled sweep come
+from that thread's heap, which the consumer's own buffers reuse, and a
+worker thread holds only its float64 blocks.  A sweep holds at most one
+frame per worker, and each yielded frame is dropped by the iterator
+before it pulls the next, so a consumer that drops it too, as write_run
+does, adds only the frame it works on while a pool renders: on a noisy
+1280 x 240 16-bit sensor, a sweep written by write_run peaks at about 2.2
+integer frames above the envelope on 1 worker and 5.4 on 2.
 
 Without read noise the digitizer does not read the frame index, so equal
-inputs give equal bytes, and render_sequence renders each of them once:
-a frame renders each distinct row once into a small integer array and
-copies it into its sensor rows by a row index after digitizing.  When the
-envelope and the frame's cross row read bit for bit the same reversed,
-as at zero path difference with both beams on the axis, where the center
-fringe sits on the sensor's center, the frame renders the columns up to
-its center only, ceil(width/2) of them, and copies their mirror after
-digitizing; a path difference, or a beam off the axis in x, renders the
-full width.  A sample whose config equals the previous sample's
-yields the previous frame again, as during the hold at the far end of a
-sweep.  With read noise every pixel differs, and each sample renders all
-its rows and columns, in the order of its noise stream, reading the
-distinct rows as ascending and descending runs of views, and a run of
-equal rows, as past both beams, as one row broadcast over its block.
+inputs give equal bytes: a sample whose config equals the previous
+sample's yields the previous frame again, as during the hold at the far
+end of a sweep.
 """
 
 from __future__ import annotations
@@ -117,14 +117,19 @@ class Trajectory:
         for name in ("mirror_positions", "separations", "path_differences"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length does not match times ({n})")
+        # written so that a NaN, which fails every comparison, fails them too
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError("times must be finite")
         if n > 1:
             dt = np.diff(self.times)
-            if np.any(dt <= 0):
+            if not np.all(dt > 0):
                 raise ValueError("times must be strictly increasing")
             if not np.allclose(dt, dt[0], rtol=1e-6, atol=1e-12):
                 raise ValueError("times must be uniformly spaced")
-        if np.any(self.separations <= 0):
+        if not np.all(self.separations > 0):
             raise ValueError("all separations must be positive")
+        if not np.all(np.isfinite(self.path_differences)):
+            raise ValueError("path differences must be finite")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -226,9 +231,9 @@ class CameraModel:
 
 # float64 elements in one row block of a frame being rendered: 320 KB, small
 # next to the frames of a fine-fringed sensor, yet one block holds the 60
-# distinct rows of a noise-free frame of the default 640-pixel-wide sensor.
-# A frame computes its cross row once, so a block costs a few NumPy calls
-# per run of its rows beyond its elementwise work
+# rows up to the center of a noise-free frame of the default 640 x 120
+# sensor.  A frame computes its cross row once, so a block costs a few NumPy
+# calls beyond its elementwise work
 _BLOCK_ELEMENTS = 5 << 13
 
 
@@ -250,27 +255,20 @@ def _digitize(counts: np.ndarray, cam: CameraModel,
     return counts
 
 
-def _row_blocks(order: np.ndarray, width: int) -> list[tuple[slice, slice]]:
-    """The row blocks of a frame whose row k is distinct row order[k], as
-    pairs of slices (frame rows, distinct rows): each block is at most
-    _BLOCK_ELEMENTS // width rows of one run of frame rows whose index
-    steps by +1, -1 or 0, so it reads the distinct-row arrays through a
-    view, never a copy.  A run of equal rows, as past both beams, reads its
-    one distinct row, which broadcasts over the block."""
+def _row_blocks(rows: int, half: int, width: int) -> Iterator[tuple[slice, slice]]:
+    """The row blocks of the first `rows` rows of a frame whose first `half`
+    rows are rendered from the envelope's rows and whose row r past them
+    reads envelope row rows - 1 - r, as pairs of slices (frame rows,
+    envelope rows), each of at most _BLOCK_ELEMENTS // width rows: ascending
+    below half and descending past it, so a block reads the envelope
+    through a view, never a copy."""
     step = max(1, _BLOCK_ELEMENTS // width)
-    order = order.tolist()
-    blocks, a = [], 0
-    while a < len(order):
-        b, sign = a + 1, 0
-        if b < len(order) and abs(order[b] - order[a]) <= 1:
-            sign = order[b] - order[a]
-        while b < len(order) and b - a < step and order[b] - order[b - 1] == sign:
-            b += 1
-        last = order[b - 1] + (sign or 1)
-        blocks.append((slice(a, b),
-                       slice(order[a], last if last >= 0 else None, sign or 1)))
-        a = b
-    return blocks
+    for a in range(0, half, step):
+        b = min(a + step, half)
+        yield slice(a, b), slice(a, b)
+    for a in range(half, rows, step):
+        b = min(a + step, rows)
+        yield slice(a, b), slice(rows - 1 - a, rows - 1 - b if b < rows else None, -1)
 
 
 def _new_frame(cam: CameraModel) -> np.ndarray:
@@ -283,43 +281,42 @@ def _frame_renderer(base_cfg: LatticeConfig, cam: CameraModel
     """render(cfg, frame_index, frame): the digitized fringes of a config
     with base_cfg's beams, written into and returned as frame, a
     _new_frame(cam) of the caller's, frame_index keying the noise stream.
-    The beam envelopes are evaluated here, once.  A frame computes its
-    cross row once, then renders and digitizes one block of rows at a time;
-    every step is elementwise, so the bytes do not depend on the blocks.
-    With read noise a frame renders its sensor rows in row order, the order
-    of its noise stream; without, it renders each distinct row once and
-    copies it to its sensor rows after digitizing, and when the envelope
-    and the frame's cross row read bit for bit the same reversed, as at
-    zero path difference with both beams on the axis, it renders the
-    columns up to the center only and copies their mirror."""
-    px = cam.pixel_x()
-    envelope, cross_y, cross_x, rows = beam_envelopes(base_cfg, px, cam.pixel_y())
-    order = rows if cam.read_noise > 0 else np.arange(cross_y.size)
-    blocks = _row_blocks(order, px.size)
-    mirrored = (cam.read_noise == 0 and np.array_equal(envelope, envelope[:, ::-1])
+
+    The beam envelopes are evaluated here, once, on the rows up to the
+    center only when both beams are centred in y.  A frame computes its
+    cross row once, then renders and digitizes one block of rows at a time,
+    by the module's mirror rule; every step is elementwise, so the bytes do
+    not depend on the blocks.  With read noise a frame renders every sensor
+    row, in the order of its noise stream; without, the rows up to the
+    center, and the columns up to it where the frame's cross row and the
+    envelope read the same reversed, then copies their mirrors."""
+    px, py = cam.pixel_x(), cam.pixel_y()
+    # row r then equals row len(py) - 1 - r exactly, so it is not checked:
+    # pixel_y is antisymmetric bit for bit, and exp(-v*v/w2) is even
+    centred = (base_cfg.beam_plus.center_offset[1] == 0
+               and base_cfg.beam_minus.center_offset[1] == 0)
+    half = (py.size + 1) // 2 if centred else py.size
+    envelope, cross_y, cross_x = beam_envelopes(base_cfg, px, py[:half])
+    noisy = cam.read_noise > 0
+    rows = py.size if noisy else half
+    mirrored = (not noisy and np.array_equal(envelope, envelope[:, ::-1])
                 and np.array_equal(cross_x, cross_x[::-1]))
 
     def render(cfg: LatticeConfig, frame_index: int, frame: np.ndarray) -> np.ndarray:
         cross = cross_row(cfg, px, cross_x)
         mirror = mirrored and np.array_equal(cross, cross[::-1])
         width = (px.size + 1) // 2 if mirror else px.size
-        # order covers every sensor row with read noise, or with no equal rows
-        distinct = (frame if order.size == rows.size
-                    else np.empty((order.size, px.size), cam.dtype))
-        rng = (np.random.default_rng([cam.seed, frame_index])
-               if cam.read_noise > 0 else None)
-        for frame_rows, src in blocks:
+        rng = np.random.default_rng([cam.seed, frame_index]) if noisy else None
+        for frame_rows, src in _row_blocks(rows, half, width):
             # rebound before it is filled: the last block is freed by then
             block = np.empty((frame_rows.stop - frame_rows.start, width))
             fringes_into(block, envelope[src, :width], cross_y[src], cross[:width])
             # the values are whole numbers within the bit depth: the casts are exact
-            _digitize(block, cam, rng)
-            distinct[frame_rows, :width] = block
-            # column j past the rendered ones mirrors column len(px) - 1 - j
-            distinct[frame_rows, width:] = block[:, :px.size - width][:, ::-1]
-        if distinct is not frame:
-            # mode="clip" writes straight into frame; "raise" would buffer a copy
-            np.take(distinct, rows, axis=0, out=frame, mode="clip")
+            frame[frame_rows, :width] = _digitize(block, cam, rng)
+        # column j past the rendered ones mirrors column len(px) - 1 - j, and
+        # row r past them row len(py) - 1 - r
+        frame[:rows, width:] = frame[:rows, :px.size - width][:, ::-1]
+        frame[rows:] = frame[:py.size - rows][::-1]
         return frame
 
     return render
@@ -373,25 +370,25 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
 
     The frames are a single-pass iterator in sample order, and frame i is
     byte for byte render_frame(cfg_i, cam, i); the beam envelopes, which
-    depend on neither D nor dL, are evaluated once per sweep, on the
-    distinct sensor rows.  The frames are read-only.  Without read noise
-    each distinct sensor row is rendered once per frame, and a sample whose
-    config equals the previous one is not rendered: it yields the previous
-    frame, the same array.  Rendering starts at the first next().  With
-    workers > 1 a thread pool renders at most `workers` samples ahead of
-    the consumer, and the output is identical to the serial render.
-    Without read noise a frame that reads the same reversed, as at zero
-    path difference with both beams on the axis, renders its columns up to
-    the center once and copies their mirror.  Beyond the distinct-row
-    envelope, each sample being rendered holds its integer frame and two
-    float64 blocks of rows of at most 320 KB, and the iterator drops each
-    frame before it pulls the next: a consumer that does too holds at most
-    workers + 1 integer frames, whatever the sweep's length and however
-    fine its fringes, and on 1 worker one frame.  Every integer frame is
-    allocated on the thread that iterates the frames, before its sample is
-    handed to a worker, so a worker thread holds only its float64 blocks.
-    Closing the iterator early cancels the samples not yet started and
-    joins the pool.  A worker count below 1 is a ValueError.
+    depend on neither D nor dL, are evaluated once per sweep, before this
+    returns, so a consumer that has started its output meets no rendering
+    error the checks above did not raise.  The frames are read-only.
+    Without read noise a sample whose config equals the previous one is
+    not rendered: it yields the previous frame, the same array.  Rendering
+    starts at the first next().  With workers > 1 a thread pool renders at
+    most `workers` samples ahead of the consumer, and the output is
+    identical to the serial render.  Each frame renders by the module's
+    mirror rule: without read noise, rows and columns that mirror others
+    are copied, not rendered.  Beyond the envelope, each sample being
+    rendered holds its integer frame and two float64 blocks of rows of at
+    most 320 KB, and the iterator drops each frame before it pulls the
+    next: a consumer that does too holds at most workers + 1 integer
+    frames, whatever the sweep's length and however fine its fringes, and
+    on 1 worker one frame.  Every integer frame is allocated on the thread
+    that iterates the frames, before its sample is handed to a worker, so a
+    worker thread holds only its float64 blocks.  Closing the iterator
+    early cancels the samples not yet started and joins the pool.  A
+    worker count below 1 is a ValueError.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
@@ -417,12 +414,14 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
             analytic_spacing_um=spacing_fourier(cfg.optics),
             path_difference_um=float(trajectory.path_differences[i]),
         ))
-    return _render_frames(base_cfg, configs, cam, workers), records
+    # the envelopes too are evaluated before this returns, so that no
+    # rendering error can come after a consumer has started its output
+    return _render_frames(_frame_renderer(base_cfg, cam), configs, cam, workers), records
 
 
-def _render_frames(base_cfg: LatticeConfig, configs: list[LatticeConfig],
-                   cam: CameraModel, workers: int) -> Iterator[np.ndarray]:
-    render_config = _frame_renderer(base_cfg, cam)
+def _render_frames(render_config: Callable[[LatticeConfig, int, np.ndarray], np.ndarray],
+                   configs: list[LatticeConfig], cam: CameraModel, workers: int
+                   ) -> Iterator[np.ndarray]:
     # the first sample of each run of samples that render alike
     starts = list(range(len(configs)))
     if cam.read_noise == 0:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from accordion import analysis, render_sequence, runfiles, static_sweep
+from accordion import analysis, instrument, render_sequence, runfiles, static_sweep
 from accordion.cli import PRESETS, main
 from accordion.runfiles import read_config, read_manifest, read_pgm, write_pgm, write_run
 from conftest import PIXEL_SCALE, make_camera, make_config, run_fresh
@@ -435,6 +435,44 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert f"rendering failed at sample {bad}:" in err
         assert "samples per fringe" in err
+        assert dir_digest(out) == before
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--waist", "1e200"], "focal_waist squared must be positive and finite"),
+        (["--waist", "1e-200", "--sensor", "641x121"],
+         "focal_waist squared must be positive and finite"),
+        (["--amplitude", "1e200"], "amplitude must be >= 0 and its square finite"),
+        (["--amplitude", "1e154", "--amplitude2", "1e154"], "no finite value"),
+        (["--amplitude", "1e-200", "--amplitude2", "1e-200"], "no finite value"),
+    ], ids=["huge-waist", "tiny-waist", "huge-amplitude", "overflowing-gain",
+            "infinite-gain"])
+    def test_extreme_beam_is_usage_error_and_leaves_the_earlier_run(
+            self, tmp_path, capsys, flags, message):
+        # a waist squared that overflows or underflows, an amplitude squared
+        # that overflows, and an auto gain 255 / (a1 + a2)^2 that does
+        out = tmp_path / "run"
+        assert main(["sweep", "--preset", "fig4b", "--out", str(out)]) == 0
+        capsys.readouterr()
+        before = dir_digest(out)
+        assert main(["sweep", "--preset", "fig4b", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+        assert dir_digest(out) == before
+
+    def test_envelope_failure_leaves_the_earlier_run(self, tmp_path, monkeypatch, capsys):
+        # the beam envelopes are evaluated before render_sequence returns,
+        # so before write_run clears the run directory
+        out = tmp_path / "run"
+        assert main(["sweep", "--preset", "fig4b", "--out", str(out)]) == 0
+        before = dir_digest(out)
+
+        def failing(cfg, x, y):
+            raise ValueError("no envelopes")
+
+        monkeypatch.setattr(instrument, "beam_envelopes", failing)
+        assert main(["sweep", "--preset", "fig4b", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: no envelopes\n"
         assert dir_digest(out) == before
 
     def test_rerun_replaces_the_earlier_run(self, tmp_path):

@@ -34,6 +34,21 @@ class TestTypes:
         with pytest.raises(ValueError):
             BeamSpec(focal_waist=36.0, amplitude=-0.1)
 
+    @pytest.mark.parametrize("waist", [1e200, 1e-200])
+    def test_beam_spec_rejects_a_waist_whose_square_is_not_positive_and_finite(
+            self, waist):
+        # the profiles divide by the waist squared: 1e200 overflows it, and
+        # 1e-200 makes it 0, the center pixel 0 / 0
+        with pytest.raises(ValueError,
+                           match="focal_waist squared must be positive and finite"):
+            BeamSpec(focal_waist=waist)
+
+    def test_beam_spec_rejects_an_amplitude_whose_square_is_not_finite(self):
+        with pytest.raises(ValueError, match="its square finite, got 1e[+]200"):
+            BeamSpec(focal_waist=36.0, amplitude=1e200)
+        # a square that underflows is a dark beam, not an error
+        assert BeamSpec(focal_waist=36.0, amplitude=1e-200).amplitude == 1e-200
+
     def test_lattice_config_needs_one_live_beam(self):
         optics = OpticalParams(0.532, 80000, 43810)
         with pytest.raises(ValueError):
@@ -156,15 +171,17 @@ class TestInterferenceIntensity:
                              BeamSpec(30.0, 0.9, (4.0, 2.5)), BeamSpec(42.0, 0.5))
         x = np.linspace(-80.0, 80.0, 801)
         y = np.linspace(-30.0, 30.0, 40)
-        envelope, cross_y, cross_x, rows = beam_envelopes(base, x, y)
+        envelope, cross_y, cross_x = beam_envelopes(base, x, y)
         assert not envelope.flags.writeable
+        assert envelope.shape == (40, 801) and cross_y.shape == (40,)
+        assert cross_x.shape == (801,)
         for separation, path_difference in ((20000.0, 0.0), (35000.0, 0.19),
                                              (9000.0, -0.4)):
             cfg = replace(base, optics=replace(base.optics, separation=separation),
                           path_difference=path_difference)
             fringes = fringes_into(np.empty(envelope.shape), envelope, cross_y,
                                    cross_row(cfg, x, cross_x))
-            assert np.array_equal(fringes[rows], intensity_at(cfg, x, y))
+            assert np.array_equal(fringes, intensity_at(cfg, x, y))
 
     def test_common_phase_invariance(self, rng):
         cfg = make_config(separation=20000.0, waist=30.0, waist2=45.0, amp2=0.7)

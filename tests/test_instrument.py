@@ -164,6 +164,27 @@ class TestBuildTrajectory:
                        np.full(2, 1e4), np.zeros(2))
         with pytest.raises(ValueError, match="positive"):
             static_sweep([1e4, -1.0])
+        with pytest.raises(ValueError, match="separations must be positive"):
+            static_sweep([np.nan, 1e4])
+        with pytest.raises(ValueError, match="path differences must be finite"):
+            static_sweep([1e4, 2e4]).with_path_difference([0.0, np.nan])
+
+    @pytest.mark.parametrize("field, values, message", [
+        ("separations", [np.nan, 1e4], "separations must be positive"),
+        ("times", [0.0, np.nan], "times must be finite"),
+        ("times", [np.nan], "times must be finite"),
+        ("times", [0.0, np.inf], "times must be finite"),
+        ("path_differences", [0.0, np.nan], "path differences must be finite"),
+        ("path_differences", [np.inf, 0.0], "path differences must be finite"),
+    ])
+    def test_trajectory_rejects_nan(self, field, values, message):
+        # NaN fails every comparison, so a check for bad values passes it
+        n = len(values)
+        arrays = dict(times=np.arange(n) / 30.0, mirror_positions=np.zeros(n),
+                      separations=np.full(n, 1e4), path_differences=np.zeros(n))
+        arrays[field] = np.array(values)
+        with pytest.raises(ValueError, match=message):
+            Trajectory(**arrays)
 
     @pytest.mark.parametrize("frame_rate", [0.0, -30.0, float("nan"), float("inf")])
     def test_static_sweep_needs_positive_finite_frame_rate(self, frame_rate):
@@ -403,15 +424,17 @@ class TestStreamedFrames:
 
 
 class TestNoiseFreeRender:
-    """Without read noise a sweep renders each distinct sensor row and each
-    run of identical samples once."""
+    """Without read noise a sweep renders each run of identical samples
+    once, and a frame the rows and columns up to the center where they
+    mirror the rest."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("read_noise, calls, rows", [(0.0, 61, 60), (2.0, 76, 120)])
     def test_fig6b_render_counts(self, rendered, workers, read_noise, calls, rows):
-        # both beams on the axis: 60 distinct rows of 120, and the 16 dwell
-        # frames share one config; read noise makes every pixel differ, and a
-        # noisy frame renders 2 blocks of rows but its cross row once
+        # both beams on the axis: the 60 rows of 120 up to the center, and
+        # the 16 dwell frames share one config; read noise makes every pixel
+        # differ, and a noisy frame renders 2 blocks of rows, the second
+        # reading the first's envelope rows backwards, but its cross row once
         frames, _ = render_sequence(build_trajectory(FIG6B_DRIVE), make_config(),
                                     make_camera(read_noise=read_noise), workers=workers)
         assert sum(1 for _ in frames) == 76
@@ -439,8 +462,7 @@ class TestNoiseFreeRender:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_beams_offset_in_y_repeat_no_row(self, rendered, workers):
-        # mirror rows share their cross-term factor, but unequal amplitudes
-        # make their envelopes differ
+        # beams off the axis in y: no row mirrors another, so every row renders
         base = LatticeConfig(OpticalParams(0.532, 80000.0, 43810.0),
                              BeamSpec(36.0, 1.0, (0.0, 2.0)), BeamSpec(36.0, 0.8, (0.0, -2.0)))
         traj = static_sweep([43810.0, 30000.0, 20000.0])
@@ -472,6 +494,24 @@ class TestNoiseFreeRender:
         assert np.array_equal(next(frames), render_frame(cfg, cam, frame_index=1))
 
 
+def record_empty(monkeypatch):
+    """Every array instrument allocates with np.empty, with the thread that
+    allocated it, (array, thread id), through a stand-in for instrument.np."""
+    made = []
+
+    class RecordingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def empty(self, shape, dtype=float):
+            array = np.empty(shape, dtype)
+            made.append((array, threading.get_ident()))
+            return array
+
+    monkeypatch.setattr(instrument, "np", RecordingNumpy())
+    return made
+
+
 class TestFrameAllocation:
     @pytest.mark.parametrize("read_noise", [0.0, 2.0])
     def test_a_pooled_sweep_allocates_its_frames_on_the_consuming_thread(
@@ -479,28 +519,31 @@ class TestFrameAllocation:
         # each frame comes from the heap of the thread that iterates the
         # sweep; the pool's threads allocate only their float64 blocks
         cam = make_camera(read_noise=read_noise)
-        frames_made, blocks_made = [], set()
-
-        class RecordingNumpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            def empty(self, shape, dtype=float):
-                array = np.empty(shape, dtype)
-                if array.shape == cam.sensor[::-1] and array.dtype == cam.dtype:
-                    frames_made.append((array, threading.get_ident()))
-                elif array.dtype == np.float64:
-                    blocks_made.add(threading.get_ident())
-                return array
-
-        monkeypatch.setattr(instrument, "np", RecordingNumpy())
+        made = record_empty(monkeypatch)
         frames, _ = render_sequence(static_sweep(np.linspace(43810.0, 20000.0, 6)),
                                     make_config(), cam, workers=2)
         here = threading.get_ident()
         for image in frames:
-            assert any(array is image for array, _ in frames_made)
+            assert any(array is image for array, _ in made)
+        frames_made = [(array, thread) for array, thread in made
+                       if array.shape == cam.sensor[::-1] and array.dtype == cam.dtype]
+        blocks_made = {thread for array, thread in made if array.dtype == np.float64}
         assert {thread for _, thread in frames_made} == {here}
         assert blocks_made and here not in blocks_made
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_noise_free_sweep_allocates_no_integer_array_but_its_frames(
+            self, monkeypatch, workers):
+        # a noise-free frame renders its rows up to the center straight into
+        # the frame and copies their mirror there: no integer temporary
+        cam = make_camera()
+        made = record_empty(monkeypatch)
+        frames, _ = render_sequence(static_sweep(np.linspace(43810.0, 20000.0, 6)),
+                                    make_config(), cam, workers=workers)
+        assert sum(1 for _ in frames) == 6
+        integer = [(array.shape, array.dtype) for array, _ in made
+                   if array.dtype.kind in "iu"]
+        assert integer == [(cam.sensor[::-1], cam.dtype)] * 6
 
 
 # every sensor row count up to 90 at widths up to 1500, and sensors wider
@@ -508,6 +551,16 @@ class TestFrameAllocation:
 sensors = st.one_of(
     st.tuples(st.integers(2, 1500), st.integers(1, 90)),
     st.tuples(st.integers(instrument._BLOCK_ELEMENTS + 1, 50000), st.integers(1, 3)))
+# the y center offsets of (beam_plus, beam_minus): both on the axis, both
+# off it by the same amount either way, or one of them off it
+offsets_y = st.sampled_from([(0.0, 0.0), (0.5, 0.5), (-0.5, -0.5), (0.5, 0.0)])
+
+
+def offset_in_y(cfg, offsets):
+    """cfg with its beams' y center offsets replaced by offsets."""
+    plus, minus = (replace(beam, center_offset=(beam.center_offset[0], y))
+                   for beam, y in zip((cfg.beam_plus, cfg.beam_minus), offsets))
+    return replace(cfg, beam_plus=plus, beam_minus=minus)
 
 
 class TestBlockedRender:
@@ -518,18 +571,21 @@ class TestBlockedRender:
     @given(sensor=sensors, bit_depth=st.sampled_from([8, 16]),
            read_noise=st.sampled_from([0.0, 0.7, 40.0]),
            separation=st.floats(5000.0, 43810.0), over=st.floats(0.5, 2.0),
-           seed=st.integers(0, 2**32))
+           seed=st.integers(0, 2**32), offsets=offsets_y)
     @example(sensor=(640, 1), bit_depth=8, read_noise=2.0, separation=43810.0,
-             over=1.0, seed=0)
+             over=1.0, seed=0, offsets=(0.0, 0.0))
     @example(sensor=(1283, 241), bit_depth=16, read_noise=40.0, separation=19250.0,
-             over=1.0, seed=1)
+             over=1.0, seed=1, offsets=(0.0, 0.0))
     @example(sensor=(1283, 241), bit_depth=8, read_noise=0.0, separation=19250.0,
-             over=1.0, seed=1)
+             over=1.0, seed=1, offsets=(0.0, 0.0))
     @example(sensor=(50000, 3), bit_depth=16, read_noise=40.0, separation=43810.0,
-             over=1.5, seed=2)
+             over=1.5, seed=2, offsets=(0.0, 0.0))
+    @example(sensor=(1283, 241), bit_depth=16, read_noise=40.0, separation=19250.0,
+             over=1.0, seed=1, offsets=(0.5, 0.0))
     def test_blocked_frames_equal_the_unblocked_oracle(
-            self, sensor, bit_depth, read_noise, separation, over, seed):
-        cfg = make_config(separation=separation, waist2=40.0, amp2=0.8)
+            self, sensor, bit_depth, read_noise, separation, over, seed, offsets):
+        cfg = offset_in_y(make_config(separation=separation, waist2=40.0, amp2=0.8),
+                          offsets)
         cam = make_camera(read_noise=read_noise, seed=seed, sensor=sensor,
                           bit_depth=bit_depth,
                           gain=over * ((1 << bit_depth) - 1) / 3.24)
@@ -547,22 +603,29 @@ class TestBlockedRender:
            path_difference=st.sampled_from([0.0, 0.1, -0.37]),
            waist2=st.sampled_from([36.0, 40.0]), amp2=st.sampled_from([1.0, 0.8]),
            offset_x=st.sampled_from([0.0, 0.5, -20.0]),
-           separation=st.floats(5000.0, 43810.0))
+           separation=st.floats(5000.0, 43810.0), offsets=offsets_y)
     @example(width=640, height=120, path_difference=0.0, waist2=36.0, amp2=1.0,
-             offset_x=0.0, separation=43810.0)
+             offset_x=0.0, separation=43810.0, offsets=(0.0, 0.0))
     @example(width=641, height=121, path_difference=0.0, waist2=40.0, amp2=0.8,
-             offset_x=0.0, separation=19250.0)
+             offset_x=0.0, separation=19250.0, offsets=(0.0, 0.0))
     @example(width=641, height=121, path_difference=0.1, waist2=36.0, amp2=1.0,
-             offset_x=0.0, separation=43810.0)
+             offset_x=0.0, separation=43810.0, offsets=(0.0, 0.0))
     @example(width=640, height=120, path_difference=0.0, waist2=36.0, amp2=1.0,
-             offset_x=0.5, separation=43810.0)
+             offset_x=0.5, separation=43810.0, offsets=(0.0, 0.0))
+    @example(width=641, height=121, path_difference=0.0, waist2=36.0, amp2=1.0,
+             offset_x=0.0, separation=43810.0, offsets=(-0.5, -0.5))
+    @example(width=640, height=120, path_difference=0.0, waist2=36.0, amp2=1.0,
+             offset_x=0.0, separation=43810.0, offsets=(0.5, 0.0))
     def test_noise_free_frames_equal_the_unblocked_oracle(
-            self, width, height, path_difference, waist2, amp2, offset_x, separation):
-        # mirror columns are rendered once only where the frame reads the same
-        # reversed bit for bit; any other frame renders its full width
-        cfg = LatticeConfig(OpticalParams(0.532, 80000.0, separation),
-                            BeamSpec(36.0, 1.0, (offset_x, 0.0)), BeamSpec(waist2, amp2),
-                            path_difference)
+            self, width, height, path_difference, waist2, amp2, offset_x, separation,
+            offsets):
+        # mirror rows are rendered once only with both beams centred in y, and
+        # mirror columns only where the frame reads the same reversed bit for
+        # bit; any other frame renders its full height or width
+        cfg = offset_in_y(LatticeConfig(OpticalParams(0.532, 80000.0, separation),
+                                        BeamSpec(36.0, 1.0, (offset_x, 0.0)),
+                                        BeamSpec(waist2, amp2), path_difference),
+                          offsets)
         cam = make_camera(sensor=(width, height))
         assert np.array_equal(render_frame(cfg, cam), digitized_frame(cfg, cam))
         traj = static_sweep([separation, 0.8 * separation]).with_path_difference(
@@ -595,10 +658,10 @@ class TestBlockedRender:
     @pytest.mark.parametrize("workers, frames_held", [(1, 3), (2, 6)])
     def test_a_written_noisy_sweep_holds_the_frames_in_flight(
             self, tmp_path, workers, frames_held):
-        # beyond the envelope of its 120 distinct rows, a sweep that write_run
-        # consumes holds per worker the frame being rendered and two float64
-        # blocks of 0.53 frames each, and with a pool the frame being written:
-        # about 2.2 integer frames on 1 worker and 5.4 on 2
+        # beyond the envelope of its 120 rows up to the center, a sweep that
+        # write_run consumes holds per worker the frame being rendered and
+        # two float64 blocks of 0.53 frames each, and with a pool the frame
+        # being written: about 2.2 integer frames on 1 worker and 5.4 on 2
         cfg = make_config(focal=30000.0, separation=19250.0, amp2=0.8)
         cam = make_camera(read_noise=40.0, sensor=(1280, 240), bit_depth=16)
         traj = static_sweep(np.linspace(19250.0, 5000.0, 6))
@@ -613,34 +676,31 @@ class TestBlockedRender:
         assert peak - envelope < frames_held * frame
 
     @pytest.mark.parametrize("read_noise", [0.0, 3.0])
-    def test_rows_past_both_beams_render_as_one(self, rendered, read_noise):
+    def test_rows_past_both_beams_mirror_like_the_rest(self, rendered, read_noise):
         # a sensor 2.4 mm tall at 1 um per pixel: both beams' y-factors
-        # underflow to 0 beyond about 1.1 mm, so those rows, at both ends,
-        # are one distinct row, and the mirror rows between them pair up
+        # underflow to 0 beyond about 1.1 mm, and those rows mirror like any
+        # other: a noise-free frame renders the 1200 rows up to the center,
+        # a noisy one all 2400
         cfg = make_config(separation=10000.0, waist2=40.0, amp2=0.8)
         cam = make_camera(read_noise=read_noise, sensor=(64, 2400), pixel_scale=1.0)
-        envelope, _, _, rows = fields.beam_envelopes(cfg, cam.pixel_x(), cam.pixel_y())
-        assert rows[0] == rows[-1] == 0 and np.count_nonzero(rows == 0) > 2
-        assert len(envelope) == rows.max() + 1 < 1200
-        # a noisy frame reads the rows past the beams at each end as one block,
-        # and the mirror rows between as two runs of at most 640 rows each
-        assert len(instrument._row_blocks(rows, 64)) == 6
         frames, _ = render_sequence(static_sweep([10000.0]), cfg, cam)
         assert np.array_equal(next(frames), digitized_frame(cfg, cam, 0))
-        assert [n for _, n, _ in rendered] == [2400 if read_noise else len(envelope)]
+        assert [n for _, n, _ in rendered] == [2400 if read_noise else 1200]
 
-    @given(order=st.lists(st.integers(0, 6), min_size=1, max_size=40),
+    @given(rows_half=st.integers(1, 300).flatmap(
+               lambda rows: st.tuples(st.just(rows), st.integers((rows + 1) // 2, rows))),
            width=st.integers(2, 3 * instrument._BLOCK_ELEMENTS))
-    def test_row_blocks_read_every_row_in_order(self, order, width):
+    def test_row_blocks_read_every_row_in_order(self, rows_half, width):
+        rows, half = rows_half
         step = max(1, instrument._BLOCK_ELEMENTS // width)
-        blocks = instrument._row_blocks(np.array(order), width)
-        assert [k for frame_rows, _ in blocks for k in range(len(order))[frame_rows]] \
-            == list(range(len(order)))
+        blocks = list(instrument._row_blocks(rows, half, width))
+        assert [r for frame_rows, _ in blocks for r in range(rows)[frame_rows]] \
+            == list(range(rows))
         for frame_rows, src in blocks:
-            n = frame_rows.stop - frame_rows.start
-            assert n <= step
-            # a run of equal rows reads its one distinct row, broadcast
-            assert np.broadcast_to(np.arange(7)[src], n).tolist() == order[frame_rows]
+            assert frame_rows.stop - frame_rows.start <= step
+            # row r reads envelope row r below half, and its mirror past it
+            assert np.arange(half)[src].tolist() == [
+                r if r < half else rows - 1 - r for r in range(rows)[frame_rows]]
 
 
 def central_rows(frames):
