@@ -199,7 +199,7 @@ def _build_run(params: dict):
     if gain == "auto":
         try:
             gain = ((1 << params["bit_depth"]) - 1) / (amp1 + amp2) ** 2
-        except (OverflowError, ZeroDivisionError):
+        except ZeroDivisionError:
             raise ValueError(f"amplitudes {amp1!r} and {amp2!r} leave the auto gain "
                              "no finite value; give --gain") from None
     cam = instrument.CameraModel(

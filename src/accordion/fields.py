@@ -40,9 +40,10 @@ class BeamSpec:
         require_positive("focal_waist", self.focal_waist)
         # the profiles divide by the waist squared, and the envelopes hold
         # the amplitudes squared
-        if not 0 < self.focal_waist * self.focal_waist < math.inf:
+        w2 = self.focal_waist * self.focal_waist
+        if not (0 < w2 < math.inf and 1 / w2 < math.inf):
             raise ValueError("focal_waist squared must be positive and finite, "
-                             f"got {self.focal_waist!r}")
+                             f"and its reciprocal finite, got {self.focal_waist!r}")
         if not (self.amplitude >= 0 and math.isfinite(self.amplitude * self.amplitude)):
             raise ValueError("amplitude must be >= 0 and its square finite, "
                              f"got {self.amplitude!r}")
@@ -64,8 +65,13 @@ class LatticeConfig:
     path_difference: float = 0.0
 
     def __post_init__(self):
-        if self.beam_plus.amplitude == 0 and self.beam_minus.amplitude == 0:
+        a1, a2 = self.beam_plus.amplitude, self.beam_minus.amplitude
+        if a1 == 0 and a2 == 0:
             raise ValueError("at least one beam amplitude must be positive")
+        # the fringes peak at no more than (a1 + a2)^2
+        if not math.isfinite((a1 + a2) * (a1 + a2)):
+            raise ValueError(f"amplitudes {a1!r} and {a2!r} leave the peak intensity "
+                             "(a1 + a2)^2 no finite value")
         if not math.isfinite(self.path_difference):
             raise ValueError("path_difference must be finite")
 
@@ -83,7 +89,10 @@ def _profiles(beam: BeamSpec, x: np.ndarray, y: np.ndarray
     u = x - beam.center_offset[0]
     v = y - beam.center_offset[1]
     w2 = beam.focal_waist**2
-    return np.exp(-u * u / w2), np.exp(-v * v / w2)
+    # far out on a narrow beam u*u / w2 overflows to inf, and the profile
+    # to its limit exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        return np.exp(-u * u / w2), np.exp(-v * v / w2)
 
 
 def intensity_at(cfg: LatticeConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -159,7 +168,10 @@ def fringes_into(out: np.ndarray, envelope: np.ndarray, cross_y: np.ndarray,
     plus the outer product of their cross-term y factors cross_y with a
     config's cross_row, in place.  The steps are elementwise, so any split
     of the rows gives the same bytes."""
-    np.multiply.outer(cross_y, row, out=out)
+    # cross_y[i] * row[j], as np.multiply.outer forms it, without the 124 KB
+    # iterator buffer that takes on a 32 x 1280 block
+    out[...] = cross_y[:, None]
+    out *= row
     out += envelope
     # the closed form is >= 0 analytically; clamp rounding dust
     np.maximum(out, 0.0, out=out)

@@ -290,6 +290,11 @@ def _frame_renderer(base_cfg: LatticeConfig, cam: CameraModel
     row, in the order of its noise stream; without, the rows up to the
     center, and the columns up to it where the frame's cross row and the
     envelope read the same reversed, then copies their mirrors."""
+    a = base_cfg.beam_plus.amplitude + base_cfg.beam_minus.amplitude
+    # the counts before clipping peak at no more than gain * (a1 + a2)^2
+    if not math.isfinite(cam.exposure_gain * a * a):
+        raise ValueError(f"gain {cam.exposure_gain!r} leaves the peak counts "
+                         "gain * (a1 + a2)^2 no finite value")
     px, py = cam.pixel_x(), cam.pixel_y()
     # row r then equals row len(py) - 1 - r exactly, so it is not checked:
     # pixel_y is antisymmetric bit for bit, and exp(-v*v/w2) is even
@@ -339,7 +344,8 @@ def render_frame(cfg: LatticeConfig, cam: CameraModel,
         clamp(round(gain * I + N(0, read_noise))) to the bit depth, with I
         from intensity_at; byte for byte frame frame_index of a
         render_sequence sample with cfg's separation and path difference.
-        Raises ValueError if a fringe spans fewer than 4 pixels.
+        Raises ValueError if a fringe spans fewer than 4 pixels, or if
+        the peak counts gain * (a1 + a2)^2 are not finite.
     """
     require_resolved(cfg, cam.pixel_x())
     return _frame_renderer(cfg, cam)(cfg, frame_index, _new_frame(cam))

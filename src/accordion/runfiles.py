@@ -12,14 +12,18 @@ analyze adds measurements.csv and, with --calibrate, calibration.csv.
 Everything is written deterministically so a rerun with the same seed is
 byte-identical.  write_run writes each frame as it arrives from its
 iterable, so a sweep streams from the renderer to disk and holds no more
-of the run than the renderer does.  Every file is created new: an
-existing file of the same name is unlinked, never truncated and rewritten
-in place, so a hard link to it keeps the old bytes, and a file system that
-flushes a truncated and rewritten file when it is closed (ext4's
-auto_da_alloc) has nothing to flush.  A rerun into a run directory first
-removes the earlier run's files (its manifest first), so no stale frame,
-composite or report outlives it.  The manifest is written last: a
-directory without one is not a complete run.
+of the run than the renderer does.  Every file is created new, by an
+os.open with O_CREAT | O_EXCL: an existing file of the same name is
+unlinked, never truncated and rewritten in place, so a hard link to it
+keeps the old bytes, and a file system that flushes a truncated and
+rewritten file when it is closed (ext4's auto_da_alloc) has nothing to
+flush.  A graymap is written straight to that descriptor with os.writev,
+its header with its first samples, so an 8-bit frame costs one create,
+one write and one close; the text files are written through a file
+object opened on the same rule.  os.writev makes the module Unix-only.
+A rerun into a run directory first removes the earlier run's files (its
+manifest first), so no stale frame, composite or report outlives it.  The
+manifest is written last: a directory without one is not a complete run.
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ _PGM_HEADER = re.compile(rb"P5%s(\d+)%s(\d+)%s(\d+)\s" % (_SEP, _SEP, _SEP))
 # the most bytes write_pgm converts for one write
 _CHUNK_BYTES = 1 << 16
 
+# a new file, write-only, not inherited by child processes
+_CREATE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC
+
 MANIFEST_FIELDS = tuple(field.name for field in dataclasses.fields(FrameRecord))
 
 # the files of a run directory that a new run replaces; manifest.csv is
@@ -52,24 +59,44 @@ _RUN_FILE = re.compile(r"frame_\d{4,}\.pgm|composite\.pgm|config\.txt"
                        r"|measurements\.csv|calibration\.csv")
 
 
-def create(path, mode: str = "x", **kwargs):
-    """Open path as a new file for writing ("x" text or "xb" binary mode;
-    keyword arguments go to open).  An existing file is unlinked first,
-    never truncated."""
+def _create_fd(path) -> int:
+    """A descriptor open for writing on path, created new: an existing file
+    is unlinked first, never truncated.  The caller closes it."""
     try:
-        return open(path, mode, **kwargs)
+        return os.open(path, _CREATE_FLAGS, 0o666)
     except FileExistsError:
         os.unlink(path)
-        return open(path, mode, **kwargs)
+        return os.open(path, _CREATE_FLAGS, 0o666)
+
+
+def create(path, **kwargs):
+    """Open path as a new text file for writing (keyword arguments go to
+    open), created by the same rule as a frame file: an existing file is
+    unlinked first, never truncated."""
+    return open(path, "x", opener=lambda name, flags: _create_fd(name), **kwargs)
+
+
+def _write_all(fd: int, buffers) -> None:
+    """Write the buffers to fd in order with os.writev, resuming short writes."""
+    views = [memoryview(buf).cast("B") for buf in buffers]
+    while views:
+        done = os.writev(fd, views)
+        while views and done >= len(views[0]):
+            done -= len(views.pop(0))
+        if views:
+            views[0] = views[0][done:]
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:
     """Write a 2-D uint8 or uint16 array as a binary P5 graymap.
 
-    The samples are row-major, big-endian for 16 bits.  A C-contiguous
-    array already in that byte order, as every uint8 one is, is written
-    from its own buffer in one write; any other is converted and written in
-    chunks of rows of at most 64 KB (one row when a row is larger), so
+    The samples are row-major, big-endian for 16 bits.  The file is created
+    new, an existing one unlinked first, and written to its raw descriptor
+    with os.writev (Unix only); the descriptor is closed whatever happens.
+    A C-contiguous array already in that byte order, as every uint8 one
+    is, is written from its own buffer together with the header, in one
+    call; any other is converted and written in chunks of rows of at most
+    64 KB (one row when a row is larger), the header with the first, so
     writing holds no second copy of the frame."""
     pixels = np.asarray(pixels)
     if pixels.ndim != 2 or pixels.size == 0:
@@ -84,10 +111,14 @@ def write_pgm(path, pixels: np.ndarray) -> None:
     raw = pixels.dtype.newbyteorder(">")
     step = (h if pixels.flags.c_contiguous and pixels.dtype == raw
             else max(1, _CHUNK_BYTES // (w * raw.itemsize)))
-    with create(path, "xb") as fh:
-        fh.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
+    header = f"P5\n{w} {h}\n{maxval}\n".encode("ascii")
+    fd = _create_fd(path)
+    try:
         for start in range(0, h, step):
-            fh.write(pixels[start:start + step].astype(raw, order="C", copy=False))
+            chunk = pixels[start:start + step].astype(raw, order="C", copy=False)
+            _write_all(fd, [header, chunk] if start == 0 else [chunk])
+    finally:
+        os.close(fd)
 
 
 def read_pgm(path) -> np.ndarray:

@@ -444,12 +444,20 @@ class TestSweepCommand:
         (["--amplitude", "1e200"], "amplitude must be >= 0 and its square finite"),
         (["--amplitude", "1e154", "--amplitude2", "1e154"], "no finite value"),
         (["--amplitude", "1e-200", "--amplitude2", "1e-200"], "no finite value"),
+        (["--amplitude", "1e154", "--amplitude2", "1e154", "--gain", "1"],
+         "peak intensity (a1 + a2)^2 no finite value"),
+        (["--amplitude", "1e150", "--gain", "1e300"],
+         "peak counts gain * (a1 + a2)^2 no finite value"),
+        (["--waist", "1e-160"], "and its reciprocal finite"),
     ], ids=["huge-waist", "tiny-waist", "huge-amplitude", "overflowing-gain",
-            "infinite-gain"])
+            "infinite-gain", "overflowing-peak", "overflowing-counts",
+            "overflowing-reciprocal"])
     def test_extreme_beam_is_usage_error_and_leaves_the_earlier_run(
             self, tmp_path, capsys, flags, message):
-        # a waist squared that overflows or underflows, an amplitude squared
-        # that overflows, and an auto gain 255 / (a1 + a2)^2 that does
+        # a waist squared that overflows or underflows, or whose reciprocal
+        # overflows; an amplitude squared, a peak intensity (a1 + a2)^2 or
+        # peak counts gain * (a1 + a2)^2 that overflow; and an auto gain
+        # 255 / (a1 + a2)^2 that does
         out = tmp_path / "run"
         assert main(["sweep", "--preset", "fig4b", "--out", str(out)]) == 0
         capsys.readouterr()

@@ -1,9 +1,13 @@
 import inspect
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import accordion
 from accordion import (
@@ -34,14 +38,30 @@ class TestTypes:
         with pytest.raises(ValueError):
             BeamSpec(focal_waist=36.0, amplitude=-0.1)
 
-    @pytest.mark.parametrize("waist", [1e200, 1e-200])
+    @pytest.mark.parametrize("waist", [1e200, 1e-200, 1e-160])
     def test_beam_spec_rejects_a_waist_whose_square_is_not_positive_and_finite(
             self, waist):
-        # the profiles divide by the waist squared: 1e200 overflows it, and
-        # 1e-200 makes it 0, the center pixel 0 / 0
+        # the profiles divide by the waist squared: 1e200 overflows it,
+        # 1e-200 makes it 0, the center pixel 0 / 0, and 1e-160 leaves it a
+        # subnormal whose reciprocal overflows
         with pytest.raises(ValueError,
                            match="focal_waist squared must be positive and finite"):
             BeamSpec(focal_waist=waist)
+
+    def test_a_pinpoint_beam_is_dark_off_its_center(self):
+        # u*u / w2 overflows a pixel away: the profile is its limit 0, and no
+        # overflow warning (an error under the test settings) is raised
+        cfg = make_config(separation=20000.0, waist=1e-154)
+        vals = intensity_at(cfg, axis(10.0, 101), axis(4.0, 5))
+        assert vals[2, 50] == 4.0
+        vals[2, 50] = 0.0
+        assert not vals.any()
+
+    def test_lattice_config_rejects_a_peak_intensity_that_is_not_finite(self):
+        # each amplitude squared is finite, (a1 + a2)^2 is not
+        optics = OpticalParams(0.532, 80000, 43810)
+        with pytest.raises(ValueError, match=r"peak intensity \(a1 \+ a2\)\^2 no finite"):
+            LatticeConfig(optics, BeamSpec(36, 1e154), BeamSpec(36, 1e154))
 
     def test_beam_spec_rejects_an_amplitude_whose_square_is_not_finite(self):
         with pytest.raises(ValueError, match="its square finite, got 1e[+]200"):
@@ -182,6 +202,40 @@ class TestInterferenceIntensity:
             fringes = fringes_into(np.empty(envelope.shape), envelope, cross_y,
                                    cross_row(cfg, x, cross_x))
             assert np.array_equal(fringes, intensity_at(cfg, x, y))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 40), width=st.integers(1, 300),
+           descending=st.booleans())
+    def test_fringes_into_equals_the_outer_product_form(self, data, rows, width,
+                                                        descending):
+        # the block of rows a renderer hands over: envelope rows read
+        # ascending or, past a frame's center, descending, as views
+        values = st.floats(-4.0, 4.0, allow_nan=False)
+        envelope = data.draw(hnp.arrays(float, (2 * rows, width + 3),
+                                        elements=st.floats(0.0, 4.0)))
+        cross_y = data.draw(hnp.arrays(float, 2 * rows, elements=values))
+        row = data.draw(hnp.arrays(float, width, elements=values))
+        src = slice(rows - 1, None, -1) if descending else slice(rows, None)
+        expected = np.multiply.outer(cross_y[src], row)
+        expected += envelope[src, :width]
+        np.maximum(expected, 0.0, out=expected)
+        out = fringes_into(np.empty((rows, width)), envelope[src, :width],
+                           cross_y[src], row)
+        assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+    def test_fringes_into_allocates_at_most_64_kb(self, rng):
+        # a 32 x 1280 block, the block of a 1280-pixel-wide sensor: the
+        # cross term once took a 124 KB iterator buffer
+        envelope, cross_y = rng.random((32, 1280)), rng.random(32)
+        row, out = rng.standard_normal(1280), np.empty((32, 1280))
+        fringes_into(out, envelope, cross_y, row)
+        tracemalloc.start()
+        try:
+            fringes_into(out, envelope, cross_y, row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 << 10
 
     def test_common_phase_invariance(self, rng):
         cfg = make_config(separation=20000.0, waist=30.0, waist2=45.0, amp2=0.7)

@@ -61,27 +61,35 @@ def test_pgm_round_trip(scratch, image):
                                  + image.astype(image.dtype.newbyteorder(">")).tobytes())
 
 
-class _Recorder:
-    """A binary file that keeps each write apart."""
+class _RecordingOS:
+    """The os module, recording the descriptors write_pgm opens and closes
+    and the bytes of each write: ("open", fd), ("writev", bytes), ("close", fd)."""
 
     def __init__(self):
-        self.writes = []
+        self.calls = []
 
-    def __enter__(self):
-        return self
+    def __getattr__(self, name):
+        return getattr(os, name)
 
-    def __exit__(self, *exc):
-        return None
+    def open(self, *args):
+        fd = os.open(*args)
+        self.calls.append(("open", fd))
+        return fd
 
-    def write(self, data):
-        self.writes.append(bytes(memoryview(data)))
-        return len(self.writes[-1])
+    def writev(self, fd, buffers):
+        data = b"".join(bytes(memoryview(buf)) for buf in buffers)
+        self.calls.append(("writev", data))
+        return os.writev(fd, buffers)
+
+    def close(self, fd):
+        self.calls.append(("close", fd))
+        return os.close(fd)
 
 
 _big = np.random.default_rng(7).integers(0, 1 << 16, (2 * 241, 2 * 1280))
 
 
-@pytest.mark.parametrize("image, payload_writes", [
+@pytest.mark.parametrize("image, writes", [
     # 25 rows of 1280 16-bit samples per 64 KB chunk: 9 chunks and 16 rows
     (_big[:241, :1280].astype(np.uint16), 10),
     (_big[::2, ::2].astype(np.uint16), 10),
@@ -91,21 +99,64 @@ _big = np.random.default_rng(7).integers(0, 1 << 16, (2 * 241, 2 * 1280))
     (_big.astype(np.uint8)[::2, ::2], 5),
 ], ids=["16bit", "16bit-strided", "16bit-reversed", "8bit", "8bit-strided"])
 def test_pgm_payload_is_written_in_chunks_of_at_most_64_kb(
-        tmp_path, monkeypatch, image, payload_writes):
-    # a frame already in file order is one write; any other is converted
-    # a chunk of rows at a time, never as a whole
-    expected = (f"P5\n1280 241\n{255 if image.dtype == np.uint8 else 65535}\n".encode()
-                + image.astype(image.dtype.newbyteorder(">")).tobytes())
+        tmp_path, monkeypatch, image, writes):
+    # a frame already in file order is one write, header and samples
+    # together; any other is converted a chunk of rows at a time, never as
+    # a whole, the header written with the first chunk
+    header = f"P5\n1280 241\n{255 if image.dtype == np.uint8 else 65535}\n".encode()
+    expected = header + image.astype(image.dtype.newbyteorder(">")).tobytes()
+    recording = _RecordingOS()
+    monkeypatch.setattr(runfiles, "os", recording)
     write_pgm(tmp_path / "image.pgm", image)
     assert (tmp_path / "image.pgm").read_bytes() == expected
     assert np.array_equal(read_pgm(tmp_path / "image.pgm"), image)
-    recorder = _Recorder()
-    monkeypatch.setattr(runfiles, "create", lambda path, mode: recorder)
-    write_pgm(tmp_path / "image.pgm", image)
-    assert b"".join(recorder.writes) == expected
-    payload = [len(data) for data in recorder.writes[1:]]
-    assert len(payload) == payload_writes
-    assert payload_writes == 1 or max(payload) <= 1 << 16
+    (opened, fd), *written, last = recording.calls
+    assert opened == "open" and last == ("close", fd)
+    assert [call for call, _ in written] == ["writev"] * writes
+    data = [data for _, data in written]
+    assert b"".join(data) == expected
+    if writes == 1:
+        assert data == [expected]
+    else:
+        assert data[0].startswith(header)
+        assert max(len(data[0]) - len(header), *map(len, data[1:])) <= 1 << 16
+
+
+@pytest.mark.parametrize("image, most", [
+    (_big[:5, :6].astype(np.uint8), 1),
+    (_big[:5, :6].astype(np.uint16)[::-1], 7),
+    (_big[:241, :1280].astype(np.uint8), 4099),
+    (_big[::2, ::2].astype(np.uint16), 4099),
+], ids=["8bit-1", "16bit-7", "8bit-4099", "16bit-strided-4099"])
+def test_pgm_short_writes_are_resumed(tmp_path, monkeypatch, image, most):
+    # a write may take fewer bytes than it is given, and may stop inside
+    # the header, inside a buffer or at its end
+    def short_writev(fd, buffers):
+        data = b"".join(bytes(memoryview(buf).cast("B")[:most]) for buf in buffers)
+        return os.write(fd, data[:most])
+
+    write_pgm(tmp_path / "whole.pgm", image)
+    monkeypatch.setattr(os, "writev", short_writev)
+    write_pgm(tmp_path / "short.pgm", image)
+    assert (tmp_path / "short.pgm").read_bytes() == (tmp_path / "whole.pgm").read_bytes()
+
+
+@pytest.mark.parametrize("image", [np.zeros((3, 4), np.uint8),
+                                   _big[::2, ::2].astype(np.uint16)],
+                         ids=["8bit", "16bit-strided"])
+def test_pgm_write_error_closes_the_descriptor(tmp_path, monkeypatch, image):
+    # a raw descriptor leaks silently, with no ResourceWarning: count closes
+    recording = _RecordingOS()
+
+    def failing_writev(fd, buffers):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(recording, "writev", failing_writev)
+    monkeypatch.setattr(runfiles, "os", recording)
+    with pytest.raises(OSError, match="No space left on device"):
+        write_pgm(tmp_path / "image.pgm", image)
+    (opened, fd), last = recording.calls
+    assert opened == "open" and last == ("close", fd)
 
 
 numbers = st.floats(allow_nan=False)
@@ -221,6 +272,21 @@ def test_rerun_creates_files_new(tmp_path):
         assert (out / name).read_bytes() != old
         assert not os.path.samefile(out / name, tmp_path / name)
     assert np.array_equal(read_pgm(out / "frame_0000.pgm"), frames[0])
+
+
+@pytest.mark.parametrize("write, old, new", [
+    (write_pgm, np.zeros((3, 4), np.uint8), np.ones((3, 4), np.uint8)),
+    (write_config, {"seed": 1}, {"seed": 2}),
+], ids=["graymap", "text"])
+def test_writing_over_a_file_creates_it_new(tmp_path, write, old, new):
+    # without write_run, which removes a run's files first: the writer
+    # itself unlinks the existing file, so a hard link keeps its bytes
+    write(tmp_path / "file", old)
+    os.link(tmp_path / "file", tmp_path / "link")
+    kept = (tmp_path / "file").read_bytes()
+    write(tmp_path / "file", new)
+    assert (tmp_path / "link").read_bytes() == kept
+    assert (tmp_path / "file").read_bytes() != kept
 
 
 @pytest.mark.parametrize("frames, records, counted", [
