@@ -55,7 +55,7 @@ class LatticeConfig:
 
     beam_plus is the beam offset by +D/2 in front of the lens, beam_minus
     the one at -D/2.  path_difference is the optical path length of
-    beam_plus minus that of beam_minus, in micrometers; it shifts the
+    beam_minus minus that of beam_plus, in micrometers; it shifts the
     fringe pattern by path_difference/wavelength fringes.
     """
 
@@ -106,10 +106,11 @@ def intensity_at(cfg: LatticeConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray
     require_resolved: fewer than 4 samples per period is a ValueError, as
     an undersampled lattice would alias silently otherwise.
     """
-    require_resolved(cfg, x)
+    require_resolved(cfg.optics, x)
     envelope, cross_y, cross_x = beam_envelopes(cfg, x, y)
     return fringes_into(np.empty(envelope.shape), envelope, cross_y,
-                        cross_row(cfg, x, cross_x))
+                        cross_row(cfg.optics, cfg.optics.separation,
+                                  cfg.path_difference, x, cross_x))
 
 
 def beam_envelopes(cfg: LatticeConfig, x: np.ndarray, y: np.ndarray
@@ -136,11 +137,11 @@ def beam_envelopes(cfg: LatticeConfig, x: np.ndarray, y: np.ndarray
     return envelope, f1y * f2y, 2 * a1 * a2 * f1x * f2x
 
 
-def require_resolved(cfg: LatticeConfig, x: np.ndarray) -> None:
+def require_resolved(optics: OpticalParams, x: np.ndarray) -> None:
     """Raise ValueError if the spacing of the uniform coordinates x puts
-    fewer than MIN_SAMPLES_PER_FRINGE samples on one of cfg's fringes; an
+    fewer than MIN_SAMPLES_PER_FRINGE samples on one of optics' fringes; an
     undersampled lattice would alias silently otherwise."""
-    d = spacing_fourier(cfg.optics)
+    d = spacing_fourier(optics)
     dx = abs(float(x[1] - x[0]))
     if d / dx < MIN_SAMPLES_PER_FRINGE:
         raise ValueError(
@@ -150,15 +151,16 @@ def require_resolved(cfg: LatticeConfig, x: np.ndarray) -> None:
         )
 
 
-def cross_row(cfg: LatticeConfig, x: np.ndarray, cross_x: np.ndarray) -> np.ndarray:
-    """The cross term's x profile cross_x * cos(2 pi D x/(lam f) + 2 pi dL/lam)
-    of cfg, given beam_envelopes' cross_x of any config with cfg's beams:
-    the one part of intensity_at that reads D and dL, a row of len(x).
-    The sampling is not checked here: a caller checks it once per config
-    with require_resolved, before the first frame."""
-    phase = (2 * math.pi * cfg.optics.separation
-             / (cfg.optics.wavelength * cfg.optics.focal_length) * x
-             + 2 * math.pi * cfg.path_difference / cfg.optics.wavelength)
+def cross_row(optics: OpticalParams, separation: float, path_difference: float,
+              x: np.ndarray, cross_x: np.ndarray) -> np.ndarray:
+    """The cross term's x profile cross_x * cos(2 pi D x/(lam f) + 2 pi dL/lam),
+    cross_x from beam_envelopes, at D = separation, dL = path_difference
+    (beam_minus's path minus beam_plus's) and optics' lam and f: the one
+    part of intensity_at that reads D and dL, a row of len(x).  The caller
+    checks the sampling with require_resolved, once per sample."""
+    phase = (2 * math.pi * separation
+             / (optics.wavelength * optics.focal_length) * x
+             + 2 * math.pi * path_difference / optics.wavelength)
     return cross_x * np.cos(phase)
 
 
@@ -166,7 +168,7 @@ def fringes_into(out: np.ndarray, envelope: np.ndarray, cross_y: np.ndarray,
                  row: np.ndarray) -> np.ndarray:
     """Rows of intensity_at into out, which it returns: the envelope rows
     plus the outer product of their cross-term y factors cross_y with a
-    config's cross_row, in place.  The steps are elementwise, so any split
+    sample's cross_row, in place.  The steps are elementwise, so any split
     of the rows gives the same bytes."""
     # cross_y[i] * row[j], as np.multiply.outer forms it, without the 124 KB
     # iterator buffer that takes on a 32 x 1280 block
@@ -181,9 +183,9 @@ def fringes_into(out: np.ndarray, envelope: np.ndarray, cross_y: np.ndarray,
 def center_fringe_shift(cfg: LatticeConfig) -> float:
     """Unreduced center-fringe position -dL*f/D in micrometers.
 
-    A path-length difference of one wavelength moves the pattern by
-    exactly one fringe, so the shift in fringes is dL/lam regardless of
-    the spacing.
+    dL is beam_minus's path minus beam_plus's; the paths are equal there.
+    One wavelength of dL moves the pattern by exactly one fringe, so the
+    shift in fringes is dL/lam regardless of the spacing.
     """
     return -cfg.path_difference * cfg.optics.focal_length / cfg.optics.separation
 

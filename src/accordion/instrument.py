@@ -7,19 +7,20 @@ the center fringe still during a sweep.  The rival scheme of translating
 the beam-splitter pair is modeled only through its path-length penalty:
 a perpendicular deviation delta costs 2*delta of path difference.
 
-The camera sees the closed-form lattice at its pixel centres.
-render_frame renders one configuration.  render_sequence checks every
-sample of a sweep, and evaluates the beam envelopes, before it returns its
+The camera sees the closed-form lattice at its pixel centres.  render_frame
+renders one configuration.  render_sequence renders a sweep from its
+trajectory's (D, dL) arrays, with no configuration per sample: it checks
+every sample, and evaluates the beam envelopes, before it returns its
 frames as an iterator that renders them on demand, in sample order, on the
 calling thread or on a pool that runs at most one sample per worker ahead
 of the consumer.  Both go through one renderer, which computes a frame's
 cross row once and then renders and digitizes the frame one block of rows
 at a time: gain, optional Gaussian read noise and quantization are applied
-to each block, and the block is stored into the frame's integer array.
-The noise stream is keyed by (seed, frame_index) and drawn block after
-block in row order, which is the stream one draw for the whole frame would
-give, so that frames rendered in parallel, serially, or in any order, or
-one at a time by render_frame, are bit-identical.
+to each block, and the block is stored into the frame's integer array.  The
+noise stream is keyed by (seed, frame_index) and drawn block after block in
+row order, which is the stream one draw for the whole frame would give, so
+that frames rendered in parallel, serially, or in any order, or one at a
+time by render_frame, are bit-identical.
 
 One mirror rule serves rows and columns: where a frame reads bit for bit
 the same reversed, only its rows or columns up to the center, ceil(n/2)
@@ -52,7 +53,7 @@ does, adds only the frame it works on while a pool renders: on a noisy
 integer frames above the envelope on 1 worker and 5.4 on 2.
 
 Without read noise the digitizer does not read the frame index, so equal
-inputs give equal bytes: a sample whose config equals the previous
+inputs give equal bytes: a sample whose (D, dL) equals the previous
 sample's yields the previous frame again, as during the hold at the far
 end of a sweep.
 """
@@ -71,8 +72,7 @@ import numpy as np
 
 from .fields import (LatticeConfig, beam_envelopes, cross_row, fringes_into,
                      require_resolved)
-from .geometry import bs_translation_path_difference  # noqa: F401 (re-exported)
-from .geometry import require_positive, spacing_fourier
+from .geometry import OpticalParams, require_positive, spacing_fourier
 
 
 @dataclass(frozen=True)
@@ -277,10 +277,10 @@ def _new_frame(cam: CameraModel) -> np.ndarray:
 
 
 def _frame_renderer(base_cfg: LatticeConfig, cam: CameraModel
-                    ) -> Callable[[LatticeConfig, int, np.ndarray], np.ndarray]:
-    """render(cfg, frame_index, frame): the digitized fringes of a config
-    with base_cfg's beams, written into and returned as frame, a
-    _new_frame(cam) of the caller's, frame_index keying the noise stream.
+                    ) -> Callable[[float, float, int, np.ndarray], np.ndarray]:
+    """render(separation, path_difference, frame_index, frame): base_cfg's
+    beams and lens digitized at that D and dL into frame, a _new_frame(cam)
+    of the caller's, which it returns; frame_index keys the noise stream.
 
     The beam envelopes are evaluated here, once, on the rows up to the
     center only when both beams are centred in y.  A frame computes its
@@ -307,8 +307,9 @@ def _frame_renderer(base_cfg: LatticeConfig, cam: CameraModel
     mirrored = (not noisy and np.array_equal(envelope, envelope[:, ::-1])
                 and np.array_equal(cross_x, cross_x[::-1]))
 
-    def render(cfg: LatticeConfig, frame_index: int, frame: np.ndarray) -> np.ndarray:
-        cross = cross_row(cfg, px, cross_x)
+    def render(separation: float, path_difference: float, frame_index: int,
+               frame: np.ndarray) -> np.ndarray:
+        cross = cross_row(base_cfg.optics, separation, path_difference, px, cross_x)
         mirror = mirrored and np.array_equal(cross, cross[::-1])
         width = (px.size + 1) // 2 if mirror else px.size
         rng = np.random.default_rng([cam.seed, frame_index]) if noisy else None
@@ -347,8 +348,9 @@ def render_frame(cfg: LatticeConfig, cam: CameraModel,
         Raises ValueError if a fringe spans fewer than 4 pixels, or if
         the peak counts gain * (a1 + a2)^2 are not finite.
     """
-    require_resolved(cfg, cam.pixel_x())
-    return _frame_renderer(cfg, cam)(cfg, frame_index, _new_frame(cam))
+    require_resolved(cfg.optics, cam.pixel_x())
+    return _frame_renderer(cfg, cam)(cfg.optics.separation, cfg.path_difference,
+                                     frame_index, _new_frame(cam))
 
 
 @dataclass(frozen=True)
@@ -368,76 +370,72 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
                     ) -> tuple[Iterator[np.ndarray], list[FrameRecord]]:
     """Render one digital frame per trajectory sample, one frame at a time.
 
-    Each sample substitutes its separation and path difference into
-    base_cfg.  Every sample's config and manifest record is built, and its
-    sampling checked, before this returns: a sample that cannot render is a
+    Each sample renders base_cfg's beams and lens at its D and dL, read
+    from the trajectory's arrays.  Every sample is checked and its manifest
+    record built before this returns: a sample that cannot render is a
     ValueError naming the lowest such sample, raised before any frame is
     rendered.  Returns the frames and the matching manifest records.
 
     The frames are a single-pass iterator in sample order, and frame i is
-    byte for byte render_frame(cfg_i, cam, i); the beam envelopes, which
-    depend on neither D nor dL, are evaluated once per sweep, before this
-    returns, so a consumer that has started its output meets no rendering
-    error the checks above did not raise.  The frames are read-only.
-    Without read noise a sample whose config equals the previous one is
-    not rendered: it yields the previous frame, the same array.  Rendering
-    starts at the first next().  With workers > 1 a thread pool renders at
-    most `workers` samples ahead of the consumer, and the output is
-    identical to the serial render.  Each frame renders by the module's
-    mirror rule: without read noise, rows and columns that mirror others
-    are copied, not rendered.  Beyond the envelope, each sample being
-    rendered holds its integer frame and two float64 blocks of rows of at
-    most 320 KB, and the iterator drops each frame before it pulls the
-    next: a consumer that does too holds at most workers + 1 integer
-    frames, whatever the sweep's length and however fine its fringes, and
-    on 1 worker one frame.  Every integer frame is allocated on the thread
-    that iterates the frames, before its sample is handed to a worker, so a
-    worker thread holds only its float64 blocks.  Closing the iterator
-    early cancels the samples not yet started and joins the pool.  A
-    worker count below 1 is a ValueError.
+    byte for byte render_frame(cfg_i, cam, i), cfg_i being base_cfg at
+    sample i's D and dL; the beam envelopes, which depend on neither D nor
+    dL, are evaluated once per sweep, before this returns, so a consumer
+    that has started its output meets no rendering error the checks above
+    did not raise.  The frames are read-only.  Without read noise a sample
+    whose (D, dL) equals the previous one's is not rendered: it yields the
+    previous frame, the same array.  Rendering starts at the first next().
+    With workers > 1 a thread pool renders at most `workers` samples ahead
+    of the consumer, and the output is identical to the serial render.
+    Each frame renders by the module's mirror rule: without read noise,
+    rows and columns that mirror others are copied, not rendered.  Beyond
+    the envelope, each sample being rendered holds its integer frame and
+    two float64 blocks of rows of at most 320 KB, and the iterator drops
+    each frame before it pulls the next: a consumer that does too holds at
+    most workers + 1 integer frames, whatever the sweep's length and
+    however fine its fringes, and on 1 worker one frame.  Every integer
+    frame is allocated on the thread that iterates the frames, before its
+    sample is handed to a worker, so a worker thread holds only its float64
+    blocks.  Closing the iterator early cancels the samples not yet started
+    and joins the pool.  A worker count below 1 is a ValueError.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
     px = cam.pixel_x()
-    configs, records = [], []
-    for i in range(len(trajectory)):
+    lens = base_cfg.optics
+    samples = list(zip(trajectory.separations.astype(float).tolist(),
+                       trajectory.path_differences.astype(float).tolist()))
+    records = []
+    for i, (separation, path_difference) in enumerate(samples):
         try:
-            cfg = replace(
-                base_cfg,
-                optics=replace(base_cfg.optics,
-                               separation=float(trajectory.separations[i])),
-                path_difference=float(trajectory.path_differences[i]),
-            )
-            require_resolved(cfg, px)
+            optics = OpticalParams(lens.wavelength, lens.focal_length, separation)
+            require_resolved(optics, px)
         except ValueError as err:
             raise ValueError(f"rendering failed at sample {i}: {err}") from err
-        configs.append(cfg)
         records.append(FrameRecord(
             frame=f"frame_{i:04d}.pgm",
             time_s=float(trajectory.times[i]),
             mirror_um=float(trajectory.mirror_positions[i]),
-            separation_um=float(trajectory.separations[i]),
-            analytic_spacing_um=spacing_fourier(cfg.optics),
-            path_difference_um=float(trajectory.path_differences[i]),
+            separation_um=separation,
+            analytic_spacing_um=spacing_fourier(optics),
+            path_difference_um=path_difference,
         ))
     # the envelopes too are evaluated before this returns, so that no
     # rendering error can come after a consumer has started its output
-    return _render_frames(_frame_renderer(base_cfg, cam), configs, cam, workers), records
+    return _render_frames(_frame_renderer(base_cfg, cam), samples, cam, workers), records
 
 
-def _render_frames(render_config: Callable[[LatticeConfig, int, np.ndarray], np.ndarray],
-                   configs: list[LatticeConfig], cam: CameraModel, workers: int
+def _render_frames(render_sample: Callable[[float, float, int, np.ndarray], np.ndarray],
+                   samples: list[tuple[float, float]], cam: CameraModel, workers: int
                    ) -> Iterator[np.ndarray]:
     # the first sample of each run of samples that render alike
-    starts = list(range(len(configs)))
+    starts = list(range(len(samples)))
     if cam.read_noise == 0:
-        # without read noise the digitizer ignores the frame index, so equal
-        # configs render equal frames
-        starts = [i for i in starts if i == 0 or configs[i] != configs[i - 1]]
-    counts = np.diff([*starts, len(configs)]).tolist()
+        # without read noise the frame index is not read: equal (D, dL), equal frames
+        starts = [i for i in starts if i == 0 or samples[i] != samples[i - 1]]
+    counts = np.diff([*starts, len(samples)]).tolist()
 
     def render(i: int, frame: np.ndarray) -> np.ndarray:
-        render_config(configs[i], i, frame)
+        render_sample(*samples[i], i, frame)
         # a repeated sample yields this same array again
         frame.flags.writeable = False
         return frame

@@ -5,6 +5,11 @@ Deliberately separate from the package:
   and applies the linear phase tilt of its +-D/2 offset and the
   path-difference phase; the squared modulus of the sum of the two fields
   referees the closed form (`intensity_at`) without touching it;
+- the Fraunhofer oracle goes one step further back, to the lens plane: it
+  sums two Gaussians at +-D/2, beam_minus's extra path dL in its phase,
+  through the lens's Fourier kernel at the exact focal-plane points, so
+  the tilts and the sign of dL come from the optics, not from the closed
+  form's conventions;
 - the period oracle works in the time domain (tapered autocorrelation,
   direct O(n^2) correlation), never touching the spectral path it
   verifies;
@@ -21,7 +26,7 @@ import math
 
 import numpy as np
 
-from accordion import intensity_at
+from accordion import conjugate_waist, intensity_at
 
 
 def beam_field(beam, x, y):
@@ -57,6 +62,38 @@ def tilted_fields(cfg, x, y):
     u_minus = shifted_field(beam_field(cfg.beam_minus, x, y), -1, cfg.optics, x)
     phase = np.exp(-2j * math.pi * cfg.path_difference / cfg.optics.wavelength)
     return u_plus * phase, u_minus
+
+
+def fraunhofer_row(cfg, x):
+    """Intensity at the focal-plane points (x, 0) of cfg's beams, by a
+    direct 1-D Fraunhofer sum over the lens plane.
+
+    Each beam enters the lens as a Gaussian centred at +-D/2 (beam_plus at
+    +D/2), of the waist conjugate_waist gives for its focal waist, scaled
+    so that its focal-plane peak is its amplitude; beam_minus, longer by
+    dL, carries exp(+2 pi i dL/lam).  The focal field at x is the sum over
+    a uniform lens-plane grid xi of the lens field times
+    exp(-2 pi i x xi/(lam f)), at each x itself: no FFT and no x grid.
+    Beams off the axis, which would need a lens-plane tilt, are refused.
+    """
+    lam, f, sep = cfg.optics.wavelength, cfg.optics.focal_length, cfg.optics.separation
+    beams = ((cfg.beam_plus, sep / 2, 1.0),
+             (cfg.beam_minus, -sep / 2, np.exp(2j * math.pi * cfg.path_difference / lam)))
+    if any(beam.center_offset != (0.0, 0.0) for beam, _, _ in beams):
+        raise ValueError("the Fraunhofer oracle models beams on the axis only")
+    x = np.asarray(x, dtype=float)
+    waists = [conjugate_waist(lam, f, beam.focal_waist) for beam, _, _ in beams]
+    # the step resolves the narrowest lens-plane beam, and puts the sum's
+    # aliases, lam*f/step apart in x, 12 focal waists beyond every x
+    reach = np.abs(x).max() + 12 * max(beam.focal_waist for beam, _, _ in beams)
+    step = min(min(waists) / 8, lam * f / reach)
+    n = math.ceil((sep / 2 + 12 * max(waists)) / step)
+    xi = np.arange(-n, n + 1) * step
+    lens = sum(beam.amplitude * phase / (math.sqrt(math.pi) * w)
+               * np.exp(-((xi - center) / w) ** 2)
+               for (beam, center, phase), w in zip(beams, waists))
+    kernel = np.exp(-2j * math.pi / (lam * f) * np.multiply.outer(x, xi))
+    return np.abs(kernel @ lens * step) ** 2
 
 
 def autocorr_period(image, window_rows=None):

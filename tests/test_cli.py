@@ -381,6 +381,22 @@ class TestSweepCommand:
         frames = b"".join(p.read_bytes() for p in sorted(out.glob("frame_*.pgm")))
         assert hashlib.sha256(frames).hexdigest() == digest
 
+    # SHA-256 of manifest.csv, pinned at 0.7.0
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("args, digest", [
+        (["--preset", "fig6b", "--seed", "7"],
+         "196fb8730ae0e4aafb590e342e23f114580ace50ebdc5fcf146a4258a119993a"),
+        (["--separations", "19250,12000,8000", "--focal", "30000", "--waist", "36",
+          "--waist2", "40", "--amplitude2", "0.8", "--sensor", "1280x240",
+          "--bit-depth", "16", "--read-noise", "40", "--path-difference", "0.1",
+          "--seed", "7"],
+         "87f7f177de8b60686346ddf4dfa82b5560aa4c1d758f608bffdba9aab75cb622"),
+    ], ids=["fig6b", "ladder-16bit-noise"])
+    def test_manifest_bytes_are_pinned(self, tmp_path, args, digest, workers):
+        out = tmp_path / "run"
+        assert main(["sweep", *args, "--workers", workers, "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "manifest.csv").read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("sensor", ["640", "640x", "x120", "axb"])
     def test_malformed_sensor_is_usage_error(self, tmp_path, capsys, sensor):
         assert main(["sweep", "--preset", "fig4a", "--sensor", sensor,

@@ -22,8 +22,8 @@ from accordion import (
     spacing_fourier,
 )
 from accordion.fields import beam_envelopes, cross_row, fringes_into
-from conftest import make_config
-from oracles import beam_field, beam_intensity, shifted_field, tilted_fields
+from conftest import make_camera, make_config
+from oracles import beam_field, beam_intensity, fraunhofer_row, shifted_field, tilted_fields
 
 
 def axis(width, n):
@@ -200,7 +200,8 @@ class TestInterferenceIntensity:
             cfg = replace(base, optics=replace(base.optics, separation=separation),
                           path_difference=path_difference)
             fringes = fringes_into(np.empty(envelope.shape), envelope, cross_y,
-                                   cross_row(cfg, x, cross_x))
+                                   cross_row(base.optics, separation, path_difference,
+                                             x, cross_x))
             assert np.array_equal(fringes, intensity_at(cfg, x, y))
 
     @settings(max_examples=100, deadline=None)
@@ -292,6 +293,18 @@ class TestCenterFringe:
         d = spacing_fourier(cfg.optics)
         assert center_fringe_shift(cfg) == pytest.approx(-d, rel=1e-12)
         assert center_fringe_position(cfg) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("cfg", [
+        make_config(separation=43810.0),
+        make_config(separation=3810.0, waist2=40.0, amp2=0.8, path_difference=0.1),
+        make_config(separation=10000.0, path_difference=0.25),
+    ], ids=["fig6b-start", "fig6b-far-unequal-beams", "10mm-quarter-wave"])
+    def test_center_row_matches_a_fraunhofer_sum(self, cfg):
+        # the oracle derives the tilts and the sign of dL from the lens
+        # plane: dL is beam_minus's path minus beam_plus's
+        x = make_camera().pixel_x()
+        row = intensity_at(cfg, x, np.zeros(1))[0]
+        assert np.max(np.abs(fraunhofer_row(cfg, x) - row)) <= 1e-12 * row.max()
 
     def test_fold_interval_is_half_open(self):
         assert fold_to_period(5.0, 10.0) == pytest.approx(5.0)

@@ -36,22 +36,31 @@ from oracles import digitized_frame
 FIG6B_DRIVE = MirrorDrive(initial_separation=43810.0, speed=20000.0,
                           travel=20000.0, dwell=0.5, frame_rate=30.0)
 
+# a small camera, and the separations where make_config's lattice stops
+# rendering on its pixels, each with its neighbouring floats: twice the
+# focal length (160 mm), and a fringe of 4 pixels (about 124.7 mm)
+SMALL_CAMERA = make_camera(sensor=(64, 8))
+_dx = float(np.diff(SMALL_CAMERA.pixel_x()[:2])[0])
+RENDER_LIMITS = [float(v) for limit in (2 * 80000.0, 0.532 * 80000.0 / (4 * _dx))
+                 for v in (np.nextafter(limit, 0), limit, np.nextafter(limit, np.inf))]
+
 
 @pytest.fixture
 def rendered(monkeypatch):
-    """The config, the number of rows and the widths of the blocks of each
-    frame rendered so far, in any thread.  A frame computes its cross row
-    once, one cross_row call, then renders its rows on the same thread in
-    blocks, one fringes_into call each: a cross_row call starts its
-    thread's entry, and each block adds its rows and its width to it."""
+    """The (separation, path difference), the number of rows and the widths
+    of the blocks of each frame rendered so far, in any thread.  A frame
+    computes its cross row once, one cross_row call, then renders its rows
+    on the same thread in blocks, one fringes_into call each: a cross_row
+    call starts its thread's entry, and each block adds its rows and its
+    width to it."""
     calls = []
     current = threading.local()
     cross_row, fringes_into = instrument.cross_row, instrument.fringes_into
 
-    def counting_cross_row(cfg, x, cross_x):
-        current.entry = [cfg, 0, set()]
+    def counting_cross_row(optics, separation, path_difference, x, cross_x):
+        current.entry = [(separation, path_difference), 0, set()]
         calls.append(current.entry)
-        return cross_row(cfg, x, cross_x)
+        return cross_row(optics, separation, path_difference, x, cross_x)
 
     def counting_fringes_into(out, envelope, cross_y, row):
         current.entry[1] += out.shape[0]
@@ -331,6 +340,31 @@ class TestRenderSequence:
         with pytest.raises(ValueError, match="sample 1:"):
             render_sequence(traj, make_config(), make_camera(), workers=workers)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @settings(max_examples=60, deadline=None)
+    @given(separations=st.lists(st.sampled_from(RENDER_LIMITS) | st.floats(20000.0, 170000.0),
+                                min_size=1, max_size=5))
+    def test_fails_exactly_where_render_frame_fails(self, workers, separations):
+        # render_sequence raises if and only if render_frame of some sample's
+        # config does, naming the lowest such sample with its own message;
+        # otherwise its frames are render_frame's
+        base, cam = make_config(), SMALL_CAMERA
+        expected, direct = None, []
+        for i, separation in enumerate(separations):
+            try:
+                cfg = replace(base, optics=replace(base.optics, separation=separation))
+                direct.append(render_frame(cfg, cam, i))
+            except ValueError as err:
+                expected = f"rendering failed at sample {i}: {err}"
+                break
+        if expected is None:
+            frames, _ = render_sequence(static_sweep(separations), base, cam, workers)
+            assert all(np.array_equal(f, d) for f, d in zip(frames, direct, strict=True))
+        else:
+            with pytest.raises(ValueError) as raised:
+                render_sequence(static_sweep(separations), base, cam, workers)
+            assert str(raised.value) == expected
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_rejected(self, workers):
         traj = static_sweep([43810.0])
@@ -390,23 +424,23 @@ class TestStreamedFrames:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sampling_is_checked_once_per_sample(self, monkeypatch, workers):
-        # render_sequence checks every sample up front; no rendered frame,
-        # nor a repeated one, checks its sampling again
-        checked = []
-        require_resolved = fields.require_resolved
-
-        def counting(cfg, x):
-            checked.append(cfg)
-            return require_resolved(cfg, x)
-
-        monkeypatch.setattr(fields, "require_resolved", counting)
-        monkeypatch.setattr(instrument, "require_resolved", counting)
+        # render_sequence checks every sample before it returns, the last one
+        # too; no rendered frame, nor a repeated one, checks its sampling again
         traj = build_trajectory(FIG6B_DRIVE)
+        last_undersampled = replace(traj, separations=np.append(traj.separations[:-1],
+                                                                150000.0))
+        with pytest.raises(ValueError, match="rendering failed at sample 75: sampling"):
+            render_sequence(last_undersampled, make_config(), make_camera(),
+                            workers=workers)
         frames, records = render_sequence(traj, make_config(), make_camera(),
                                           workers=workers)
-        assert len(checked) == len(records) == 76  # before any frame renders
-        assert len(list(frames)) == 76
-        assert len(checked) == 76  # and none while they render
+
+        def checked_while_rendering(*args):
+            raise AssertionError("a sample's sampling was checked while frames render")
+
+        monkeypatch.setattr(fields, "require_resolved", checked_while_rendering)
+        monkeypatch.setattr(instrument, "require_resolved", checked_while_rendering)
+        assert len(list(frames)) == len(records) == 76
 
     def test_closing_early_cancels_the_queue_and_joins_the_pool(self, rendered):
         workers = 2
