@@ -89,7 +89,9 @@ def fringe_profile(image, window_rows: int | None = None) -> np.ndarray:
     rows = window_rows if window_rows is not None else max(1, ny // 4)
     rows = int(min(max(rows, 1), ny))
     start = ny // 2 - rows // 2
-    return img[start:start + rows].astype(float).mean(axis=0)
+    # summed in float64 with no float copy of the band: a sum of integers
+    # below 2**53 is exact, so the bits are those of the copy's mean
+    return img[start:start + rows].mean(axis=0, dtype=float)
 
 
 class _Spectrum(NamedTuple):

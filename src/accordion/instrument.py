@@ -16,11 +16,14 @@ calling thread or on a pool that runs at most one sample per worker ahead
 of the consumer.  Both go through one renderer, which computes a frame's
 cross row once and then renders and digitizes the frame one block of rows
 at a time: gain, optional Gaussian read noise and quantization are applied
-to each block, and the block is stored into the frame's integer array.  The
-noise stream is keyed by (seed, frame_index) and drawn block after block in
-row order, which is the stream one draw for the whole frame would give, so
-that frames rendered in parallel, serially, or in any order, or one at a
-time by render_frame, are bit-identical.
+to each block, and the block is stored into the frame's integer array:
+uint8, or big-endian uint16, the byte order of a binary graymap's 16-bit
+samples, so that runfiles writes a frame from its own buffer and reads
+one back with no byte swap.  The noise stream is keyed by (seed,
+frame_index) and drawn block after block in row order, which is the
+stream one draw for the whole frame would give, so that frames rendered
+in parallel, serially, or in any order, or one at a time by render_frame,
+are bit-identical.
 
 One mirror rule serves rows and columns: where a frame reads bit for bit
 the same reversed, only its rows or columns up to the center, ceil(n/2)
@@ -32,8 +35,8 @@ same reversed, as at zero path difference with both beams on the axis,
 where the center fringe sits on the sensor's center; NumPy's cos need not
 be even, and a path difference, or a beam off the axis in x, renders the
 full width.  A noise-free frame renders the quadrant up to both centers
-straight into the frame and copies the mirror columns, then the mirror
-rows, after digitizing.  A noisy frame, whose every pixel differs,
+into the frame and copies the mirror columns, then the mirror rows, after
+digitizing.  A noisy frame, whose every pixel differs,
 renders all its rows and columns in the order of its noise stream, its
 mirror rows reading the envelope backwards.
 
@@ -41,16 +44,17 @@ Memory: beyond the float64 envelope (120 of the 240 rows of a 1280-pixel-
 wide sensor with both beams centred in y, 1.2 MB), a frame being rendered
 holds its integer frame and two float64 blocks of at most 320 KB (a
 block's fringes and its read noise, or the next block's fringes), never a
-float64 array of the whole frame.  The integer frame is allocated by the
-thread that consumes the frames, render_frame's caller or the iterator's,
-and handed to the renderer, so that the frames of a pooled sweep come
-from that thread's heap, which the consumer's own buffers reuse, and a
-worker thread holds only its float64 blocks.  A sweep holds at most one
-frame per worker, and each yielded frame is dropped by the iterator
+float64 array of the whole frame, and a big-endian frame one native-order
+block of its samples, at most 80 KB.  The integer frame is allocated by
+the thread that consumes the frames, render_frame's caller or the
+iterator's, and handed to the renderer, so that the frames of a pooled
+sweep come from that thread's heap, which the consumer's own buffers
+reuse, and a worker thread holds only its blocks.  A sweep holds at most
+one frame per worker, and each yielded frame is dropped by the iterator
 before it pulls the next, so a consumer that drops it too, as write_run
 does, adds only the frame it works on while a pool renders: on a noisy
-1280 x 240 16-bit sensor, a sweep written by write_run peaks at about 2.2
-integer frames above the envelope on 1 worker and 5.4 on 2.
+1280 x 240 16-bit sensor, a sweep written by write_run peaks at about 2.3
+integer frames above the envelope on 1 worker and 5.5 on 2.
 
 Without read noise the digitizer does not read the frame index, so equal
 inputs give equal bytes: a sample whose (D, dL) equals the previous
@@ -217,8 +221,10 @@ class CameraModel:
         return (1 << self.bit_depth) - 1
 
     @property
-    def dtype(self):
-        return np.uint8 if self.bit_depth == 8 else np.uint16
+    def dtype(self) -> np.dtype:
+        """uint8, or for 16 bits big-endian uint16: the byte order of a
+        binary graymap's samples, so a frame is written as it is stored."""
+        return np.dtype(np.uint8 if self.bit_depth == 8 else ">u2")
 
     def pixel_x(self) -> np.ndarray:
         nx = self.sensor[0]
@@ -251,7 +257,8 @@ def _digitize(counts: np.ndarray, cam: CameraModel,
         noise *= cam.read_noise
         counts += noise
     np.rint(counts, out=counts)
-    np.clip(counts, 0, cam.full_scale, out=counts)
+    # bounds of the block's dtype: int ones are converted on every call
+    np.clip(counts, 0.0, float(cam.full_scale), out=counts)
     return counts
 
 
@@ -313,12 +320,24 @@ def _frame_renderer(base_cfg: LatticeConfig, cam: CameraModel
         mirror = mirrored and np.array_equal(cross, cross[::-1])
         width = (px.size + 1) // 2 if mirror else px.size
         rng = np.random.default_rng([cam.seed, frame_index]) if noisy else None
+        # NumPy casts float64 into byte-swapped samples through a small
+        # buffer it allocates on every store, and in a worker thread that
+        # grew glibc's heap by about a block (0.3 MB of the ladder's peak
+        # RSS; NumPy 2.4, glibc 2.36): a big-endian frame takes its samples
+        # from one native-order block instead, by a byte-swapping copy
+        native = (None if frame.dtype.isnative else
+                  np.empty((min(rows, max(1, _BLOCK_ELEMENTS // width)), width),
+                           frame.dtype.newbyteorder("=")))
         for frame_rows, src in _row_blocks(rows, half, width):
             # rebound before it is filled: the last block is freed by then
             block = np.empty((frame_rows.stop - frame_rows.start, width))
             fringes_into(block, envelope[src, :width], cross_y[src], cross[:width])
             # the values are whole numbers within the bit depth: the casts are exact
-            frame[frame_rows, :width] = _digitize(block, cam, rng)
+            counts = _digitize(block, cam, rng)
+            if native is not None:
+                native[:len(counts)] = counts
+                counts = native[:len(counts)]
+            frame[frame_rows, :width] = counts
         # column j past the rendered ones mirrors column len(px) - 1 - j, and
         # row r past them row len(py) - 1 - r
         frame[:rows, width:] = frame[:rows, :px.size - width][:, ::-1]
@@ -341,7 +360,7 @@ def render_frame(cfg: LatticeConfig, cam: CameraModel,
 
     Returns
     -------
-    ndarray of uint8 or uint16, shape (ny_px, nx_px)
+    ndarray of uint8 or big-endian uint16 (cam.dtype), shape (ny_px, nx_px)
         clamp(round(gain * I + N(0, read_noise))) to the bit depth, with I
         from intensity_at; byte for byte frame frame_index of a
         render_sequence sample with cfg's separation and path difference.
@@ -388,13 +407,14 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
     of the consumer, and the output is identical to the serial render.
     Each frame renders by the module's mirror rule: without read noise,
     rows and columns that mirror others are copied, not rendered.  Beyond
-    the envelope, each sample being rendered holds its integer frame and
-    two float64 blocks of rows of at most 320 KB, and the iterator drops
+    the envelope, each sample being rendered holds its integer frame, two
+    float64 blocks of rows of at most 320 KB and, for a big-endian frame,
+    a native-order block of at most 80 KB, and the iterator drops
     each frame before it pulls the next: a consumer that does too holds at
     most workers + 1 integer frames, whatever the sweep's length and
     however fine its fringes, and on 1 worker one frame.  Every integer
     frame is allocated on the thread that iterates the frames, before its
-    sample is handed to a worker, so a worker thread holds only its float64
+    sample is handed to a worker, so a worker thread holds only its
     blocks.  Closing the iterator early cancels the samples not yet started
     and joins the pool.  A worker count below 1 is a ValueError.
     """

@@ -18,12 +18,16 @@ unlinked, never truncated and rewritten in place, so a hard link to it
 keeps the old bytes, and a file system that flushes a truncated and
 rewritten file when it is closed (ext4's auto_da_alloc) has nothing to
 flush.  A graymap is written straight to that descriptor with os.writev,
-its header with its first samples, so an 8-bit frame costs one create,
+its header with its first samples, so a frame already in the file's
+byte order, 8-bit or the camera's big-endian 16-bit, costs one create,
 one write and one close; the text files are written through a file
 object opened on the same rule.  os.writev makes the module Unix-only.
-A rerun into a run directory first removes the earlier run's files (its
-manifest first), so no stale frame, composite or report outlives it.  The
-manifest is written last: a directory without one is not a complete run.
+read_pgm returns the samples as a view of the bytes read, in the same
+byte order, so no step from the digitizer to the analysis byte-swaps a
+16-bit sample.  A rerun into a run directory first removes the earlier
+run's files (its manifest first), so no stale frame, composite or report
+outlives it.  The manifest is written last: a directory without one is
+not a complete run.
 """
 
 from __future__ import annotations
@@ -88,22 +92,24 @@ def _write_all(fd: int, buffers) -> None:
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:
-    """Write a 2-D uint8 or uint16 array as a binary P5 graymap.
+    """Write a 2-D uint8 or uint16 array, of either byte order, as a binary
+    P5 graymap.
 
     The samples are row-major, big-endian for 16 bits.  The file is created
     new, an existing one unlinked first, and written to its raw descriptor
     with os.writev (Unix only); the descriptor is closed whatever happens.
     A C-contiguous array already in that byte order, as every uint8 one
-    is, is written from its own buffer together with the header, in one
-    call; any other is converted and written in chunks of rows of at most
-    64 KB (one row when a row is larger), the header with the first, so
-    writing holds no second copy of the frame."""
+    is and every 16-bit frame the camera renders, is written from its own
+    buffer together with the header, in one call; any other is converted
+    and written in chunks of rows of at most 64 KB (one row when a row is
+    larger), the header with the first, so writing holds no second copy
+    of the frame."""
     pixels = np.asarray(pixels)
     if pixels.ndim != 2 or pixels.size == 0:
         raise ValueError(f"expected a non-empty 2-D image, got shape {pixels.shape}")
     if pixels.dtype == np.uint8:
         maxval = 255
-    elif pixels.dtype == np.uint16:
+    elif pixels.dtype.kind == "u" and pixels.dtype.itemsize == 2:
         maxval = 65535
     else:
         raise ValueError(f"unsupported dtype {pixels.dtype}; use uint8 or uint16")
@@ -122,7 +128,12 @@ def write_pgm(path, pixels: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary P5 graymap into uint8 (maxval <= 255) or uint16.
+    """Read a binary P5 graymap into uint8 (maxval <= 255) or big-endian
+    uint16.
+
+    The samples are a read-only view of the bytes read, in the file's byte
+    order, with no copy: 16-bit ones are the big-endian uint16 that the
+    camera renders and write_pgm writes in one call.
 
     Raises ValueError naming the path when the header lacks width, height
     or maxval, the width or height is 0, maxval is outside 1..65535, the
@@ -147,8 +158,7 @@ def read_pgm(path) -> np.ndarray:
     img = np.frombuffer(data, dtype=dtype, count=w * h, offset=pos)
     if maxval not in (255, 65535) and img.max() > maxval:
         raise ValueError(f"{path}: sample {img.max()} exceeds maxval {maxval}")
-    # big-endian 16-bit samples become native uint16; 8-bit ones stay a view
-    return img.astype(dtype.newbyteorder("="), copy=False).reshape(h, w)
+    return img.reshape(h, w)
 
 
 def write_manifest(path, records) -> None:

@@ -178,10 +178,12 @@ class TestContrast:
 
 
 class TestFringeProfile:
-    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    # ">u2": the camera's 16-bit frames and read_pgm's samples are big-endian
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, ">u2"])
     @pytest.mark.parametrize("window_rows", [None, 1, 3, 60, 500])
     def test_matches_mean_of_full_frame_conversion(self, rng, dtype, window_rows):
-        img = rng.integers(0, np.iinfo(dtype).max, size=(240, 1280), dtype=dtype)
+        native = np.dtype(dtype).newbyteorder("=")
+        img = rng.integers(0, np.iinfo(dtype).max, size=(240, 1280), dtype=native).astype(dtype)
         rows = min(window_rows or 240 // 4, 240)
         start = 120 - rows // 2
         expected = np.asarray(img, dtype=float)[start:start + rows].mean(axis=0)

@@ -21,8 +21,8 @@ from accordion import (
     intensity_at,
     spacing_fourier,
 )
-from accordion.fields import beam_envelopes, cross_row, fringes_into
-from conftest import make_camera, make_config
+from accordion.fields import beam_envelopes, cross_row, fringes_into, require_resolved
+from conftest import WAVELENGTH, make_camera, make_config
 from oracles import beam_field, beam_intensity, fraunhofer_row, shifted_field, tilted_fields
 
 
@@ -303,6 +303,26 @@ class TestCenterFringe:
         # the oracle derives the tilts and the sign of dL from the lens
         # plane: dL is beam_minus's path minus beam_plus's
         x = make_camera().pixel_x()
+        row = intensity_at(cfg, x, np.zeros(1))[0]
+        assert np.max(np.abs(fraunhofer_row(cfg, x) - row)) <= 1e-12 * row.max()
+
+    @settings(max_examples=25, deadline=None)
+    @given(focal=st.floats(20000.0, 100000.0), pixel_scale=st.floats(0.03, 0.2),
+           fill=st.floats(0.02, 0.999),
+           waists=st.tuples(st.floats(10.0, 60.0), st.floats(10.0, 60.0)),
+           amplitudes=st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0)),
+           path_difference=st.floats(-2.0, 2.0))
+    def test_center_row_matches_a_fraunhofer_sum_wherever_it_renders(
+            self, focal, pixel_scale, fill, waists, amplitudes, path_difference):
+        # D up to the nearer of the renderer's two limits, a fringe of 4
+        # pixels and twice the focal length: the first binds at coarse pixels,
+        # the second at fine ones
+        x = make_camera(sensor=(256, 1), pixel_scale=pixel_scale).pixel_x()
+        limit = min(WAVELENGTH * focal / (4 * pixel_scale), 2 * focal)
+        cfg = make_config(focal=focal, separation=fill * limit, waist=waists[0],
+                          waist2=waists[1], amp=amplitudes[0], amp2=amplitudes[1],
+                          path_difference=path_difference)
+        require_resolved(cfg.optics, x)
         row = intensity_at(cfg, x, np.zeros(1))[0]
         assert np.max(np.abs(fraunhofer_row(cfg, x) - row)) <= 1e-12 * row.max()
 

@@ -31,7 +31,7 @@ from accordion import (
 )
 from accordion.runfiles import read_manifest, read_pgm, write_manifest, write_pgm, write_run
 from conftest import make_camera, make_config, render_simple
-from oracles import digitized_frame
+from oracles import digitized_frame, fraunhofer_row
 
 FIG6B_DRIVE = MirrorDrive(initial_separation=43810.0, speed=20000.0,
                           travel=20000.0, dwell=0.5, frame_rate=30.0)
@@ -262,8 +262,24 @@ class TestRenderFrame:
         cam = make_camera(bit_depth=16, gain=65535 / 4.0)
         img = render_simple(20000.0)  # 8-bit default for contrast
         img16 = render_frame(make_config(separation=20000.0), cam)
-        assert img16.dtype == np.uint16
+        assert img16.dtype == np.dtype(">u2")
         assert img16.max() > 255 >= img.max()
+
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    @pytest.mark.parametrize("cfg", [
+        make_config(separation=43810.0),
+        make_config(separation=3810.0, waist2=40.0, amp2=0.8, path_difference=0.1),
+        make_config(separation=10000.0, path_difference=0.25),
+        make_config(focal=30000.0, separation=19250.0, waist2=40.0, amp2=0.8),
+    ], ids=["fig6b-start", "fig6b-far-unequal-beams", "10mm-quarter-wave", "ladder-start"])
+    def test_center_row_digitizes_the_fraunhofer_row(self, cfg, bit_depth):
+        # the digitizer's stores, checked against optics independent of the
+        # renderer; an odd sensor height puts the center row on y = 0
+        cam = make_camera(sensor=(640, 121), bit_depth=bit_depth)
+        row = render_frame(cfg, cam)[60]
+        expected = np.clip(np.rint(cam.exposure_gain * fraunhofer_row(cfg, cam.pixel_x())),
+                           0, cam.full_scale)
+        assert np.max(np.abs(row - expected)) <= 1
 
 
 class TestRenderSequence:
@@ -778,7 +794,7 @@ class TestRunFiles:
         img = (np.arange(48, dtype=np.uint16) * 1311).reshape(6, 8)
         write_pgm(tmp_path / "t.pgm", img)
         back = read_pgm(tmp_path / "t.pgm")
-        assert back.dtype == np.uint16
+        assert back.dtype == np.dtype(">u2")
         assert np.array_equal(back, img)
 
     def test_pgm_header_is_p5(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from accordion import FrameRecord, runfiles
+from accordion import FrameRecord, render_frame, runfiles
 from accordion.runfiles import (
     read_config,
     read_manifest,
@@ -19,6 +20,7 @@ from accordion.runfiles import (
     write_pgm,
     write_run,
 )
+from conftest import make_camera, make_config
 
 dims = st.integers(1, 9)
 
@@ -54,7 +56,7 @@ def test_pgm_round_trip(scratch, image):
     path = scratch / "image.pgm"
     write_pgm(path, image)
     back = read_pgm(path)
-    assert back.dtype == image.dtype and np.array_equal(back, image)
+    assert back.dtype == image.dtype.newbyteorder(">") and np.array_equal(back, image)
     h, w = image.shape
     maxval = 255 if image.dtype == np.uint8 else 65535
     assert path.read_bytes() == (f"P5\n{w} {h}\n{maxval}\n".encode()
@@ -94,10 +96,13 @@ _big = np.random.default_rng(7).integers(0, 1 << 16, (2 * 241, 2 * 1280))
     (_big[:241, :1280].astype(np.uint16), 10),
     (_big[::2, ::2].astype(np.uint16), 10),
     (_big[:241, :1280].astype(np.uint16)[::-1], 10),
+    # already in file order, the bytes of its native twin
+    (_big[:241, :1280].astype(">u2"), 1),
     (_big[:241, :1280].astype(np.uint8), 1),
     # 51 rows of 1280 8-bit samples per chunk
     (_big.astype(np.uint8)[::2, ::2], 5),
-], ids=["16bit", "16bit-strided", "16bit-reversed", "8bit", "8bit-strided"])
+], ids=["16bit", "16bit-strided", "16bit-reversed", "16bit-big-endian", "8bit",
+        "8bit-strided"])
 def test_pgm_payload_is_written_in_chunks_of_at_most_64_kb(
         tmp_path, monkeypatch, image, writes):
     # a frame already in file order is one write, header and samples
@@ -120,6 +125,40 @@ def test_pgm_payload_is_written_in_chunks_of_at_most_64_kb(
     else:
         assert data[0].startswith(header)
         assert max(len(data[0]) - len(header), *map(len, data[1:])) <= 1 << 16
+
+
+def test_a_rendered_16_bit_frame_is_one_write(tmp_path, monkeypatch):
+    # the camera stores its 16-bit samples big-endian, the file's order:
+    # a ladder frame costs one create, one write and one close
+    cfg = make_config(focal=30000.0, separation=19250.0, amp2=0.8)
+    frame = render_frame(cfg, make_camera(read_noise=40.0, sensor=(1280, 240),
+                                          bit_depth=16))
+    recording = _RecordingOS()
+    monkeypatch.setattr(runfiles, "os", recording)
+    write_pgm(tmp_path / "frame.pgm", frame)
+    assert [call for call, _ in recording.calls] == ["open", "writev", "close"]
+    assert recording.calls[1][1] == b"P5\n1280 240\n65535\n" + frame.astype(">u2").tobytes()
+
+
+@pytest.mark.parametrize("bit_depth, dtype", [(8, np.uint8), (16, np.dtype(">u2"))],
+                         ids=["8bit", "16bit"])
+def test_read_pgm_returns_a_view_of_the_bytes_read(tmp_path, monkeypatch, bit_depth,
+                                                   dtype):
+    # no sample is copied or byte-swapped on the way in
+    image = (_big[:240, :1280] >> (16 - bit_depth)).astype(dtype)
+    write_pgm(tmp_path / "image.pgm", image)
+    read = []
+    read_bytes = Path.read_bytes
+
+    def recording_read_bytes(self):
+        read.append(read_bytes(self))
+        return read[-1]
+
+    monkeypatch.setattr(Path, "read_bytes", recording_read_bytes)
+    back = read_pgm(tmp_path / "image.pgm")
+    assert back.dtype == dtype and np.array_equal(back, image)
+    assert not back.flags.owndata and not back.flags.writeable
+    assert np.shares_memory(back, np.frombuffer(read[0], np.uint8))
 
 
 @pytest.mark.parametrize("image, most", [
