@@ -300,16 +300,9 @@ def cmd_analyze(args) -> int:
                 if r.position_um is not None]
 
     out_dir = Path(args.out) if args.out else target
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # an earlier calibration.csv describes earlier measurements; only a
-    # calibration fit below may write one beside the new measurements.csv
-    (out_dir / "calibration.csv").unlink(missing_ok=True)
-    with runfiles.create(out_dir / "measurements.csv") as fh:
-        fh.write("frame,time_s,separation_um,period_px,period_um,center_um,contrast\n")
-        for rec, m, center in measured:
-            fh.write(f"{rec.frame},{rec.time_s!r},{rec.separation_um!r},"
-                     f"{m.period_px!r},{m.period_px * pixel_scale!r},{center!r},"
-                     f"{m.contrast!r}\n")
+    runfiles.write_measurements(out_dir, (
+        (rec.frame, rec.time_s, rec.separation_um, m.period_px,
+         m.period_px * pixel_scale, center, m.contrast) for rec, m, center in measured))
 
     if measured:
         periods = [m.period_px * pixel_scale for _, m, _ in measured]
@@ -326,12 +319,9 @@ def cmd_analyze(args) -> int:
         except analysis.AnalysisError as err:
             errors.append(f"calibration: {err}")
         else:
-            with runfiles.create(out_dir / "calibration.csv") as fh:
-                fh.write("pixel_scale_um_px,pixel_scale_uncertainty,"
-                         "separation_um,period_px,relative_residual\n")
-                for (sep, period), res in zip(points, fit.residuals):
-                    fh.write(f"{fit.pixel_scale!r},{fit.pixel_scale_uncertainty!r},"
-                             f"{sep!r},{period!r},{float(res)!r}\n")
+            runfiles.write_calibration(out_dir, (
+                (fit.pixel_scale, fit.pixel_scale_uncertainty, sep, period, float(res))
+                for (sep, period), res in zip(points, fit.residuals)))
             print(f"pixel scale {fit.pixel_scale:.6g} +- "
                   f"{fit.pixel_scale_uncertainty:.2g} um/px")
 

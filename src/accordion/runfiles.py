@@ -1,14 +1,24 @@
-"""On-disk formats for simulation runs.
+"""On-disk formats for simulation runs: the one module that writes a run
+directory, with one writer per kind of file.
 
 A run directory holds:
-    config.txt      resolved run parameters, one key=value per line
-    manifest.csv    FrameRecord's fields: frame,time_s,mirror_um,separation_um,
-                    analytic_spacing_um,path_difference_um
-    frame_NNNN.pgm  binary P5 graymaps (maxval 255, or big-endian 65535)
-    composite.pgm   each frame's central row, when the run has >= 2 frames
+    config.txt        resolved run parameters, one key=value per line
+    manifest.csv      MANIFEST_FIELDS, FrameRecord's fields: frame,time_s,
+                      mirror_um,separation_um,analytic_spacing_um,
+                      path_difference_um
+    frame_NNNN.pgm    binary P5 graymaps (maxval 255, or big-endian 65535)
+    composite.pgm     each frame's central row, when the run has >= 2 frames
+analyze adds its reports:
+    measurements.csv  MEASUREMENT_FIELDS, one row per measured frame: frame,
+                      time_s,separation_um,period_px,period_um,center_um,
+                      contrast
+    calibration.csv   CALIBRATION_FIELDS, with --calibrate, one row per fitted
+                      frame: pixel_scale_um_px,pixel_scale_uncertainty,
+                      separation_um,period_px,relative_residual
 
-analyze adds measurements.csv and, with --calibrate, calibration.csv.
-
+The three tables are written by one csv.writer, each number as its repr and
+a cell quoted where it holds a comma or a quote, so any frame name keeps
+its row; the manifest ends its lines with \r\n, the reports with \n.
 Everything is written deterministically so a rerun with the same seed is
 byte-identical.  write_run writes each frame as it arrives from its
 iterable, so a sweep streams from the renderer to disk and holds no more
@@ -17,17 +27,16 @@ os.open with O_CREAT | O_EXCL: an existing file of the same name is
 unlinked, never truncated and rewritten in place, so a hard link to it
 keeps the old bytes, and a file system that flushes a truncated and
 rewritten file when it is closed (ext4's auto_da_alloc) has nothing to
-flush.  A graymap is written straight to that descriptor with os.writev,
-its header with its first samples, so a frame already in the file's
-byte order, 8-bit or the camera's big-endian 16-bit, costs one create,
-one write and one close; the text files are written through a file
-object opened on the same rule.  os.writev makes the module Unix-only.
-read_pgm returns the samples as a view of the bytes read, in the same
-byte order, so no step from the digitizer to the analysis byte-swaps a
-16-bit sample.  A rerun into a run directory first removes the earlier
-run's files (its manifest first), so no stale frame, composite or report
-outlives it.  The manifest is written last: a directory without one is
-not a complete run.
+flush.  A graymap is written straight to that descriptor, its header and
+its samples in one os.writev, so a frame costs one create, one write and
+one close; the text files are written through a file object opened on the
+same rule.  os.writev makes the module Unix-only.  read_pgm returns the
+samples as a view of the bytes read, in the same byte order, so no step
+from the digitizer to the analysis byte-swaps a 16-bit sample.  A rerun
+into a run directory first removes the earlier run's files (its manifest
+first), so no stale frame, composite or report outlives it, and new
+measurements remove an earlier calibration.csv.  The manifest is written
+last: a directory without one is not a complete run.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ import io
 import os
 import re
 from collections.abc import Sized
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -49,13 +59,14 @@ from .instrument import FrameRecord
 _SEP = rb"(?:\s|#[^\n]*\n)+"
 _PGM_HEADER = re.compile(rb"P5%s(\d+)%s(\d+)%s(\d+)\s" % (_SEP, _SEP, _SEP))
 
-# the most bytes write_pgm converts for one write
-_CHUNK_BYTES = 1 << 16
-
 # a new file, write-only, not inherited by child processes
 _CREATE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC
 
 MANIFEST_FIELDS = tuple(field.name for field in dataclasses.fields(FrameRecord))
+MEASUREMENT_FIELDS = ("frame", "time_s", "separation_um", "period_px", "period_um",
+                      "center_um", "contrast")
+CALIBRATION_FIELDS = ("pixel_scale_um_px", "pixel_scale_uncertainty", "separation_um",
+                      "period_px", "relative_residual")
 
 # the files of a run directory that a new run replaces; manifest.csv is
 # removed before all of them
@@ -73,11 +84,11 @@ def _create_fd(path) -> int:
         return os.open(path, _CREATE_FLAGS, 0o666)
 
 
-def create(path, **kwargs):
-    """Open path as a new text file for writing (keyword arguments go to
-    open), created by the same rule as a frame file: an existing file is
-    unlinked first, never truncated."""
-    return open(path, "x", opener=lambda name, flags: _create_fd(name), **kwargs)
+def _create(path):
+    """Open path as a new text file for writing, its newlines untranslated,
+    created by the same rule as a frame file: an existing file is unlinked
+    first, never truncated."""
+    return open(path, "x", newline="", opener=lambda name, flags: _create_fd(name))
 
 
 def _write_all(fd: int, buffers) -> None:
@@ -96,14 +107,12 @@ def write_pgm(path, pixels: np.ndarray) -> None:
     P5 graymap.
 
     The samples are row-major, big-endian for 16 bits.  The file is created
-    new, an existing one unlinked first, and written to its raw descriptor
-    with os.writev (Unix only); the descriptor is closed whatever happens.
-    A C-contiguous array already in that byte order, as every uint8 one
-    is and every 16-bit frame the camera renders, is written from its own
-    buffer together with the header, in one call; any other is converted
-    and written in chunks of rows of at most 64 KB (one row when a row is
-    larger), the header with the first, so writing holds no second copy
-    of the frame."""
+    new, an existing one unlinked first, and its header and samples are
+    written to its raw descriptor in one os.writev (Unix only); the
+    descriptor is closed whatever happens.  A C-contiguous array already in
+    that byte order, as every uint8 one is and every 16-bit frame the camera
+    renders, is written from its own buffer; any other is first copied into
+    that order, whole."""
     pixels = np.asarray(pixels)
     if pixels.ndim != 2 or pixels.size == 0:
         raise ValueError(f"expected a non-empty 2-D image, got shape {pixels.shape}")
@@ -114,15 +123,11 @@ def write_pgm(path, pixels: np.ndarray) -> None:
     else:
         raise ValueError(f"unsupported dtype {pixels.dtype}; use uint8 or uint16")
     h, w = pixels.shape
-    raw = pixels.dtype.newbyteorder(">")
-    step = (h if pixels.flags.c_contiguous and pixels.dtype == raw
-            else max(1, _CHUNK_BYTES // (w * raw.itemsize)))
+    samples = np.ascontiguousarray(pixels, dtype=pixels.dtype.newbyteorder(">"))
     header = f"P5\n{w} {h}\n{maxval}\n".encode("ascii")
     fd = _create_fd(path)
     try:
-        for start in range(0, h, step):
-            chunk = pixels[start:start + step].astype(raw, order="C", copy=False)
-            _write_all(fd, [header, chunk] if start == 0 else [chunk])
+        _write_all(fd, [header, samples])
     finally:
         os.close(fd)
 
@@ -161,13 +166,34 @@ def read_pgm(path) -> np.ndarray:
     return img.reshape(h, w)
 
 
+def _write_table(path, columns, rows, lineterminator: str) -> None:
+    """Write a CSV table: its columns, then each row, a str cell as it is and
+    any other as its repr, quoted where it needs to be."""
+    with _create(path) as fh:
+        writer = csv.writer(fh, lineterminator=lineterminator)
+        writer.writerow(columns)
+        writer.writerows([c if isinstance(c, str) else repr(c) for c in row] for row in rows)
+
+
 def write_manifest(path, records) -> None:
-    with create(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_FIELDS)
-        for r in records:
-            writer.writerow([r.frame, *(repr(getattr(r, name))
-                                        for name in MANIFEST_FIELDS[1:])])
+    _write_table(path, MANIFEST_FIELDS, map(attrgetter(*MANIFEST_FIELDS), records), "\r\n")
+
+
+def write_measurements(out_dir, rows) -> None:
+    """Write measurements.csv into out_dir, made if missing: one row of
+    MEASUREMENT_FIELDS per measured frame.  An earlier calibration.csv there
+    describes earlier measurements and is removed first, so only a
+    write_calibration after this one leaves a calibration beside it."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "calibration.csv").unlink(missing_ok=True)
+    _write_table(out / "measurements.csv", MEASUREMENT_FIELDS, rows, "\n")
+
+
+def write_calibration(out_dir, rows) -> None:
+    """Write calibration.csv into out_dir: one row of CALIBRATION_FIELDS per
+    frame of the fit."""
+    _write_table(Path(out_dir) / "calibration.csv", CALIBRATION_FIELDS, rows, "\n")
 
 
 def _read_text(path) -> str:
@@ -210,7 +236,7 @@ def read_manifest(path) -> list[FrameRecord]:
 
 def write_config(path, values: dict) -> None:
     """Write key=value lines; values serialized with repr-stable formatting."""
-    with create(path) as fh:
+    with _create(path) as fh:
         for key, value in values.items():
             fh.write(f"{key}={value}\n")
 

@@ -1,6 +1,8 @@
+import csv
 import hashlib
 import shutil
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -899,6 +901,23 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(out), "--calibrate"]) == 0
         assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                      for name in ("measurements.csv", "calibration.csv")) == digests
+
+    def test_a_frame_name_with_a_comma_and_a_quote_keeps_its_row(self, tmp_path):
+        # the manifest quotes such a name, and so must measurements.csv: a
+        # split row would shift the separation into period_px
+        run = tmp_path / "run"
+        assert main(["sweep", "--preset", "fig4b", "--out", str(run)]) == 0
+        name = 'a,"b".pgm'
+        (run / "frame_0000.pgm").rename(run / name)
+        first, *rest = read_manifest(run / "manifest.csv")
+        runfiles.write_manifest(run / "manifest.csv", [replace(first, frame=name), *rest])
+        assert main(["analyze", str(run), "--calibrate"]) == 0
+        with open(run / "measurements.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 6 and all(None not in row for row in rows)
+        assert rows[0]["frame"] == name
+        assert float(rows[0]["period_px"]) == pytest.approx(9.72, abs=0.01)
+        assert float(rows[0]["separation_um"]) == 19250.0
 
 
 def test_cli_start_up_does_not_import_scipy():

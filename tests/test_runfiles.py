@@ -91,23 +91,19 @@ class _RecordingOS:
 _big = np.random.default_rng(7).integers(0, 1 << 16, (2 * 241, 2 * 1280))
 
 
-@pytest.mark.parametrize("image, writes", [
-    # 25 rows of 1280 16-bit samples per 64 KB chunk: 9 chunks and 16 rows
-    (_big[:241, :1280].astype(np.uint16), 10),
-    (_big[::2, ::2].astype(np.uint16), 10),
-    (_big[:241, :1280].astype(np.uint16)[::-1], 10),
+@pytest.mark.parametrize("image", [
+    _big[:241, :1280].astype(np.uint16),
+    _big[::2, ::2].astype(np.uint16),
+    _big[:241, :1280].astype(np.uint16)[::-1],
     # already in file order, the bytes of its native twin
-    (_big[:241, :1280].astype(">u2"), 1),
-    (_big[:241, :1280].astype(np.uint8), 1),
-    # 51 rows of 1280 8-bit samples per chunk
-    (_big.astype(np.uint8)[::2, ::2], 5),
+    _big[:241, :1280].astype(">u2"),
+    _big[:241, :1280].astype(np.uint8),
+    _big.astype(np.uint8)[::2, ::2],
 ], ids=["16bit", "16bit-strided", "16bit-reversed", "16bit-big-endian", "8bit",
         "8bit-strided"])
-def test_pgm_payload_is_written_in_chunks_of_at_most_64_kb(
-        tmp_path, monkeypatch, image, writes):
-    # a frame already in file order is one write, header and samples
-    # together; any other is converted a chunk of rows at a time, never as
-    # a whole, the header written with the first chunk
+def test_pgm_is_one_create_one_write_and_one_close(tmp_path, monkeypatch, image):
+    # in file order or not, contiguous or strided, a graymap's header and
+    # samples go out together in one write
     header = f"P5\n1280 241\n{255 if image.dtype == np.uint8 else 65535}\n".encode()
     expected = header + image.astype(image.dtype.newbyteorder(">")).tobytes()
     recording = _RecordingOS()
@@ -115,16 +111,8 @@ def test_pgm_payload_is_written_in_chunks_of_at_most_64_kb(
     write_pgm(tmp_path / "image.pgm", image)
     assert (tmp_path / "image.pgm").read_bytes() == expected
     assert np.array_equal(read_pgm(tmp_path / "image.pgm"), image)
-    (opened, fd), *written, last = recording.calls
-    assert opened == "open" and last == ("close", fd)
-    assert [call for call, _ in written] == ["writev"] * writes
-    data = [data for _, data in written]
-    assert b"".join(data) == expected
-    if writes == 1:
-        assert data == [expected]
-    else:
-        assert data[0].startswith(header)
-        assert max(len(data[0]) - len(header), *map(len, data[1:])) <= 1 << 16
+    (opened, fd), written, last = recording.calls
+    assert opened == "open" and written == ("writev", expected) and last == ("close", fd)
 
 
 def test_a_rendered_16_bit_frame_is_one_write(tmp_path, monkeypatch):
