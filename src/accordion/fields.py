@@ -123,11 +123,13 @@ def beam_envelopes(cfg: LatticeConfig, x: np.ndarray, y: np.ndarray
     2*a1*a2*f1x*f2x.
     """
     a1, a2 = cfg.beam_plus.amplitude, cfg.beam_minus.amplitude
+    # allocated first: an envelope beyond the host's memory costs no profile
+    envelope = np.empty((len(y), len(x)))
     # field-modulus profiles: the intensities are their squares, and
     # sqrt(G1 G2) is the product of the two fields
     f1x, f1y = _profiles(cfg.beam_plus, x, y)
     f2x, f2y = _profiles(cfg.beam_minus, x, y)
-    envelope = np.multiply.outer((a1 * f1y) ** 2, f1x * f1x)
+    np.multiply.outer((a1 * f1y) ** 2, f1x * f1x, out=envelope)
     # the second beam is added row by row, so the sum holds no second array
     # of the envelope's size
     g2x = f2x * f2x

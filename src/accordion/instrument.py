@@ -290,25 +290,31 @@ def _frame_renderer(base_cfg: LatticeConfig, cam: CameraModel
     of the caller's, which it returns; frame_index keys the noise stream.
 
     The beam envelopes are evaluated here, once, on the rows up to the
-    center only when both beams are centred in y.  A frame computes its
-    cross row once, then renders and digitizes one block of rows at a time,
-    by the module's mirror rule; every step is elementwise, so the bytes do
-    not depend on the blocks.  With read noise a frame renders every sensor
-    row, in the order of its noise stream; without, the rows up to the
-    center, and the columns up to it where the frame's cross row and the
-    envelope read the same reversed, then copies their mirrors."""
+    center only when both beams are centred in y; a sensor whose pixel
+    centres or envelope NumPy refuses to allocate is a ValueError.  A
+    frame computes its cross row once, then renders and digitizes one block
+    of rows at a time, by the module's mirror rule; every step is
+    elementwise, so the bytes do not depend on the blocks.  With read noise
+    a frame renders every sensor row, in the order of its noise stream;
+    without, the rows up to the center, and the columns up to it where the
+    frame's cross row and the envelope read the same reversed, then copies
+    their mirrors."""
     a = base_cfg.beam_plus.amplitude + base_cfg.beam_minus.amplitude
     # the counts before clipping peak at no more than gain * (a1 + a2)^2
     if not math.isfinite(cam.exposure_gain * a * a):
         raise ValueError(f"gain {cam.exposure_gain!r} leaves the peak counts "
                          "gain * (a1 + a2)^2 no finite value")
-    px, py = cam.pixel_x(), cam.pixel_y()
     # row r then equals row len(py) - 1 - r exactly, so it is not checked:
     # pixel_y is antisymmetric bit for bit, and exp(-v*v/w2) is even
     centred = (base_cfg.beam_plus.center_offset[1] == 0
                and base_cfg.beam_minus.center_offset[1] == 0)
-    half = (py.size + 1) // 2 if centred else py.size
-    envelope, cross_y, cross_x = beam_envelopes(base_cfg, px, py[:half])
+    try:
+        px, py = cam.pixel_x(), cam.pixel_y()
+        half = (py.size + 1) // 2 if centred else py.size
+        envelope, cross_y, cross_x = beam_envelopes(base_cfg, px, py[:half])
+    except MemoryError as err:
+        # NumPy refuses an allocation beyond the host's memory before making it
+        raise ValueError(f"sensor {cam.sensor[0]}x{cam.sensor[1]}: {err}") from None
     noisy = cam.read_noise > 0
     rows = py.size if noisy else half
     mirrored = (not noisy and np.array_equal(envelope, envelope[:, ::-1])
@@ -364,12 +370,13 @@ def render_frame(cfg: LatticeConfig, cam: CameraModel,
         clamp(round(gain * I + N(0, read_noise))) to the bit depth, with I
         from intensity_at; byte for byte frame frame_index of a
         render_sequence sample with cfg's separation and path difference.
-        Raises ValueError if a fringe spans fewer than 4 pixels, or if
-        the peak counts gain * (a1 + a2)^2 are not finite.
+        Raises ValueError if a fringe spans fewer than 4 pixels, if the
+        peak counts gain * (a1 + a2)^2 are not finite, or if the sensor's
+        pixel centres or envelope cannot be allocated.
     """
+    render = _frame_renderer(cfg, cam)
     require_resolved(cfg.optics, cam.pixel_x())
-    return _frame_renderer(cfg, cam)(cfg.optics.separation, cfg.path_difference,
-                                     frame_index, _new_frame(cam))
+    return render(cfg.optics.separation, cfg.path_difference, frame_index, _new_frame(cam))
 
 
 @dataclass(frozen=True)
@@ -416,10 +423,14 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
     frame is allocated on the thread that iterates the frames, before its
     sample is handed to a worker, so a worker thread holds only its
     blocks.  Closing the iterator early cancels the samples not yet started
-    and joins the pool.  A worker count below 1 is a ValueError.
+    and joins the pool.  A worker count below 1 is a ValueError, and so
+    is a sensor whose pixel centres or envelope cannot be allocated.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers!r}")
+    # the envelopes are evaluated before this returns, so that no rendering
+    # error can come after a consumer has started its output
+    render = _frame_renderer(base_cfg, cam)
     px = cam.pixel_x()
     lens = base_cfg.optics
     samples = list(zip(trajectory.separations.astype(float).tolist(),
@@ -439,9 +450,7 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
             analytic_spacing_um=spacing_fourier(optics),
             path_difference_um=path_difference,
         ))
-    # the envelopes too are evaluated before this returns, so that no
-    # rendering error can come after a consumer has started its output
-    return _render_frames(_frame_renderer(base_cfg, cam), samples, cam, workers), records
+    return _render_frames(render, samples, cam, workers), records
 
 
 def _render_frames(render_sample: Callable[[float, float, int, np.ndarray], np.ndarray],

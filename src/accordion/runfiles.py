@@ -22,15 +22,16 @@ its row; the manifest ends its lines with \r\n, the reports with \n.
 Everything is written deterministically so a rerun with the same seed is
 byte-identical.  write_run writes each frame as it arrives from its
 iterable, so a sweep streams from the renderer to disk and holds no more
-of the run than the renderer does.  Every file is created new, by an
-os.open with O_CREAT | O_EXCL: an existing file of the same name is
-unlinked, never truncated and rewritten in place, so a hard link to it
+of the run than the renderer does.  Every file is written by one
+function, as bytes: one create, one write and one close.  It is created
+new, by an os.open with O_CREAT | O_EXCL: an existing file of the same name
+is unlinked, never truncated and rewritten in place, so a hard link to it
 keeps the old bytes, and a file system that flushes a truncated and
 rewritten file when it is closed (ext4's auto_da_alloc) has nothing to
-flush.  A graymap is written straight to that descriptor, its header and
-its samples in one os.writev, so a frame costs one create, one write and
-one close; the text files are written through a file object opened on the
-same rule.  os.writev makes the module Unix-only.  read_pgm returns the
+flush.  Its bytes then go out in one os.writev: a graymap's header and
+samples, or a text file whole, formatted first, so a table appears only
+once it is complete.  Text is UTF-8, written and read, whatever the
+locale.  os.writev makes the module Unix-only.  read_pgm returns the
 samples as a view of the bytes read, in the same byte order, so no step
 from the digitizer to the analysis byte-swaps a 16-bit sample.  A rerun
 into a run directory first removes the earlier run's files (its manifest
@@ -74,32 +75,26 @@ _RUN_FILE = re.compile(r"frame_\d{4,}\.pgm|composite\.pgm|config\.txt"
                        r"|measurements\.csv|calibration\.csv")
 
 
-def _create_fd(path) -> int:
-    """A descriptor open for writing on path, created new: an existing file
-    is unlinked first, never truncated.  The caller closes it."""
+def _write_file(path, *parts) -> None:
+    """Create path new and write the parts to it, a str part as UTF-8, in
+    one os.writev, resuming short writes.  An existing file is unlinked
+    first, never truncated; the descriptor is closed whatever happens."""
+    views = [memoryview(part.encode("utf-8") if isinstance(part, str) else part).cast("B")
+             for part in parts]
     try:
-        return os.open(path, _CREATE_FLAGS, 0o666)
+        fd = os.open(path, _CREATE_FLAGS, 0o666)
     except FileExistsError:
         os.unlink(path)
-        return os.open(path, _CREATE_FLAGS, 0o666)
-
-
-def _create(path):
-    """Open path as a new text file for writing, its newlines untranslated,
-    created by the same rule as a frame file: an existing file is unlinked
-    first, never truncated."""
-    return open(path, "x", newline="", opener=lambda name, flags: _create_fd(name))
-
-
-def _write_all(fd: int, buffers) -> None:
-    """Write the buffers to fd in order with os.writev, resuming short writes."""
-    views = [memoryview(buf).cast("B") for buf in buffers]
-    while views:
-        done = os.writev(fd, views)
-        while views and done >= len(views[0]):
-            done -= len(views.pop(0))
-        if views:
-            views[0] = views[0][done:]
+        fd = os.open(path, _CREATE_FLAGS, 0o666)
+    try:
+        while views:
+            done = os.writev(fd, views)
+            while views and done >= len(views[0]):
+                done -= len(views.pop(0))
+            if views:
+                views[0] = views[0][done:]
+    finally:
+        os.close(fd)
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:
@@ -124,12 +119,7 @@ def write_pgm(path, pixels: np.ndarray) -> None:
         raise ValueError(f"unsupported dtype {pixels.dtype}; use uint8 or uint16")
     h, w = pixels.shape
     samples = np.ascontiguousarray(pixels, dtype=pixels.dtype.newbyteorder(">"))
-    header = f"P5\n{w} {h}\n{maxval}\n".encode("ascii")
-    fd = _create_fd(path)
-    try:
-        _write_all(fd, [header, samples])
-    finally:
-        os.close(fd)
+    _write_file(path, f"P5\n{w} {h}\n{maxval}\n", samples)
 
 
 def read_pgm(path) -> np.ndarray:
@@ -168,11 +158,13 @@ def read_pgm(path) -> np.ndarray:
 
 def _write_table(path, columns, rows, lineterminator: str) -> None:
     """Write a CSV table: its columns, then each row, a str cell as it is and
-    any other as its repr, quoted where it needs to be."""
-    with _create(path) as fh:
-        writer = csv.writer(fh, lineterminator=lineterminator)
-        writer.writerow(columns)
-        writer.writerows([c if isinstance(c, str) else repr(c) for c in row] for row in rows)
+    any other as its repr, quoted where it needs to be.  The file is created
+    once the whole table is formatted, so a failing row source leaves none."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator=lineterminator)
+    writer.writerow(columns)
+    writer.writerows([c if isinstance(c, str) else repr(c) for c in row] for row in rows)
+    _write_file(path, text.getvalue())
 
 
 def write_manifest(path, records) -> None:
@@ -197,10 +189,10 @@ def write_calibration(out_dir, rows) -> None:
 
 
 def _read_text(path) -> str:
-    """path's text, newlines untranslated; a ValueError names an undecodable file."""
+    """path's UTF-8 text, newlines untranslated; a ValueError names an
+    undecodable file."""
     try:
-        with open(path, newline="") as fh:
-            return fh.read()
+        return Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: {err}") from None
 
@@ -236,9 +228,7 @@ def read_manifest(path) -> list[FrameRecord]:
 
 def write_config(path, values: dict) -> None:
     """Write key=value lines; values serialized with repr-stable formatting."""
-    with _create(path) as fh:
-        for key, value in values.items():
-            fh.write(f"{key}={value}\n")
+    _write_file(path, "".join(f"{key}={value}\n" for key, value in values.items()))
 
 
 def read_config(path) -> dict[str, str]:

@@ -68,29 +68,35 @@ def fraunhofer_row(cfg, x):
     """Intensity at the focal-plane points (x, 0) of cfg's beams, by a
     direct 1-D Fraunhofer sum over the lens plane.
 
-    Each beam enters the lens as a Gaussian centred at +-D/2 (beam_plus at
-    +D/2), of the waist conjugate_waist gives for its focal waist, scaled
+    Each beam enters the lens as a Gaussian centred at c = +-D/2 (beam_plus
+    at +D/2), of the waist conjugate_waist gives for its focal waist, scaled
     so that its focal-plane peak is its amplitude; beam_minus, longer by
-    dL, carries exp(+2 pi i dL/lam).  The focal field at x is the sum over
-    a uniform lens-plane grid xi of the lens field times
-    exp(-2 pi i x xi/(lam f)), at each x itself: no FFT and no x grid.
-    Beams off the axis, which would need a lens-plane tilt, are refused.
+    dL, carries exp(+2 pi i dL/lam).  A beam's x offset x0 enters as the
+    lens-plane tilt exp(2 pi i x0 (xi - c)/(lam f)), about the beam's own
+    lens-plane centre c: that pivot leaves the fringe phase where the
+    closed form puts it.  The focal field at x is the sum over a uniform
+    lens-plane grid xi of the lens field times exp(-2 pi i x xi/(lam f)),
+    at each x itself: no FFT and no x grid.  A y offset, which this 1-D
+    sum cannot model, is refused.
     """
     lam, f, sep = cfg.optics.wavelength, cfg.optics.focal_length, cfg.optics.separation
     beams = ((cfg.beam_plus, sep / 2, 1.0),
              (cfg.beam_minus, -sep / 2, np.exp(2j * math.pi * cfg.path_difference / lam)))
-    if any(beam.center_offset != (0.0, 0.0) for beam, _, _ in beams):
-        raise ValueError("the Fraunhofer oracle models beams on the axis only")
+    if any(beam.center_offset[1] != 0.0 for beam, _, _ in beams):
+        raise ValueError("the Fraunhofer oracle models beams centred in y only")
     x = np.asarray(x, dtype=float)
     waists = [conjugate_waist(lam, f, beam.focal_waist) for beam, _, _ in beams]
     # the step resolves the narrowest lens-plane beam, and puts the sum's
-    # aliases, lam*f/step apart in x, 12 focal waists beyond every x
-    reach = np.abs(x).max() + 12 * max(beam.focal_waist for beam, _, _ in beams)
+    # aliases, lam*f/step apart in x, 12 focal waists beyond every x and
+    # every beam's focal-plane centre
+    reach = np.abs(x).max() + max(abs(beam.center_offset[0]) + 12 * beam.focal_waist
+                                  for beam, _, _ in beams)
     step = min(min(waists) / 8, lam * f / reach)
     n = math.ceil((sep / 2 + 12 * max(waists)) / step)
     xi = np.arange(-n, n + 1) * step
     lens = sum(beam.amplitude * phase / (math.sqrt(math.pi) * w)
-               * np.exp(-((xi - center) / w) ** 2)
+               * np.exp(-((xi - center) / w) ** 2
+                        + 2j * math.pi * beam.center_offset[0] * (xi - center) / (lam * f))
                for (beam, center, phase), w in zip(beams, waists))
     kernel = np.exp(-2j * math.pi / (lam * f) * np.multiply.outer(x, xi))
     return np.abs(kernel @ lens * step) ** 2

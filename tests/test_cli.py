@@ -1,6 +1,9 @@
 import csv
 import hashlib
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -245,6 +248,24 @@ class TestSweepCommand:
                               "250000000000000001 times: Unable to allocate")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("sensor, size", [("10000000x10000000", "364. TiB"),
+                                              ("2x100000000000000", "728. TiB")],
+                             ids=["envelope", "pixel-centres"])
+    def test_unallocatable_sensor_is_usage_error_and_leaves_the_earlier_run(
+            self, tmp_path, capsys, sensor, size):
+        # beyond the 128 TiB of a 64-bit user address space, so NumPy refuses
+        # the allocation at once, whatever the host's overcommit
+        out = tmp_path / "run"
+        assert main(["sweep", "--preset", "fig4a", "--out", str(out)]) == 0
+        capsys.readouterr()
+        before = dir_digest(out)
+        assert main(["sweep", "--preset", "fig4a", "--sensor", sensor,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sensor {sensor}: Unable to allocate {size}")
+        assert err.count("\n") == 1
+        assert dir_digest(out) == before
 
     def test_grid_options_are_gone(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -918,6 +939,51 @@ class TestAnalyzeCommand:
         assert rows[0]["frame"] == name
         assert float(rows[0]["period_px"]) == pytest.approx(9.72, abs=0.01)
         assert float(rows[0]["separation_um"]) == 19250.0
+
+
+def run_cli(cwd, *argv, env=(), flags=()):
+    """The command line run by a fresh interpreter, with flags before -m and
+    env added to the environment; returns the finished process."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run([sys.executable, *flags, "-m", "accordion.cli", *argv],
+                          cwd=cwd, capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src), **dict(env)})
+
+
+# a locale whose codec is ASCII, with neither UTF-8 mode nor locale coercion
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def test_a_sweep_under_the_c_locale_writes_the_same_run(tmp_path):
+    """Run files are UTF-8 whatever the locale: a --config file with a UTF-8
+    comment sweeps under the C locale to the run that the default locale
+    writes, byte for byte, and analyze reports the same on both."""
+    check = subprocess.run([sys.executable, "-c",
+                            "import locale; print(locale.getpreferredencoding(False))"],
+                           capture_output=True, text=True, env={**os.environ, **C_LOCALE})
+    assert check.stdout.strip() in ("ANSI_X3.4-1968", "US-ASCII", "ascii")
+    (tmp_path / "fig4b.cfg").write_bytes("# waist in \u00b5m\nwaist=36\n".encode())
+    for name, env in [("default", {}), ("c", C_LOCALE)]:
+        for argv in (["sweep", "--preset", "fig4b", "--config", "fig4b.cfg", "--out", name],
+                     ["analyze", name, "--calibrate"]):
+            done = run_cli(tmp_path, *argv, env=env)
+            assert done.returncode == 0, done.stderr
+    default = sorted(p.name for p in (tmp_path / "default").iterdir())
+    assert default == sorted(p.name for p in (tmp_path / "c").iterdir())
+    assert "calibration.csv" in default
+    for name in default:
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+
+
+def test_no_run_file_is_opened_with_the_locale_encoding(tmp_path):
+    """With every EncodingWarning an error, a sweep from a --config file and
+    analyze --calibrate of its run finish cleanly, and warn of nothing."""
+    (tmp_path / "fig4b.cfg").write_bytes(b"waist=36\n")
+    flags = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    for argv in (["sweep", "--preset", "fig4b", "--config", "fig4b.cfg", "--out", "run"],
+                 ["analyze", "run", "--calibrate"]):
+        done = run_cli(tmp_path, *argv, flags=flags)
+        assert done.returncode == 0 and done.stderr == "", done.stderr
 
 
 def test_cli_start_up_does_not_import_scipy():

@@ -311,20 +311,29 @@ class TestCenterFringe:
            fill=st.floats(0.02, 0.999),
            waists=st.tuples(st.floats(10.0, 60.0), st.floats(10.0, 60.0)),
            amplitudes=st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0)),
-           path_difference=st.floats(-2.0, 2.0))
+           path_difference=st.floats(-2.0, 2.0),
+           offsets=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
     def test_center_row_matches_a_fraunhofer_sum_wherever_it_renders(
-            self, focal, pixel_scale, fill, waists, amplitudes, path_difference):
+            self, focal, pixel_scale, fill, waists, amplitudes, path_difference, offsets):
         # D up to the nearer of the renderer's two limits, a fringe of 4
         # pixels and twice the focal length: the first binds at coarse pixels,
-        # the second at fine ones
+        # the second at fine ones; each beam off the axis in x by up to 2
+        # of its waists
         x = make_camera(sensor=(256, 1), pixel_scale=pixel_scale).pixel_x()
         limit = min(WAVELENGTH * focal / (4 * pixel_scale), 2 * focal)
-        cfg = make_config(focal=focal, separation=fill * limit, waist=waists[0],
-                          waist2=waists[1], amp=amplitudes[0], amp2=amplitudes[1],
-                          path_difference=path_difference)
+        cfg = LatticeConfig(
+            optics=OpticalParams(WAVELENGTH, focal, fill * limit),
+            beam_plus=BeamSpec(waists[0], amplitudes[0], (offsets[0] * waists[0], 0.0)),
+            beam_minus=BeamSpec(waists[1], amplitudes[1], (offsets[1] * waists[1], 0.0)),
+            path_difference=path_difference)
         require_resolved(cfg.optics, x)
         row = intensity_at(cfg, x, np.zeros(1))[0]
         assert np.max(np.abs(fraunhofer_row(cfg, x) - row)) <= 1e-12 * row.max()
+
+    def test_the_fraunhofer_sum_refuses_a_y_offset(self):
+        cfg = replace(make_config(), beam_minus=BeamSpec(36.0, 1.0, (0.0, 5.0)))
+        with pytest.raises(ValueError, match="centred in y only"):
+            fraunhofer_row(cfg, make_camera().pixel_x())
 
     def test_fold_interval_is_half_open(self):
         assert fold_to_period(5.0, 10.0) == pytest.approx(5.0)

@@ -387,6 +387,20 @@ class TestRenderSequence:
         with pytest.raises(ValueError, match="workers must be at least 1"):
             render_sequence(traj, make_config(), make_camera(), workers=workers)
 
+    # the envelope needs 364 TiB, the pixel centres 728 TiB: beyond the 128
+    # TiB of a 64-bit user address space, so NumPy refuses them at once,
+    # whatever the host's overcommit
+    @pytest.mark.parametrize("sensor, size", [((10**7, 10**7), "364. TiB"),
+                                              ((2, 10**14), "728. TiB")],
+                             ids=["envelope", "pixel-centres"])
+    def test_an_unallocatable_sensor_is_a_value_error(self, sensor, size):
+        cam = make_camera(sensor=sensor)
+        message = "sensor %dx%d: Unable to allocate %s" % (*sensor, size)
+        with pytest.raises(ValueError, match=message):
+            render_sequence(static_sweep([43810.0]), make_config(), cam)
+        with pytest.raises(ValueError, match=message):
+            render_frame(make_config(), cam)
+
     def test_pool_under_thread_switch_stress(self):
         # more workers than cores, a thread switch every microsecond: every
         # pooled render must still equal the serial one byte for byte

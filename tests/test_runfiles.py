@@ -15,8 +15,10 @@ from accordion.runfiles import (
     read_config,
     read_manifest,
     read_pgm,
+    write_calibration,
     write_config,
     write_manifest,
+    write_measurements,
     write_pgm,
     write_run,
 )
@@ -64,7 +66,7 @@ def test_pgm_round_trip(scratch, image):
 
 
 class _RecordingOS:
-    """The os module, recording the descriptors write_pgm opens and closes
+    """The os module, recording the descriptors a writer opens and closes
     and the bytes of each write: ("open", fd), ("writev", bytes), ("close", fd)."""
 
     def __init__(self):
@@ -115,6 +117,49 @@ def test_pgm_is_one_create_one_write_and_one_close(tmp_path, monkeypatch, image)
     assert opened == "open" and written == ("writev", expected) and last == ("close", fd)
 
 
+_records = [FrameRecord(f"frame_{i:04d}.pgm", i / 30, 0.5 * i, 19250.0 - i, 0.829, 0.0)
+            for i in range(2)]
+
+
+@pytest.mark.parametrize("write, name, data, expected", [
+    (write_config, "config.txt", {"seed": 7, "note": "waist in \u00b5m"},
+     b"seed=7\nnote=waist in \xc2\xb5m\n"),
+    (write_manifest, "manifest.csv", _records,
+     b"frame,time_s,mirror_um,separation_um,analytic_spacing_um,path_difference_um\r\n"
+     b"frame_0000.pgm,0.0,0.0,19250.0,0.829,0.0\r\n"
+     b"frame_0001.pgm,0.03333333333333333,0.5,19249.0,0.829,0.0\r\n"),
+    (lambda path, rows: write_measurements(path.parent, rows), "measurements.csv",
+     [("a,\"b\".pgm", 0.0, 19250.0, 9.72, 0.829, -0.001, 0.98)],
+     b"frame,time_s,separation_um,period_px,period_um,center_um,contrast\n"
+     b"\"a,\"\"b\"\".pgm\",0.0,19250.0,9.72,0.829,-0.001,0.98\n"),
+    (lambda path, rows: write_calibration(path.parent, rows), "calibration.csv",
+     [(0.0853, 1e-05, 19250.0, 9.72, 0.0)],
+     b"pixel_scale_um_px,pixel_scale_uncertainty,separation_um,period_px,"
+     b"relative_residual\n0.0853,1e-05,19250.0,9.72,0.0\n"),
+], ids=["config", "manifest", "measurements", "calibration"])
+def test_a_text_file_is_one_create_one_write_and_one_close(tmp_path, monkeypatch, write,
+                                                           name, data, expected):
+    # each text file is formatted whole, then written as a graymap is: its
+    # UTF-8 bytes in one write, whatever the locale
+    recording = _RecordingOS()
+    monkeypatch.setattr(runfiles, "os", recording)
+    write(tmp_path / name, data)
+    assert (tmp_path / name).read_bytes() == expected
+    (opened, fd), written, last = recording.calls
+    assert opened == "open" and written == ("writev", expected) and last == ("close", fd)
+
+
+def test_a_failing_row_source_leaves_no_table(tmp_path):
+    # the table is formatted before its file is created
+    def rows():
+        yield ("frame_0000.pgm", 0.0, 19250.0, 9.72, 0.829, 0.0, 0.98)
+        raise ValueError("frame_0001.pgm: no fringe")
+
+    with pytest.raises(ValueError, match="frame_0001.pgm: no fringe"):
+        write_measurements(tmp_path, rows())
+    assert os.listdir(tmp_path) == []
+
+
 def test_a_rendered_16_bit_frame_is_one_write(tmp_path, monkeypatch):
     # the camera stores its 16-bit samples big-endian, the file's order:
     # a ladder frame costs one create, one write and one close
@@ -149,23 +194,32 @@ def test_read_pgm_returns_a_view_of_the_bytes_read(tmp_path, monkeypatch, bit_de
     assert np.shares_memory(back, np.frombuffer(read[0], np.uint8))
 
 
-@pytest.mark.parametrize("image, most", [
-    (_big[:5, :6].astype(np.uint8), 1),
-    (_big[:5, :6].astype(np.uint16)[::-1], 7),
-    (_big[:241, :1280].astype(np.uint8), 4099),
-    (_big[::2, ::2].astype(np.uint16), 4099),
-], ids=["8bit-1", "16bit-7", "8bit-4099", "16bit-strided-4099"])
-def test_pgm_short_writes_are_resumed(tmp_path, monkeypatch, image, most):
+@pytest.mark.parametrize("write, data, most", [
+    (write_pgm, _big[:5, :6].astype(np.uint8), 1),
+    (write_pgm, _big[:5, :6].astype(np.uint16)[::-1], 7),
+    (write_pgm, _big[:241, :1280].astype(np.uint8), 4099),
+    (write_pgm, _big[::2, ::2].astype(np.uint16), 4099),
+    (write_config, {"seed": 7, "note": "waist in \u00b5m"}, 1),
+    (write_manifest, _records * 40, 7),
+], ids=["8bit-1", "16bit-7", "8bit-4099", "16bit-strided-4099", "config-1", "manifest-7"])
+def test_pgm_short_writes_are_resumed(tmp_path, monkeypatch, write, data, most):
     # a write may take fewer bytes than it is given, and may stop inside
-    # the header, inside a buffer or at its end
+    # the header, inside a buffer or at its end; a text file, one buffer,
+    # inside a UTF-8 character
+    calls = []
+
     def short_writev(fd, buffers):
+        calls.append(fd)
         data = b"".join(bytes(memoryview(buf).cast("B")[:most]) for buf in buffers)
         return os.write(fd, data[:most])
 
-    write_pgm(tmp_path / "whole.pgm", image)
+    write(tmp_path / "whole", data)
     monkeypatch.setattr(os, "writev", short_writev)
-    write_pgm(tmp_path / "short.pgm", image)
-    assert (tmp_path / "short.pgm").read_bytes() == (tmp_path / "whole.pgm").read_bytes()
+    write(tmp_path / "short", data)
+    whole = (tmp_path / "whole").read_bytes()
+    assert (tmp_path / "short").read_bytes() == whole
+    # every write went through os.writev, each taking `most` bytes
+    assert len(calls) == -(-len(whole) // most)
 
 
 @pytest.mark.parametrize("image", [np.zeros((3, 4), np.uint8),
