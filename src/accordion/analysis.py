@@ -5,8 +5,10 @@ around the sensor center, one Hann window and one FFT.  The period comes
 from the dominant peak with sub-bin refinement; phase and contrast come from
 one projection of the windowed profile onto quadratures at that period,
 in pixels.  measure_run measures each frame of a run with measure_frame, as
-one image is measured; the manifest only referees the period and unwraps
-the center fringe, in um, from one accepted frame to the next.  Pixel-scale
+one image is measured, referees its period against the manifest, then
+tracks the center fringe by its fringe order: one unwrap of the accepted
+frames' phases chooses each frame's order, and the manifest spacing only
+gives the order's width in um.  Pixel-scale
 calibration and knife-edge waist fitting close the loop between pixel and
 physical units.  The knife-edge fit is a variable-projection least-squares
 fit in numpy: the total power is solved in closed form and only the edge
@@ -71,7 +73,10 @@ class KnifeEdgeFit:
 
 class FrameResult(NamedTuple):
     """Per frame of a run: the measurement or the AnalysisError rejecting it,
-    the tracked center fringe (um; None when rejected) and the unwrap flag."""
+    the tracked center fringe (um; None when rejected): center_px times the
+    pixel scale, moved by the frame's fringe order times its manifest
+    spacing, and the unwrap flag, set when the phase stepped more than
+    pi/2 from the previous accepted frame."""
 
     measurement: FringeMeasurement | AnalysisError
     position_um: float | None
@@ -348,56 +353,76 @@ def fit_knife_edge(positions, powers) -> KnifeEdgeFit:
     return KnifeEdgeFit(waist, center, total, rms)
 
 
+def _referee(m: FringeMeasurement, d_um: float, pixel_scale: float) -> FringeMeasurement:
+    """m, unless its manifest period d_um / pixel_scale is not positive and
+    finite or its measured period is more than PERIOD_TOLERANCE (relative)
+    off it, as a wrong pixel scale gives: each an AnalysisError, the only
+    rule for an off-period frame."""
+    # before the division: a manifest period <= 0 is rejected by name
+    expected_px = _positive_period(d_um / pixel_scale)
+    off = m.period_px / expected_px - 1
+    if abs(off) > PERIOD_TOLERANCE:
+        # the fewest decimals, at least one, that show the breach
+        digits = next((k for k in range(1, 16)
+                       if abs(float(f"{off:.{k}%}"[:-1])) > 100 * PERIOD_TOLERANCE), 1)
+        raise AnalysisError(
+            f"measured period {m.period_px:.4g} px is {off:+.{digits}%} off the "
+            f"manifest period {expected_px:.4g} px (tolerance {PERIOD_TOLERANCE:.0%})")
+    return m
+
+
 def measure_run(frames, spacings_um, pixel_scale: float,
                 window_rows: int | None = None) -> list[FrameResult]:
-    """Measure each frame of a run with measure_frame into one FrameResult
-    and track its center fringe, one spectral pass per frame.
+    """Measure each frame of a run with measure_frame into one FrameResult,
+    referee it against the manifest, then track the center fringe of the
+    accepted frames by its fringe order.
 
     frames is any iterable of 2-D arrays, read once and in order (a generator
     that loads each frame will do), each measured blind, as one image is.
-    spacings_um, each frame's analytic spacing from the run manifest, only
-    referees.  pixel_scale is in um per pixel, checked positive and finite
+    spacings_um, each frame's analytic spacing from the run manifest,
+    referees each frame and gives the width of one fringe order; it chooses
+    no order.  pixel_scale is in um per pixel, checked positive and finite
     (a ValueError) before any frame is read.
 
     A frame is rejected by measure_frame's AnalysisError, then by a manifest
     period that is not positive and finite, then by a measured period more
     than PERIOD_TOLERANCE (relative) off the manifest period, as a wrong
-    pixel scale gives: the only rule for an off-period frame.  Each accepted
-    frame's center, center_px * pixel_scale, is unwrapped by the manifest
-    period onto the branch nearest the last accepted one's, flagged if even
-    that branch is over a quarter period off.
+    pixel scale gives: the only rule for an off-period frame.  The accepted
+    frames' phases phi, -2 pi center_px / period_px (fringe_phase folded as
+    the center is), are unwrapped in one pass, each onto the branch nearest
+    the previous accepted frame's.  A frame's fringe order is
+    n = round((unwrap(phi) - phi) / 2 pi), and its position_um is
+    center_px * pixel_scale - n * spacing: the phases choose the order,
+    the manifest gives only its width.  A frame whose unwrapped step from
+    the previous accepted frame exceeds pi/2, a quarter period, is flagged,
+    also where that step spans rejected frames; a flag is no error.  The
+    tracking holds while each step stays below half a period, a change of
+    path difference below wavelength/2 from one accepted frame to the next:
+    on a sweep with no rejected frame, a path rate below
+    wavelength * frame_rate / 2.  Past it a step aliases onto the wrong
+    order, and no flag need fire.
     """
     require_positive("pixel_scale", pixel_scale)
-    spacings = np.asarray(spacings_um, dtype=float)
-    if spacings.size == 0:
+    spacings = np.asarray(spacings_um, dtype=float).tolist()
+    if not spacings:
         raise AnalysisError("nothing to track")
-    results: list[FrameResult] = []
-    last = None
+    measured: list[FringeMeasurement | AnalysisError] = []
     frames = iter(frames)
     # spacings first: zip stops at the last spacing without reading a frame more
     for d_um, image in zip(spacings, frames):
         try:
-            m = measure_frame(image, window_rows)
-            # before the division: a manifest period <= 0 is rejected by name
-            expected_px = _positive_period(d_um / pixel_scale)
-            off = m.period_px / expected_px - 1
-            if abs(off) > PERIOD_TOLERANCE:
-                # the fewest decimals, at least one, that show the breach
-                digits = next((k for k in range(1, 16)
-                               if abs(float(f"{off:.{k}%}"[:-1])) > 100 * PERIOD_TOLERANCE), 1)
-                raise AnalysisError(
-                    f"measured period {m.period_px:.4g} px is {off:+.{digits}%} off the "
-                    f"manifest period {expected_px:.4g} px (tolerance "
-                    f"{PERIOD_TOLERANCE:.0%})")
+            measured.append(_referee(measure_frame(image, window_rows), d_um, pixel_scale))
         except AnalysisError as err:
-            results.append(FrameResult(err, None, False))
-            continue
-        position = m.center_px * pixel_scale
-        if last is not None:
-            position += d_um * round((last - position) / d_um)
-        flagged = last is not None and bool(abs(position - last) > d_um / 4)
-        results.append(FrameResult(m, float(position), flagged))
-        last = position
-    if len(results) != spacings.size or next(frames, None) is not None:
+            measured.append(err)
+    if len(measured) != len(spacings) or next(frames, None) is not None:
         raise AnalysisError("frames and spacings differ in length")
-    return results
+    # each accepted center's own phase, in [-pi, pi): at fringe_phase pi
+    # exactly the center folds to +period/2, a whole turn from the phase
+    phase = np.array([-2 * math.pi * m.center_px / m.period_px for m in measured
+                      if isinstance(m, FringeMeasurement)])
+    unwrapped = np.unwrap(phase)
+    orders = iter(np.rint((unwrapped - phase) / (2 * math.pi)).tolist())
+    flags = iter((np.abs(np.diff(unwrapped, prepend=unwrapped[:1])) > math.pi / 2).tolist())
+    return [FrameResult(m, m.center_px * pixel_scale - next(orders) * d_um, next(flags))
+            if isinstance(m, FringeMeasurement) else FrameResult(m, None, False)
+            for m, d_um in zip(measured, spacings)]

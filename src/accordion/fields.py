@@ -113,6 +113,14 @@ def intensity_at(cfg: LatticeConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray
                                   cfg.path_difference, x, cross_x))
 
 
+def require_envelope(rows: int, cols: int) -> None:
+    """Raise NumPy's MemoryError if the envelope beam_envelopes allocates
+    for rows y and cols x points cannot be allocated, from the sizes alone,
+    before any coordinate is built; an envelope that can is freed untouched,
+    with no page of it written."""
+    np.empty((rows, cols))
+
+
 def beam_envelopes(cfg: LatticeConfig, x: np.ndarray, y: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The part of intensity_at that reads only cfg's beams, not D or dL.

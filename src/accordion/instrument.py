@@ -75,7 +75,7 @@ from itertools import repeat
 import numpy as np
 
 from .fields import (LatticeConfig, beam_envelopes, cross_row, fringes_into,
-                     require_resolved)
+                     require_envelope, require_resolved)
 from .geometry import OpticalParams, require_positive, spacing_fourier
 
 
@@ -284,14 +284,17 @@ def _new_frame(cam: CameraModel) -> np.ndarray:
 
 
 def _frame_renderer(base_cfg: LatticeConfig, cam: CameraModel
-                    ) -> Callable[[float, float, int, np.ndarray], np.ndarray]:
+                    ) -> tuple[Callable[[float, float, int, np.ndarray], np.ndarray],
+                               np.ndarray]:
     """render(separation, path_difference, frame_index, frame): base_cfg's
     beams and lens digitized at that D and dL into frame, a _new_frame(cam)
     of the caller's, which it returns; frame_index keys the noise stream.
+    Returned with cam.pixel_x(), which the caller's sampling checks read.
 
     The beam envelopes are evaluated here, once, on the rows up to the
-    center only when both beams are centred in y; a sensor whose pixel
-    centres or envelope NumPy refuses to allocate is a ValueError.  A
+    center only when both beams are centred in y.  A sensor whose envelope
+    NumPy refuses to allocate is a ValueError raised before its pixel
+    centres are built, and so is one whose pixel centres it refuses.  A
     frame computes its cross row once, then renders and digitizes one block
     of rows at a time, by the module's mirror rule; every step is
     elementwise, so the bytes do not depend on the blocks.  With read noise
@@ -308,15 +311,20 @@ def _frame_renderer(base_cfg: LatticeConfig, cam: CameraModel
     # pixel_y is antisymmetric bit for bit, and exp(-v*v/w2) is even
     centred = (base_cfg.beam_plus.center_offset[1] == 0
                and base_cfg.beam_minus.center_offset[1] == 0)
+    nx, ny = cam.sensor
+    half = (ny + 1) // 2 if centred else ny
     try:
+        # the envelope's size is known from the sensor alone: a sensor NumPy
+        # refuses is refused before its pixel centres are built (160 MB and
+        # more on a 10^7 x 10^7 sensor)
+        require_envelope(half, nx)
         px, py = cam.pixel_x(), cam.pixel_y()
-        half = (py.size + 1) // 2 if centred else py.size
         envelope, cross_y, cross_x = beam_envelopes(base_cfg, px, py[:half])
     except MemoryError as err:
         # NumPy refuses an allocation beyond the host's memory before making it
         raise ValueError(f"sensor {cam.sensor[0]}x{cam.sensor[1]}: {err}") from None
     noisy = cam.read_noise > 0
-    rows = py.size if noisy else half
+    rows = ny if noisy else half
     mirrored = (not noisy and np.array_equal(envelope, envelope[:, ::-1])
                 and np.array_equal(cross_x, cross_x[::-1]))
 
@@ -347,10 +355,10 @@ def _frame_renderer(base_cfg: LatticeConfig, cam: CameraModel
         # column j past the rendered ones mirrors column len(px) - 1 - j, and
         # row r past them row len(py) - 1 - r
         frame[:rows, width:] = frame[:rows, :px.size - width][:, ::-1]
-        frame[rows:] = frame[:py.size - rows][::-1]
+        frame[rows:] = frame[:ny - rows][::-1]
         return frame
 
-    return render
+    return render, px
 
 
 def render_frame(cfg: LatticeConfig, cam: CameraModel,
@@ -374,8 +382,8 @@ def render_frame(cfg: LatticeConfig, cam: CameraModel,
         peak counts gain * (a1 + a2)^2 are not finite, or if the sensor's
         pixel centres or envelope cannot be allocated.
     """
-    render = _frame_renderer(cfg, cam)
-    require_resolved(cfg.optics, cam.pixel_x())
+    render, px = _frame_renderer(cfg, cam)
+    require_resolved(cfg.optics, px)
     return render(cfg.optics.separation, cfg.path_difference, frame_index, _new_frame(cam))
 
 
@@ -430,8 +438,7 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
         raise ValueError(f"workers must be at least 1, got {workers!r}")
     # the envelopes are evaluated before this returns, so that no rendering
     # error can come after a consumer has started its output
-    render = _frame_renderer(base_cfg, cam)
-    px = cam.pixel_x()
+    render, px = _frame_renderer(base_cfg, cam)
     lens = base_cfg.optics
     samples = list(zip(trajectory.separations.astype(float).tolist(),
                        trajectory.path_differences.astype(float).tolist()))

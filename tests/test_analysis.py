@@ -10,8 +10,10 @@ from accordion import (
     AnalysisError,
     FringeMeasurement,
     LatticeConfig,
+    MirrorDrive,
     NoFringeError,
     OpticalParams,
+    build_trajectory,
     calibrate_pixel_scale,
     fit_knife_edge,
     fringe_profile,
@@ -655,6 +657,45 @@ class TestTrackAcrossRejectedFrames:
         results = measure_run(frames, spacings, cam.pixel_scale)
         assert [r.flagged for r in results] == [False, False, False, True]
         assert results[3].position_um == pytest.approx(-0.3 * spacings[3], abs=0.01)
+
+
+class TestTrackAPathDriftAcrossASweep:
+    """fig6b with a path difference dL = k * m drifting with the mirror: one
+    fringe order of drift is lam*f/D, which changes 11-fold over the sweep,
+    so only the fringe order, not a fixed branch width, follows it."""
+
+    DRIVE = MirrorDrive(43810.0, 20000.0, 20000.0, dwell=0.5, frame_rate=30.0)
+    # a path step below lam/2 a frame: a path rate below lam * frame_rate / 2
+    K_LIMIT = WAVELENGTH * DRIVE.frame_rate / 2 / DRIVE.speed
+
+    def _track(self, k):
+        traj = build_trajectory(self.DRIVE)
+        path_differences = k * traj.mirror_positions
+        frames, records = render_sequence(traj.with_path_difference(path_differences),
+                                          make_config(), make_camera())
+        results = measure_run(frames, [r.analytic_spacing_um for r in records],
+                              PIXEL_SCALE)
+        assert len(results) == 76
+        truth = -path_differences * 80000.0 / traj.separations
+        return tracked(results)[0], truth
+
+    @pytest.mark.parametrize("k", [1e-5, 5e-5, 1e-4, 3e-4])
+    def test_every_center_follows_the_drift(self, k):
+        # an unwrap in um, onto the branch nearest the previous center,
+        # loses 11 to 123 um of this drift from k = 5e-5 on: n orders out,
+        # a change of lam*f/D moves the branches n times as far
+        assert k < self.K_LIMIT
+        positions, truth = self._track(k)
+        assert np.abs(positions - truth).max() <= 0.01
+        assert np.ptp(positions) == pytest.approx(np.ptp(truth), abs=0.02)
+
+    def test_a_drift_past_the_limit_aliases(self):
+        # past lam/2 a frame (k above 4.0e-4 here) a step lands on the wrong
+        # fringe order, as for any nearest-branch unwrap
+        k = 6e-4
+        assert k > self.K_LIMIT
+        positions, truth = self._track(k)
+        assert np.ptp(positions) < 0.5 * np.ptp(truth)
 
 
 @pytest.mark.parametrize("scale", [0.0, -PIXEL_SCALE, math.nan, math.inf])

@@ -267,6 +267,24 @@ class TestSweepCommand:
         assert err.count("\n") == 1
         assert dir_digest(out) == before
 
+    def test_an_unallocatable_sensor_is_refused_before_its_pixel_centres(self, tmp_path):
+        # the envelope's size is known from the sensor alone; building the
+        # 10^7 pixel centres in x and in y first took the process to 259 MB.
+        # The peak RSS of a fresh process since its exec, VmHWM: its
+        # ru_maxrss starts at the forking test runner's RSS, and tracemalloc
+        # would record the refused 364 TiB request as its peak
+        code = ("import pathlib, sys\n"
+                "from accordion.cli import main\n"
+                "code = main(['sweep', '--preset', 'fig4a', '--sensor', "
+                "'10000000x10000000', '--out', sys.argv[1]])\n"
+                "status = pathlib.Path('/proc/self/status').read_text().splitlines()\n"
+                "print(code, *(l.split()[1] for l in status if l.startswith('VmHWM:')))\n")
+        out = tmp_path / "run"
+        code, peak_rss_kb = map(int, run_fresh(code, str(out)).split())
+        assert code == 2
+        assert peak_rss_kb < 100 * 1024
+        assert not out.exists()
+
     def test_grid_options_are_gone(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("focal=30000\nseparations=19250\ngrid_nx=2048\n")
