@@ -72,8 +72,7 @@ class LatticeConfig:
         if not math.isfinite((a1 + a2) * (a1 + a2)):
             raise ValueError(f"amplitudes {a1!r} and {a2!r} leave the peak intensity "
                              "(a1 + a2)^2 no finite value")
-        if not math.isfinite(self.path_difference):
-            raise ValueError("path_difference must be finite")
+        require_finite_phase(self.optics.wavelength, self.path_difference)
 
 
 def fold_to_period(x, period: float):
@@ -161,13 +160,23 @@ def require_resolved(optics: OpticalParams, x: np.ndarray) -> None:
         )
 
 
+def require_finite_phase(wavelength: float, path_difference: float) -> None:
+    """Raise ValueError unless the fringe phase 2 pi dL/lam that the path
+    difference dL adds, computed as cross_row computes it, is finite: past
+    that, cos(inf) is NaN, and the frame digitizes to zeros."""
+    if not math.isfinite(2 * math.pi * path_difference / wavelength):
+        raise ValueError(f"path_difference must leave the fringe phase 2 pi dL/lam "
+                         f"finite, got {path_difference!r} um at wavelength {wavelength!r} um")
+
+
 def cross_row(optics: OpticalParams, separation: float, path_difference: float,
               x: np.ndarray, cross_x: np.ndarray) -> np.ndarray:
     """The cross term's x profile cross_x * cos(2 pi D x/(lam f) + 2 pi dL/lam),
     cross_x from beam_envelopes, at D = separation, dL = path_difference
     (beam_minus's path minus beam_plus's) and optics' lam and f: the one
     part of intensity_at that reads D and dL, a row of len(x).  The caller
-    checks the sampling with require_resolved, once per sample."""
+    checks the sampling with require_resolved and the phase with
+    require_finite_phase, once per sample."""
     phase = (2 * math.pi * separation
              / (optics.wavelength * optics.focal_length) * x
              + 2 * math.pi * path_difference / optics.wavelength)

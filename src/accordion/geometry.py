@@ -61,10 +61,11 @@ def spacing_thin_lens(p: OpticalParams) -> float:
 
     Always exceeds spacing_fourier; the ratio between the two is exactly
     sqrt(1 + (D/2f)^2), which grows noticeably once the crossing angle
-    gets large.
+    gets large.  Computed through hypot, so that no square of f or D
+    overflows.
     """
     d = p.separation
-    return p.wavelength * math.sqrt(d * d / 4 + p.focal_length**2) / d
+    return p.wavelength * math.hypot(d / 2, p.focal_length) / d
 
 
 def beam_angle(p: OpticalParams) -> float:

@@ -75,7 +75,7 @@ from itertools import repeat
 import numpy as np
 
 from .fields import (LatticeConfig, beam_envelopes, cross_row, fringes_into,
-                     require_envelope, require_resolved)
+                     require_envelope, require_finite_phase, require_resolved)
 from .geometry import OpticalParams, require_positive, spacing_fourier
 
 
@@ -108,41 +108,45 @@ class MirrorDrive:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled sweep: time, mirror position, separation and
-    path difference per frame (seconds / micrometers)."""
+    """A sweep sampled at frame_rate frames per second from t = 0: mirror
+    position, separation and path difference per frame, in micrometers.
 
-    times: np.ndarray
+    Sample k is taken at times[k] = k / frame_rate seconds, derived from
+    the frame rate, not stored.  Mirror positions and separations are both
+    stored: a drive derives D from m, a separation ladder m from D, and
+    each is exact only its own way round.
+    """
+
+    frame_rate: float
     mirror_positions: np.ndarray
     separations: np.ndarray
     path_differences: np.ndarray
 
     def __post_init__(self):
-        n = len(self.times)
-        for name in ("mirror_positions", "separations", "path_differences"):
+        require_positive("frame_rate", self.frame_rate)
+        n = len(self.separations)
+        for name in ("mirror_positions", "path_differences"):
             if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} length does not match times ({n})")
+                raise ValueError(f"{name} length does not match separations ({n})")
         # written so that a NaN, which fails every comparison, fails them too
-        if not np.all(np.isfinite(self.times)):
-            raise ValueError("times must be finite")
-        if n > 1:
-            dt = np.diff(self.times)
-            if not np.all(dt > 0):
-                raise ValueError("times must be strictly increasing")
-            if not np.allclose(dt, dt[0], rtol=1e-6, atol=1e-12):
-                raise ValueError("times must be uniformly spaced")
         if not np.all(self.separations > 0):
             raise ValueError("all separations must be positive")
         if not np.all(np.isfinite(self.path_differences)):
             raise ValueError("path differences must be finite")
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.separations)
+
+    @property
+    def times(self) -> np.ndarray:
+        """Each sample's time, k / frame_rate seconds for sample k."""
+        return np.arange(len(self)) / self.frame_rate
 
     def with_path_difference(self, path_difference) -> "Trajectory":
         """Copy of the trajectory with path differences replaced by a
         scalar or an array of per-frame values, in micrometers."""
         pd = np.broadcast_to(np.asarray(path_difference, dtype=float),
-                             self.times.shape).copy()
+                             self.separations.shape).copy()
         return replace(self, path_differences=pd)
 
 
@@ -151,17 +155,25 @@ def build_trajectory(drive: MirrorDrive) -> Trajectory:
 
     Samples sit at k/frame_rate with both endpoints included; the mirror
     motion does not alter the path difference, so it is zero throughout.
-    A sample count whose arrays cannot be allocated is a ValueError.
+    A sample count that is not finite, or whose arrays NumPy cannot
+    allocate, is a ValueError naming frame_rate.
     """
     t_out = drive.travel / drive.speed
     total = 2 * t_out + drive.dwell
-    n = int(math.floor(total * drive.frame_rate + 1e-9)) + 1
+    n = total * drive.frame_rate
     try:
+        # an infinite count is an OverflowError, one beyond NumPy's array
+        # sizes a ValueError and one beyond the host's memory a MemoryError,
+        # each raised before anything is allocated; np.zeros asks first, as
+        # np.arange(n) of an n near 2**63 returns an empty array instead
+        n = math.floor(n + 1e-9) + 1
+        path_differences = np.zeros(n)
         t = np.arange(n) / drive.frame_rate
-    except MemoryError as err:
-        # NumPy refuses an allocation beyond the host's memory before making it
+    except (OverflowError, ValueError, MemoryError) as err:
+        # a count of 19 digits or more is shown to 6 of them
+        shown = n if n < 1e18 else f"{n:.6g}"
         raise ValueError(f"frame_rate {drive.frame_rate!r} samples the sweep "
-                         f"{n} times: {err}") from None
+                         f"{shown} times: {err}") from None
     m = np.where(
         t <= t_out,
         drive.speed * t,
@@ -171,7 +183,7 @@ def build_trajectory(drive: MirrorDrive) -> Trajectory:
     )
     m = np.maximum(m, 0.0)
     sep = drive.initial_separation - 2.0 * m
-    return Trajectory(t, m, sep, np.zeros(n))
+    return Trajectory(drive.frame_rate, m, sep, path_differences)
 
 
 def static_sweep(separations, frame_rate: float = 30.0) -> Trajectory:
@@ -184,10 +196,7 @@ def static_sweep(separations, frame_rate: float = 30.0) -> Trajectory:
     sep = np.asarray(separations, dtype=float)
     if sep.ndim != 1 or sep.size == 0:
         raise ValueError("separations must be a non-empty 1-D sequence")
-    require_positive("frame_rate", frame_rate)
-    t = np.arange(sep.size) / frame_rate
-    m = (sep[0] - sep) / 2.0
-    return Trajectory(t, m, sep, np.zeros(sep.size))
+    return Trajectory(frame_rate, (sep[0] - sep) / 2.0, sep, np.zeros(sep.size))
 
 
 @dataclass(frozen=True)
@@ -442,16 +451,20 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
     lens = base_cfg.optics
     samples = list(zip(trajectory.separations.astype(float).tolist(),
                        trajectory.path_differences.astype(float).tolist()))
+    times = trajectory.times.tolist()
     records = []
     for i, (separation, path_difference) in enumerate(samples):
         try:
+            # in the order render_frame meets them: the optics, the
+            # configuration's phase, then the sampling
             optics = OpticalParams(lens.wavelength, lens.focal_length, separation)
+            require_finite_phase(lens.wavelength, path_difference)
             require_resolved(optics, px)
         except ValueError as err:
             raise ValueError(f"rendering failed at sample {i}: {err}") from err
         records.append(FrameRecord(
             frame=f"frame_{i:04d}.pgm",
-            time_s=float(trajectory.times[i]),
+            time_s=times[i],
             mirror_um=float(trajectory.mirror_positions[i]),
             separation_um=separation,
             analytic_spacing_um=spacing_fourier(optics),

@@ -59,6 +59,14 @@ class TestSpacingCommand:
         assert "separation_for_target_um" not in captured.out
         assert "lam/2 = 0.266 um" in captured.err
 
+    def test_large_focal_length(self, capsys):
+        # f**2 overflows a float; the thin-lens period is still lam*f/D
+        assert main(["spacing", "--wavelength", "0.5", "--focal", "1e200",
+                     "--separation", "1"]) == 0
+        vals = parse_keyvals(capsys.readouterr().out)
+        assert float(vals["spacing_thin_lens_um"]) == pytest.approx(5e199)
+        assert float(vals["thin_lens_ratio"]) == 1.0
+
     def test_missing_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["spacing", "--wavelength", "0.532"])
@@ -237,15 +245,37 @@ class TestSweepCommand:
         assert "frame_rate must be positive" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unallocatable_sweep_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value, message", [
         # 2.5e17 samples, 1.73 EiB per array: beyond any address space, so
         # NumPy refuses the allocation at once, whatever the host's overcommit
+        ("--frame-rate", "1e17", "error: frame_rate 1e+17 samples the sweep "
+                                 "250000000000000001 times: Unable to allocate"),
+        # a count that overflows to inf, through the rate or through the dwell
+        ("--frame-rate", "1e308", "error: frame_rate 1e+308 samples the sweep inf times: "),
+        ("--dwell", "1e308", "error: frame_rate 30.0 samples the sweep inf times: "),
+        # 1.2e306 samples: beyond NumPy's largest array
+        ("--speed", "1e-300", "error: frame_rate 30.0 samples the sweep 1.2e+306 times: "),
+        # 2**63 + 1 samples, for which np.arange returns an empty array
+        ("--frame-rate", "3.6893488147419103e18",
+         "error: frame_rate 3.6893488147419105e+18 samples the sweep 9.22337e+18 times: "),
+    ], ids=["unallocatable", "infinite-rate", "infinite-dwell", "beyond-numpy", "near-2**63"])
+    def test_unallocatable_sweep_is_usage_error(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "run"
-        assert main(["sweep", "--preset", "fig6b", "--frame-rate", "1e17",
+        assert main(["sweep", "--preset", "fig6b", flag, value,
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: frame_rate 1e+17 samples the sweep "
-                              "250000000000000001 times: Unable to allocate")
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_overflowing_fringe_phase_is_usage_error(self, tmp_path, capsys):
+        # dL is finite, but 2 pi dL/lam is not: it would render cos(inf)
+        out = tmp_path / "run"
+        assert main(["sweep", "--preset", "fig4a", "--path-difference", "1e308",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: rendering failed at sample 0: path_difference must "
+                              "leave the fringe phase 2 pi dL/lam finite")
         assert err.count("\n") == 1
         assert not out.exists()
 

@@ -43,6 +43,12 @@ class TestSpacingThinLens:
         assert spacing_thin_lens(p) / spacing_fourier(p) == pytest.approx(1.00028, abs=2e-5)
         assert spacing_thin_lens(p) == pytest.approx(11.23, abs=5e-3)
 
+    def test_large_focal_length_does_not_overflow(self):
+        # f**2 would overflow a float; the period is lam*f/D to within rounding
+        p = OpticalParams(0.5, 1e200, 1.0)
+        assert math.isfinite(spacing_thin_lens(p))
+        assert spacing_thin_lens(p) / spacing_fourier(p) == pytest.approx(1.0, rel=1e-15)
+
 
 class TestBeamAngle:
     def test_large_angle(self):

@@ -165,12 +165,8 @@ class TestBuildTrajectory:
         assert explicit.path_differences[-1] == 1.0
 
     def test_trajectory_validation(self):
-        with pytest.raises(ValueError, match="uniform"):
-            Trajectory(np.array([0.0, 0.1, 0.3]), np.zeros(3),
-                       np.full(3, 1e4), np.zeros(3))
-        with pytest.raises(ValueError, match="increasing"):
-            Trajectory(np.array([0.0, 0.0]), np.zeros(2),
-                       np.full(2, 1e4), np.zeros(2))
+        with pytest.raises(ValueError, match="length does not match"):
+            Trajectory(30.0, np.zeros(3), np.full(2, 1e4), np.zeros(2))
         with pytest.raises(ValueError, match="positive"):
             static_sweep([1e4, -1.0])
         with pytest.raises(ValueError, match="separations must be positive"):
@@ -180,16 +176,16 @@ class TestBuildTrajectory:
 
     @pytest.mark.parametrize("field, values, message", [
         ("separations", [np.nan, 1e4], "separations must be positive"),
-        ("times", [0.0, np.nan], "times must be finite"),
-        ("times", [np.nan], "times must be finite"),
-        ("times", [0.0, np.inf], "times must be finite"),
+        ("frame_rate", np.nan, "frame_rate must be positive"),
+        ("frame_rate", np.inf, "frame_rate must be positive"),
+        ("frame_rate", 0.0, "frame_rate must be positive"),
         ("path_differences", [0.0, np.nan], "path differences must be finite"),
         ("path_differences", [np.inf, 0.0], "path differences must be finite"),
     ])
     def test_trajectory_rejects_nan(self, field, values, message):
         # NaN fails every comparison, so a check for bad values passes it
-        n = len(values)
-        arrays = dict(times=np.arange(n) / 30.0, mirror_positions=np.zeros(n),
+        n = 2
+        arrays = dict(frame_rate=30.0, mirror_positions=np.zeros(n),
                       separations=np.full(n, 1e4), path_differences=np.zeros(n))
         arrays[field] = np.array(values)
         with pytest.raises(ValueError, match=message):
@@ -302,7 +298,7 @@ class TestRenderSequence:
         base = LatticeConfig(OpticalParams(0.532, 80000.0, 43810.0),
                              BeamSpec(30.0, 1.0, (5.0, -3.0)), BeamSpec(42.0, 0.7))
         cam = make_camera(read_noise=1.5, seed=4, gain=255 / 1.7 ** 2)
-        traj = Trajectory(np.array([0.0, 0.1]), np.array([0.0, 6905.0]),
+        traj = Trajectory(10.0, np.array([0.0, 6905.0]),
                           np.array([43810.0, 30000.0]), np.array([0.0, 0.19]))
         frames = assert_each_frame_is_render_frame(traj, base, cam)
         assert not np.array_equal(frames[0], frames[1])
@@ -380,6 +376,16 @@ class TestRenderSequence:
             with pytest.raises(ValueError) as raised:
                 render_sequence(static_sweep(separations), base, cam, workers)
             assert str(raised.value) == expected
+
+    def test_overflowing_phase_fails_where_render_frame_fails(self):
+        # dL = 1e308 is finite, but its fringe phase 2 pi dL/lam is not
+        base = make_config(separation=43810.0)
+        with pytest.raises(ValueError) as direct:
+            replace(base, path_difference=1e308)
+        with pytest.raises(ValueError) as raised:
+            render_sequence(static_sweep([43810.0]).with_path_difference(1e308),
+                            base, make_camera())
+        assert str(raised.value) == f"rendering failed at sample 0: {direct.value}"
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_rejected(self, workers):
