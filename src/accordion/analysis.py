@@ -1,7 +1,7 @@
 """Fringe metrology on digital frames.
 
-Each frame gets one spectral pass: one profile averaged over a band of rows
-around the sensor center, one Hann window and one FFT.  The period comes
+Each frame gets one spectral pass: one profile averaged over the central
+quarter of the sensor's rows, one Hann window and one FFT.  The period comes
 from the dominant peak with sub-bin refinement; phase and contrast come from
 one projection of the windowed profile onto quadratures at that period,
 in pixels.  measure_run measures each frame of a run with measure_frame, as
@@ -83,16 +83,13 @@ class FrameResult(NamedTuple):
     flagged: bool
 
 
-def fringe_profile(image, window_rows: int | None = None) -> np.ndarray:
-    """Average a band of rows about the image center into one profile.
-
-    window_rows defaults to a quarter of the image height, trading noise
-    against envelope curvature.
-    """
+def fringe_profile(image) -> np.ndarray:
+    """Average the central quarter of the image's rows, max(1, ny // 4) of
+    ny, into one profile across the fringes: a band that trades noise
+    against the curvature of the beam envelope."""
     img = np.atleast_2d(np.asarray(image))
     ny = img.shape[0]
-    rows = window_rows if window_rows is not None else max(1, ny // 4)
-    rows = int(min(max(rows, 1), ny))
+    rows = max(1, ny // 4)
     start = ny // 2 - rows // 2
     # summed in float64 with no float copy of the band: a sum of integers
     # below 2**53 is exact, so the bits are those of the copy's mean
@@ -123,11 +120,12 @@ def _centred_pixels(n: int) -> np.ndarray:
     return x
 
 
-def _spectrum(image, window_rows: int | None) -> _Spectrum:
-    """One profile, Hann window and FFT: all that period, phase and contrast read."""
+def _spectrum(image) -> _Spectrum:
+    """One profile over the central quarter of the rows, one Hann window and
+    one FFT: all that period, phase and contrast read."""
     if np.size(image) == 0:
         raise AnalysisError(f"empty image of shape {np.shape(image)}: no profile to analyze")
-    profile = fringe_profile(image, window_rows)
+    profile = fringe_profile(image)
     h, h_sum = _hann(profile.size)
     total = (h * profile).sum()
     windowed = h * (profile - total / h_sum)
@@ -185,16 +183,17 @@ def _project(s: _Spectrum, period_px: float) -> tuple[float, float, float]:
     return phase, float(center), abs(projection)
 
 
-def measure_frame(image, window_rows: int | None = None) -> FringeMeasurement:
+def measure_frame(image) -> FringeMeasurement:
     """Full single-frame measurement: period, phase, center and contrast,
-    from one spectral pass and one projection at the measured period.
+    from one spectral pass over the profile of the central quarter of the
+    image's rows and one projection at the measured period.
 
     At least 3 full periods and 4 samples per period must fit across the
     image.  A best non-DC peak less than 6 dB above the median spectrum
     magnitude, or at bin 1, the scale of the beam envelope itself, is a
     NoFringeError; too few periods or samples per period, or an empty image,
     is an AnalysisError."""
-    s = _spectrum(image, window_rows)
+    s = _spectrum(image)
     period, sigma = _period(s)
     phase, center_px, amplitude = _project(s, period)
     if s.total <= 0:
@@ -371,11 +370,11 @@ def _referee(m: FringeMeasurement, d_um: float, pixel_scale: float) -> FringeMea
     return m
 
 
-def measure_run(frames, spacings_um, pixel_scale: float,
-                window_rows: int | None = None) -> list[FrameResult]:
-    """Measure each frame of a run with measure_frame into one FrameResult,
-    referee it against the manifest, then track the center fringe of the
-    accepted frames by its fringe order.
+def measure_run(frames, spacings_um, pixel_scale: float) -> list[FrameResult]:
+    """Measure each frame of a run with measure_frame, over the central
+    quarter of its rows, into one FrameResult, referee it against the
+    manifest, then track the center fringe of the accepted frames by its
+    fringe order.
 
     frames is any iterable of 2-D arrays, read once and in order (a generator
     that loads each frame will do), each measured blind, as one image is.
@@ -411,7 +410,7 @@ def measure_run(frames, spacings_um, pixel_scale: float,
     # spacings first: zip stops at the last spacing without reading a frame more
     for d_um, image in zip(spacings, frames):
         try:
-            measured.append(_referee(measure_frame(image, window_rows), d_um, pixel_scale))
+            measured.append(_referee(measure_frame(image), d_um, pixel_scale))
         except AnalysisError as err:
             measured.append(err)
     if len(measured) != len(spacings) or next(frames, None) is not None:

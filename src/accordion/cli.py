@@ -234,10 +234,10 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------- analyze
 
-def _analyze_single(path: Path, pixel_scale, window_rows) -> int:
+def _analyze_single(path: Path, pixel_scale) -> int:
     from . import analysis, runfiles
     image = runfiles.read_pgm(path)
-    m = analysis.measure_frame(image, window_rows)
+    m = analysis.measure_frame(image)
     print(f"period_px   {m.period_px:.4f} +- {m.period_uncertainty_px:.4f}")
     if pixel_scale is not None:
         print(f"period_um   {m.period_px * pixel_scale:.6g}")
@@ -265,15 +265,13 @@ def _setting(args, config: dict, key: str, config_path: Path | None):
 
 def cmd_analyze(args) -> int:
     from . import analysis, instrument, runfiles
-    if args.window_rows is not None and args.window_rows < 1:
-        raise ValueError(f"--window-rows must be at least 1, got {args.window_rows}")
     target = Path(args.target)
     if target.is_file():
         if args.calibrate or args.out:
             flag = "--calibrate" if args.calibrate else "--out"
             raise ValueError(f"{flag} needs a run directory; {target} is one image")
         pixel_scale, _, _ = (_setting(args, {}, key, None) for key in ANALYZE_KEYS)
-        return _analyze_single(target, pixel_scale, args.window_rows)
+        return _analyze_single(target, pixel_scale)
     if not target.is_dir():
         raise ValueError(f"{target}: no such file or directory")
 
@@ -287,13 +285,19 @@ def cmd_analyze(args) -> int:
                                       for key in ANALYZE_KEYS)
     if pixel_scale is None:
         raise ValueError("no pixel scale: pass --pixel-scale or provide config.txt")
-    if args.calibrate and (wavelength is None or focal is None):
-        raise ValueError("--calibrate needs wavelength and focal length "
-                         "(from config.txt or --wavelength/--focal)")
+    if args.calibrate:
+        if wavelength is None or focal is None:
+            raise ValueError("--calibrate needs wavelength and focal length "
+                             "(from config.txt or --wavelength/--focal)")
+        # the lens law of each separation the fit can take; a separation
+        # that is not positive and finite fails the fit itself
+        for rec in records:
+            if 0 < rec.separation_um < math.inf:
+                geometry.lens_law_spacing(wavelength, focal, rec.separation_um)
 
     results = analysis.measure_run(
         (runfiles.read_pgm(target / rec.frame) for rec in records),
-        [rec.analytic_spacing_um for rec in records], pixel_scale, args.window_rows)
+        [rec.analytic_spacing_um for rec in records], pixel_scale)
     errors = [f"{rec.frame}: {r.measurement}" for rec, r in zip(records, results)
               if r.position_um is None]
     measured = [(rec, r.measurement, r.position_um) for rec, r in zip(records, results)
@@ -386,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     an = sub.add_parser("analyze", help="measure a run directory or one image")
     an.add_argument("target", help="run directory or P5 image")
-    an.add_argument("--window-rows", dest="window_rows", type=int, default=None)
     an.add_argument("--calibrate", action="store_true",
                     help="fit the pixel scale from the manifest separations")
     for key in ANALYZE_KEYS:

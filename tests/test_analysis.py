@@ -182,14 +182,17 @@ class TestContrast:
 class TestFringeProfile:
     # ">u2": the camera's 16-bit frames and read_pgm's samples are big-endian
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, ">u2"])
-    @pytest.mark.parametrize("window_rows", [None, 1, 3, 60, 500])
-    def test_matches_mean_of_full_frame_conversion(self, rng, dtype, window_rows):
+    # the central quarter of the rows, and the middle row where a quarter
+    # holds none
+    @pytest.mark.parametrize("height, start, rows", [
+        (1, 0, 1), (2, 1, 1), (3, 1, 1), (4, 2, 1), (7, 3, 1), (240, 90, 60),
+    ], ids=["1", "2", "3", "4", "7", "240"])
+    def test_matches_mean_of_full_frame_conversion(self, rng, dtype, height, start, rows):
         native = np.dtype(dtype).newbyteorder("=")
-        img = rng.integers(0, np.iinfo(dtype).max, size=(240, 1280), dtype=native).astype(dtype)
-        rows = min(window_rows or 240 // 4, 240)
-        start = 120 - rows // 2
+        img = rng.integers(0, np.iinfo(dtype).max, size=(height, 1280),
+                           dtype=native).astype(dtype)
         expected = np.asarray(img, dtype=float)[start:start + rows].mean(axis=0)
-        assert np.array_equal(fringe_profile(img, window_rows), expected)
+        assert np.array_equal(fringe_profile(img), expected)
 
 
 def _measure_run_or_raise(image):
@@ -517,12 +520,10 @@ class TestMeasureRun:
         return list(frames), [r.analytic_spacing_um for r in records]
 
     @pytest.mark.parametrize("bit_depth, read_noise", [(16, 1.5), (8, 1.5), (16, 40.0)])
-    @pytest.mark.parametrize("window_rows", [None, 3])
-    def test_each_result_equals_measure_frame(self, window_rows, bit_depth, read_noise):
+    def test_each_result_equals_measure_frame(self, bit_depth, read_noise):
         frames, spacings = self._frames(read_noise, bit_depth)
-        results = measure_run((img for img in frames), spacings, PIXEL_SCALE, window_rows)
-        assert [r.measurement for r in results] == [
-            measure_frame(img, window_rows) for img in frames]
+        results = measure_run((img for img in frames), spacings, PIXEL_SCALE)
+        assert [r.measurement for r in results] == [measure_frame(img) for img in frames]
         assert tracked(results)[0].shape == (3,)
 
     def test_rejected_frame_is_returned_in_its_place(self):

@@ -67,6 +67,15 @@ class TestSpacingCommand:
         assert float(vals["spacing_thin_lens_um"]) == pytest.approx(5e199)
         assert float(vals["thin_lens_ratio"]) == 1.0
 
+    def test_overflowing_lens_law_is_usage_error(self, capsys):
+        # lam*f overflows: no infinite period and no nan ratio is printed
+        assert main(["spacing", "--wavelength", "1e200", "--focal", "1e200",
+                     "--separation", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: the fringe period lam*f/D must be positive and "
+                                "finite, got 1e+200 * 1e+200 / 1.0 = inf um\n")
+
     def test_missing_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["spacing", "--wavelength", "0.532"])
@@ -536,15 +545,20 @@ class TestSweepCommand:
         (["--amplitude", "1e150", "--gain", "1e300"],
          "peak counts gain * (a1 + a2)^2 no finite value"),
         (["--waist", "1e-160"], "and its reciprocal finite"),
+        (["--wavelength", "1e200", "--focal", "1e200"],
+         "the fringe period lam*f/D must be positive and finite"),
+        (["--separations", "19250,1e-310,8000"],
+         "rendering failed at sample 1: the fringe period lam*f/D must be positive"),
     ], ids=["huge-waist", "tiny-waist", "huge-amplitude", "overflowing-gain",
             "infinite-gain", "overflowing-peak", "overflowing-counts",
-            "overflowing-reciprocal"])
+            "overflowing-reciprocal", "overflowing-lens-law", "overflowing-lens-law-mid-sweep"])
     def test_extreme_beam_is_usage_error_and_leaves_the_earlier_run(
             self, tmp_path, capsys, flags, message):
         # a waist squared that overflows or underflows, or whose reciprocal
         # overflows; an amplitude squared, a peak intensity (a1 + a2)^2 or
-        # peak counts gain * (a1 + a2)^2 that overflow; and an auto gain
-        # 255 / (a1 + a2)^2 that does
+        # peak counts gain * (a1 + a2)^2 that overflow; an auto gain
+        # 255 / (a1 + a2)^2 that does; and a fringe period lam*f/D that
+        # overflows, at the first sample or mid-sweep
         out = tmp_path / "run"
         assert main(["sweep", "--preset", "fig4b", "--out", str(out)]) == 0
         capsys.readouterr()
@@ -667,8 +681,7 @@ class TestAnalyzeCommand:
                                                                    tmp_path):
         assert main(["analyze", str(ladder_run), "--calibrate", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "calibration.csv").exists()
-        assert main(["analyze", str(ladder_run), "--window-rows", "2",
-                     "--out", str(tmp_path)]) == 0
+        assert main(["analyze", str(ladder_run), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "measurements.csv").exists()
         assert not (tmp_path / "calibration.csv").exists()
 
@@ -911,11 +924,11 @@ class TestAnalyzeCommand:
         assert (run / "measurements.csv").exists()
         assert not (run / "calibration.csv").exists()
 
-    @pytest.mark.parametrize("rows", ["0", "-5"])
-    def test_nonpositive_window_rows_is_usage_error(self, ladder_run, tmp_path,
-                                                    capsys, rows):
-        assert main(["analyze", str(ladder_run), "--window-rows", rows,
-                     "--out", str(tmp_path)]) == 2
+    def test_window_rows_is_not_an_option(self, ladder_run, tmp_path, capsys):
+        # every profile is the central quarter of the rows
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(ladder_run), "--window-rows", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
         assert "--window-rows" in capsys.readouterr().err
         assert not (tmp_path / "measurements.csv").exists()
 
@@ -926,8 +939,12 @@ class TestAnalyzeCommand:
         (["--pixel-scale", "0"], None, "--pixel-scale"),
         (["--pixel-scale", "-0.0853"], None, "--pixel-scale"),
         (["--pixel-scale", "nan"], None, "--pixel-scale"),
+        (["--calibrate", "--wavelength", "1e200", "--focal", "1e200"], None, "lam*f/D"),
+        (["--calibrate", "--wavelength", "1e-200", "--focal", "1e-200"], None, "lam*f/D"),
+        (["--calibrate", "--focal", "1e200"], "wavelength=1e200", "lam*f/D"),
     ], ids=["wavelength-nan", "focal-inf", "config-wavelength-nan", "pixel-scale-0",
-            "pixel-scale-negative", "pixel-scale-nan"])
+            "pixel-scale-negative", "pixel-scale-nan", "lens-law-overflow",
+            "lens-law-underflow", "config-lens-law-overflow"])
     def test_nonpositive_or_nonfinite_optics_is_usage_error(
             self, ladder_run, tmp_path, monkeypatch, capsys, flags, config_line, named):
         target = ladder_run

@@ -102,6 +102,10 @@ class TestInvariants:
         dict(wavelength=0.5, focal_length=1e4, separation=2e4),   # D = 2f
         dict(wavelength=0.5, focal_length=1e4, separation=3e4),   # D > 2f
         dict(wavelength=float("nan"), focal_length=1e4, separation=1e3),
+        # each value positive and finite, but not the period lam*f/D
+        dict(wavelength=1e200, focal_length=1e200, separation=1.0),     # lam*f overflows
+        dict(wavelength=1e-200, focal_length=1e-200, separation=1e-300),  # lam*f underflows
+        dict(wavelength=0.532, focal_length=3e4, separation=1e-310),    # lam*f/D overflows
     ])
     def test_rejected_parameters(self, kwargs):
         with pytest.raises(ValueError):
