@@ -15,7 +15,7 @@ here from then on.  A submodule itself is imported as usual, e.g.
 
 import importlib
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 # each public name and the submodule that defines it
 _SUBMODULE = {

@@ -56,7 +56,8 @@ class FringeMeasurement:
 
 @dataclass(frozen=True)
 class CalibrationFit:
-    """Single-parameter fit of measured periods against lam*f/D."""
+    """Single-parameter fit of measured periods against the analytic
+    spacings lam*f/D."""
 
     pixel_scale: float
     pixel_scale_uncertainty: float
@@ -167,7 +168,7 @@ def _period(s: _Spectrum) -> tuple[float, float]:
 
 def _positive_period(period_px: float) -> float:
     if not (period_px > 0 and math.isfinite(period_px)):
-        raise AnalysisError(f"period must be positive, got {float(period_px)!r}")
+        raise AnalysisError(f"period must be positive and finite, got {float(period_px)!r}")
     return period_px
 
 
@@ -202,36 +203,38 @@ def measure_frame(image) -> FringeMeasurement:
     return FringeMeasurement(period, sigma, phase, center_px, contrast)
 
 
-def calibrate_pixel_scale(points, wavelength: float,
-                          focal_length: float) -> CalibrationFit:
-    """Fit the pixel scale from (separation, measured period) pairs.
+def calibrate_pixel_scale(points) -> CalibrationFit:
+    """Fit the pixel scale from (analytic spacing in um, measured period in
+    px) pairs, each spacing being a frame's lam*f/D as its run manifest
+    records it.
 
-    The model period_px = (lam*f/D) / s has the single parameter s, so the
-    least-squares solution is closed-form in b = 1/s.  Needs at least 3
-    points whose separations span at least a factor of 2.
+    The model period_px = spacing / s has the single parameter s, so the
+    least-squares solution is closed-form in b = 1/s.  It is solved in
+    units of 2**e, the power of two just above the largest spacing, and
+    scaled back: exact, with no square of a spacing that under- or
+    overflows where the spacings are finite.  Needs at least 3 points whose
+    spacings span at least a factor of 2.
 
     Returns the scale in um/pixel, its standard error, and the per-point
-    relative residuals of the fit.  A wavelength or focal length that is
-    not positive and finite is a ValueError.
+    relative residuals of the fit.
     """
-    require_positive("wavelength", wavelength)
-    require_positive("focal_length", focal_length)
-    pts = [(float(d), float(p)) for d, p in points]
+    pts = [(float(u), float(p)) for u, p in points]
     if len(pts) < 3:
         raise AnalysisError(f"ill-conditioned: need at least 3 points, got {len(pts)}")
-    seps, periods = np.array(pts).T
-    if not (np.all(seps > 0) and np.all(periods > 0) and np.isfinite(pts).all()):
-        raise AnalysisError("separations and periods must be positive and finite")
-    if seps.max() / seps.min() < 2.0:
-        raise AnalysisError(f"ill-conditioned: separations span only "
-                            f"{seps.max() / seps.min():.2f}x; need at least 2x")
-    u = wavelength * focal_length / seps  # physical spacing per point
+    spacings, periods = np.array(pts).T
+    if not (np.all(spacings > 0) and np.all(periods > 0) and np.isfinite(pts).all()):
+        raise AnalysisError("spacings and periods must be positive and finite")
+    if spacings.max() / spacings.min() < 2.0:
+        raise AnalysisError(f"ill-conditioned: spacings span only "
+                            f"{spacings.max() / spacings.min():.2f}x; need at least 2x")
+    e = math.frexp(spacings.max())[1]
+    u = np.ldexp(spacings, -e)  # in [1/2, 1) at the largest: sum(u*u) >= 1/4
     b = float((u * periods).sum() / (u * u).sum())
     predicted = u * b
     residuals = (periods - predicted) / predicted
     var_period = float(((periods - predicted) ** 2).sum() / (len(pts) - 1))
     sigma_b = math.sqrt(var_period / float((u * u).sum()))
-    return CalibrationFit(1.0 / b, sigma_b / b**2, residuals)
+    return CalibrationFit(math.ldexp(1.0 / b, e), math.ldexp(sigma_b / b**2, e), residuals)
 
 
 KNIFE_EDGE_MAX_ITERATIONS = 100

@@ -249,29 +249,31 @@ def _analyze_single(path: Path, pixel_scale) -> int:
     return 0
 
 
-# the settings analyze takes from its flags or a run's config.txt
-ANALYZE_KEYS = ("pixel_scale", "wavelength", "focal")
-
-
-def _setting(args, config: dict, key: str, config_path: Path | None):
-    """An analyze setting from its flag, which wins as in sweep, else from
-    config.txt, checked positive and finite; None when neither gives it."""
-    if getattr(args, key) is not None:
-        return require_positive(_flag(key), _convert(key, getattr(args, key), _flag(key)))
-    if config.get(key) is not None:
-        return require_positive(f"{config_path}: config key {key!r}", config[key])
+def _pixel_scale(args, config: dict, config_path: Path | None):
+    """analyze's one setting: --pixel-scale, which wins as in sweep, else
+    config.txt's pixel_scale, checked positive and finite; None when
+    neither gives it."""
+    if args.pixel_scale is not None:
+        return require_positive("--pixel-scale", _convert(
+            "pixel_scale", args.pixel_scale, "--pixel-scale"))
+    if config.get("pixel_scale") is not None:
+        return require_positive(f"{config_path}: config key 'pixel_scale'",
+                                config["pixel_scale"])
     return None
 
 
 def cmd_analyze(args) -> int:
+    """Measure a single image, or each frame of a run directory into
+    measurements.csv.  With --calibrate, fit the pixel scale against each
+    measured frame's manifest analytic_spacing_um, the lam*f/D that
+    referees the frame and sizes its fringe order, into calibration.csv."""
     from . import analysis, instrument, runfiles
     target = Path(args.target)
     if target.is_file():
         if args.calibrate or args.out:
             flag = "--calibrate" if args.calibrate else "--out"
             raise ValueError(f"{flag} needs a run directory; {target} is one image")
-        pixel_scale, _, _ = (_setting(args, {}, key, None) for key in ANALYZE_KEYS)
-        return _analyze_single(target, pixel_scale)
+        return _analyze_single(target, _pixel_scale(args, {}, None))
     if not target.is_dir():
         raise ValueError(f"{target}: no such file or directory")
 
@@ -281,19 +283,9 @@ def cmd_analyze(args) -> int:
     records = runfiles.read_manifest(manifest_path)
     config_path = target / "config.txt"
     config = read_sweep_config(config_path) if config_path.exists() else {}
-    pixel_scale, wavelength, focal = (_setting(args, config, key, config_path)
-                                      for key in ANALYZE_KEYS)
+    pixel_scale = _pixel_scale(args, config, config_path)
     if pixel_scale is None:
         raise ValueError("no pixel scale: pass --pixel-scale or provide config.txt")
-    if args.calibrate:
-        if wavelength is None or focal is None:
-            raise ValueError("--calibrate needs wavelength and focal length "
-                             "(from config.txt or --wavelength/--focal)")
-        # the lens law of each separation the fit can take; a separation
-        # that is not positive and finite fails the fit itself
-        for rec in records:
-            if 0 < rec.separation_um < math.inf:
-                geometry.lens_law_spacing(wavelength, focal, rec.separation_um)
 
     results = analysis.measure_run(
         (runfiles.read_pgm(target / rec.frame) for rec in records),
@@ -317,15 +309,15 @@ def cmd_analyze(args) -> int:
               + (f"; unwrap flagged at frames {flagged}" if flagged else ""))
 
     if args.calibrate:
-        points = [(rec.separation_um, m.period_px) for rec, m, _ in measured]
         try:
-            fit = analysis.calibrate_pixel_scale(points, wavelength, focal)
+            fit = analysis.calibrate_pixel_scale(
+                (rec.analytic_spacing_um, m.period_px) for rec, m, _ in measured)
         except analysis.AnalysisError as err:
             errors.append(f"calibration: {err}")
         else:
             runfiles.write_calibration(out_dir, (
-                (fit.pixel_scale, fit.pixel_scale_uncertainty, sep, period, float(res))
-                for (sep, period), res in zip(points, fit.residuals)))
+                (fit.pixel_scale, fit.pixel_scale_uncertainty, rec.separation_um, m.period_px,
+                 float(res)) for (rec, m, _), res in zip(measured, fit.residuals)))
             print(f"pixel scale {fit.pixel_scale:.6g} +- "
                   f"{fit.pixel_scale_uncertainty:.2g} um/px")
 
@@ -391,9 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     an = sub.add_parser("analyze", help="measure a run directory or one image")
     an.add_argument("target", help="run directory or P5 image")
     an.add_argument("--calibrate", action="store_true",
-                    help="fit the pixel scale from the manifest separations")
-    for key in ANALYZE_KEYS:
-        an.add_argument(_flag(key), help=SWEEP_KEYS[key][2])
+                    help="fit the pixel scale against the manifest's analytic spacings")
+    an.add_argument("--pixel-scale", help="um per pixel; overrides config.txt")
     an.add_argument("--out", default=None, help="directory for the CSV reports")
     an.set_defaults(func=cmd_analyze)
 

@@ -161,11 +161,11 @@ def test_criterion_6_calibration():
         for i, sep in enumerate(seps):
             img = render_simple(sep, focal=focal, read_noise=read_noise,
                                 seed=seed, frame_index=i)
-            pts.append((sep, measure_frame(img).period_px))
+            pts.append((WAVELENGTH * focal / sep, measure_frame(img).period_px))
         return pts
 
-    clean = calibrate_pixel_scale(sweep_points(0.0, 0), WAVELENGTH, focal)
-    noisy = calibrate_pixel_scale(sweep_points(2.0, 0), WAVELENGTH, focal)
+    clean = calibrate_pixel_scale(sweep_points(0.0, 0))
+    noisy = calibrate_pixel_scale(sweep_points(2.0, 0))
     clean_rel = abs(clean.pixel_scale - PIXEL_SCALE) / PIXEL_SCALE
     noisy_abs = abs(noisy.pixel_scale - PIXEL_SCALE)
     ok = clean_rel <= 1e-4 and noisy_abs <= 5e-4

@@ -154,11 +154,11 @@ class TestPhaseAtKnownPeriod:
         assert result.position_um is None
 
     @pytest.mark.parametrize("spacing, shown", [(0.0, "0.0"), (-5.32, "-62.36"),
-                                                (math.nan, "nan")])
+                                                (math.nan, "nan"), (math.inf, "inf")])
     def test_rejects_nonpositive_period(self, spacing, shown):
         (result,) = measure_run([render_simple(8000.0)], [spacing], PIXEL_SCALE)
         assert isinstance(result.measurement, AnalysisError)
-        assert f"period must be positive, got {shown}" in str(result.measurement)
+        assert f"period must be positive and finite, got {shown}" in str(result.measurement)
         assert result.position_um is None
 
 
@@ -228,61 +228,73 @@ class TestMeasureFrame:
 class TestCalibratePixelScale:
     FOCAL = 30000.0
     SEPS = np.linspace(5000.0, 19250.0, 12)
+    # each separation's analytic spacing lam*f/D, as a run manifest records it
+    SPACINGS = WAVELENGTH * FOCAL / SEPS
 
     def test_exact_points_recover_scale(self):
         truth = 0.0853
-        points = [(d, WAVELENGTH * self.FOCAL / d / truth) for d in self.SEPS]
-        fit = calibrate_pixel_scale(points, WAVELENGTH, self.FOCAL)
+        points = [(u, u / truth) for u in self.SPACINGS]
+        fit = calibrate_pixel_scale(points)
         assert fit.pixel_scale == pytest.approx(truth, rel=1e-6)
         assert np.all(np.abs(fit.residuals) < 1e-12)
         assert fit.pixel_scale_uncertainty == pytest.approx(0.0, abs=1e-12)
 
     def test_doubled_periods_halve_the_scale(self):
-        points = [(d, WAVELENGTH * self.FOCAL / d / 0.0853) for d in self.SEPS]
-        doubled = [(d, 2 * p) for d, p in points]
-        s1 = calibrate_pixel_scale(points, WAVELENGTH, self.FOCAL).pixel_scale
-        s2 = calibrate_pixel_scale(doubled, WAVELENGTH, self.FOCAL).pixel_scale
+        points = [(u, u / 0.0853) for u in self.SPACINGS]
+        doubled = [(u, 2 * p) for u, p in points]
+        s1 = calibrate_pixel_scale(points).pixel_scale
+        s2 = calibrate_pixel_scale(doubled).pixel_scale
         assert s2 == pytest.approx(s1 / 2, rel=1e-12)
 
     def test_recovery_from_noisy_frames(self):
         points = []
-        for i, sep in enumerate(self.SEPS):
+        for i, (sep, u) in enumerate(zip(self.SEPS, self.SPACINGS)):
             img = render_simple(sep, focal=self.FOCAL, read_noise=2.0,
                                 seed=11, frame_index=i)
             period = measure_frame(img).period_px
-            points.append((sep, period))
-        fit = calibrate_pixel_scale(points, WAVELENGTH, self.FOCAL)
+            points.append((u, period))
+        fit = calibrate_pixel_scale(points)
         assert abs(fit.pixel_scale - PIXEL_SCALE) <= 5e-4
 
     def test_requires_three_points(self):
         with pytest.raises(AnalysisError, match="3 points"):
-            calibrate_pixel_scale([(5000.0, 37.4), (10000.0, 18.7)],
-                                  WAVELENGTH, self.FOCAL)
-
-    @pytest.mark.parametrize("wavelength, focal, name", [
-        (0.0, FOCAL, "wavelength"), (-WAVELENGTH, FOCAL, "wavelength"),
-        (math.nan, FOCAL, "wavelength"), (WAVELENGTH, math.inf, "focal_length"),
-        (WAVELENGTH, 0.0, "focal_length"), (WAVELENGTH, math.nan, "focal_length"),
-    ])
-    def test_rejects_nonpositive_or_nonfinite_optics(self, wavelength, focal, name):
-        points = [(d, WAVELENGTH * self.FOCAL / d / PIXEL_SCALE) for d in self.SEPS]
-        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
-            calibrate_pixel_scale(points, wavelength, focal)
+            calibrate_pixel_scale([(3.192, 37.4), (1.596, 18.7)])
 
     @pytest.mark.parametrize("cell", [0, 1])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_rejects_nonfinite_separation_or_period(self, cell, value):
-        points = [[d, WAVELENGTH * self.FOCAL / d / PIXEL_SCALE] for d in self.SEPS]
+    def test_rejects_nonfinite_spacing_or_period(self, cell, value):
+        points = [[u, u / PIXEL_SCALE] for u in self.SPACINGS]
         points[3][cell] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(AnalysisError, match="must be positive and finite"):
-                calibrate_pixel_scale(points, WAVELENGTH, self.FOCAL)
+            with pytest.raises(AnalysisError,
+                               match="spacings and periods must be positive and finite"):
+                calibrate_pixel_scale(points)
 
     def test_requires_two_fold_span(self):
-        points = [(d, 10.0) for d in (10000.0, 12000.0, 15000.0)]
-        with pytest.raises(AnalysisError, match="span"):
-            calibrate_pixel_scale(points, WAVELENGTH, self.FOCAL)
+        points = [(u, 10.0) for u in (1.0, 1.2, 1.5)]
+        with pytest.raises(AnalysisError, match="spacings span only 1.50x"):
+            calibrate_pixel_scale(points)
+
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_spacings_scaled_by_a_power_of_two_scale_the_fit_exactly(self, exponent):
+        # u*u underflows to 0 at 2**-600 and overflows at 2**600: the fit is
+        # solved in units of a power of two, so it scales bit for bit
+        points = [(u, measure_frame(render_simple(sep, focal=self.FOCAL)).period_px)
+                  for sep, u in zip(self.SEPS, self.SPACINGS)]
+        fit = calibrate_pixel_scale(points)
+        scaled = calibrate_pixel_scale([(math.ldexp(u, exponent), p) for u, p in points])
+        assert scaled.pixel_scale == math.ldexp(fit.pixel_scale, exponent)
+        assert scaled.pixel_scale_uncertainty == math.ldexp(fit.pixel_scale_uncertainty,
+                                                            exponent)
+        assert fit.pixel_scale_uncertainty > 0
+        assert np.array_equal(scaled.residuals, fit.residuals)
+
+    @pytest.mark.parametrize("factor", [1e-170, 1e170])
+    def test_spacings_far_from_one_recover_the_scale(self, factor):
+        points = [(u * factor, u / PIXEL_SCALE) for u in self.SPACINGS]
+        fit = calibrate_pixel_scale(points)
+        assert fit.pixel_scale == pytest.approx(PIXEL_SCALE * factor, rel=1e-15)
 
     def test_waist_based_route_agrees_with_fit(self):
         """Both calibration routes must recover the same pixel scale: the
@@ -298,10 +310,10 @@ class TestCalibratePixelScale:
         scale_from_waist = waist / waist_px
 
         points = []
-        for i, sep in enumerate(self.SEPS):
+        for sep, u in zip(self.SEPS, self.SPACINGS):
             frame = render_simple(sep, focal=self.FOCAL)
-            points.append((sep, measure_frame(frame).period_px))
-        scale_from_fit = calibrate_pixel_scale(points, WAVELENGTH, self.FOCAL).pixel_scale
+            points.append((u, measure_frame(frame).period_px))
+        scale_from_fit = calibrate_pixel_scale(points).pixel_scale
         assert scale_from_waist == pytest.approx(scale_from_fit, rel=0.01)
         assert scale_from_waist == pytest.approx(PIXEL_SCALE, rel=0.01)
 

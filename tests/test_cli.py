@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -631,6 +632,19 @@ class TestStreamingSweep:
         assert long - short < frames_held * self.FRAME_BYTES
 
 
+def scale_manifest(run, out, scale):
+    """A copy of run at out, its reports left out, with scale applied to
+    each manifest analytic_spacing_um, written as its repr."""
+    shutil.copytree(run, out, ignore=shutil.ignore_patterns("*.csv"))
+    with open(run / "manifest.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    k = rows[0].index("analytic_spacing_um")
+    for row in rows[1:]:
+        row[k] = repr(scale(float(row[k])))
+    with open(out / "manifest.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 @pytest.fixture(scope="module")
 def ladder_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("runs") / "ladder"
@@ -667,15 +681,42 @@ class TestAnalyzeCommand:
         scale = float(first.split(",")[0])
         assert scale == pytest.approx(0.0853, abs=5e-4)
 
-    def test_calibrate_flag_beats_config(self, ladder_run, tmp_path):
+    def test_calibrate_fits_the_manifest_spacings(self, ladder_run, tmp_path):
+        # the fit reads each frame's analytic_spacing_um, as the referee does:
+        # 2% wider spacings, within the 5% tolerance, give a 2% larger scale
+        # and move no measured period or tracked center
+        scaled = tmp_path / "scaled"
+        scale_manifest(ladder_run, scaled, lambda u: u * 1.02)
         scales = {}
-        for name, flags in (("config", []), ("flag", ["--focal", "60000"])):
-            assert main(["analyze", str(ladder_run), "--calibrate",
-                         "--out", str(tmp_path / name), *flags]) == 0
-            row = (tmp_path / name / "calibration.csv").read_text().splitlines()[1]
-            scales[name] = float(row.split(",")[0])
-        # config.txt says f = 30 mm; the fitted scale is proportional to f
-        assert scales["flag"] == pytest.approx(2 * scales["config"], rel=1e-12)
+        for run in (ladder_run, scaled):
+            assert main(["analyze", str(run), "--calibrate",
+                         "--out", str(tmp_path / run.name / "reports")]) == 0
+            row = (tmp_path / run.name / "reports" / "calibration.csv").read_text()
+            scales[run.name] = float(row.splitlines()[1].split(",")[0])
+        assert scales["scaled"] == pytest.approx(1.02 * scales["ladder"], rel=1e-12)
+        assert ((tmp_path / "scaled" / "reports" / "measurements.csv").read_bytes()
+                == (tmp_path / "ladder" / "reports" / "measurements.csv").read_bytes())
+
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_spacings_scaled_by_a_power_of_two_calibrate(self, ladder_run, tmp_path,
+                                                         capsys, exponent):
+        # a spacing's square under- or overflows at 2**-600 or 2**600: with
+        # the pixel scale scaled alike, every frame keeps its period in pixels
+        # and the fitted scale and its uncertainty scale bit for bit
+        scaled = tmp_path / "scaled"
+        scale_manifest(ladder_run, scaled, lambda u: math.ldexp(u, exponent))
+        reports = tmp_path / "reports"
+        assert main(["analyze", str(ladder_run), "--calibrate", "--out", str(reports)]) == 0
+        assert main(["analyze", str(scaled), "--calibrate", "--pixel-scale",
+                     repr(math.ldexp(PIXEL_SCALE, exponent))]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows = [list(csv.reader((run / "calibration.csv").read_text().splitlines()))[1:]
+                for run in (reports, scaled)]
+        assert len(rows[0]) == len(rows[1]) == 6
+        for row, scaled_row in zip(*rows):
+            assert [float(cell) for cell in scaled_row[:2]] == [
+                math.ldexp(float(cell), exponent) for cell in row[:2]]
+            assert scaled_row[2:] == row[2:]
 
     def test_analyze_without_calibrate_removes_earlier_calibration(self, ladder_run,
                                                                    tmp_path):
@@ -778,17 +819,17 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(tmp_path / "empty.pgm")]) == 2
         assert "empty.pgm: empty 0x5 image" in capsys.readouterr().err
 
-    def test_calibrate_without_optics_writes_nothing(self, tmp_path, capsys):
+    def test_calibrate_without_config_needs_only_a_pixel_scale(self, tmp_path):
+        # the manifest holds every spacing the fit reads: a run without
+        # config.txt calibrates to the same calibration.csv, byte for byte
         out = tmp_path / "run"
         assert main(["sweep", "--preset", "fig4b", "--out", str(out)]) == 0
-        (out / "config.txt").unlink()
-        capsys.readouterr()
-        assert main(["analyze", str(out), "--calibrate",
-                     "--pixel-scale", "0.0853"]) == 2
-        captured = capsys.readouterr()
-        assert "--calibrate needs wavelength and focal length" in captured.err
-        assert captured.out == ""
-        assert not (out / "measurements.csv").exists()
+        bare = tmp_path / "bare"
+        shutil.copytree(out, bare, ignore=shutil.ignore_patterns("config.txt"))
+        assert main(["analyze", str(out), "--calibrate"]) == 0
+        assert main(["analyze", str(bare), "--calibrate", "--pixel-scale", "0.0853"]) == 0
+        for name in ("measurements.csv", "calibration.csv"):
+            assert (bare / name).read_bytes() == (out / name).read_bytes()
 
     def test_single_image(self, ladder_run, capsys):
         assert main(["analyze", str(ladder_run / "frame_0000.pgm"),
@@ -800,17 +841,54 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(ladder_run / "frame_0000.pgm")]) == 0
         assert "pixel units" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag", ["--wavelength", "--focal"])
-    @pytest.mark.parametrize("value", ["nan", "0", "-1"])
-    def test_single_image_nonpositive_or_nonfinite_optics_is_usage_error(
-            self, ladder_run, monkeypatch, capsys, flag, value):
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_single_image_nonpositive_or_nonfinite_pixel_scale_is_usage_error(
+            self, ladder_run, monkeypatch, capsys, value):
         monkeypatch.setattr(runfiles, "read_pgm",
                             lambda path: pytest.fail(f"{path} read before the check"))
         assert main(["analyze", str(ladder_run / "frame_0000.pgm"),
-                     "--pixel-scale", "0.0853", f"{flag}={value}"]) == 2
+                     f"--pixel-scale={value}"]) == 2
         captured = capsys.readouterr()
-        assert f"{flag} must be positive and finite" in captured.err
+        assert "--pixel-scale must be positive and finite" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("config_line", ["focal=60000", "focal=0", "wavelength=nan"])
+    def test_config_optics_do_not_move_the_calibration(self, ladder_run, tmp_path,
+                                                       config_line):
+        # the fit reads the manifest's spacings alone: config.txt's wavelength
+        # and focal length, even ones no sweep would take, change no report byte
+        run = tmp_path / "run"
+        shutil.copytree(ladder_run, run, ignore=shutil.ignore_patterns("*.csv"))
+        shutil.copy(ladder_run / "manifest.csv", run)
+        config = run / "config.txt"
+        key = config_line.partition("=")[0]
+        lines = config.read_text().splitlines()
+        assert any(line.partition("=")[0] == key for line in lines)
+        config.write_text("".join(
+            (config_line if line.partition("=")[0] == key else line) + "\n"
+            for line in lines))
+        reports = tmp_path / "reports"
+        assert main(["analyze", str(ladder_run), "--calibrate", "--out", str(reports)]) == 0
+        assert main(["analyze", str(run), "--calibrate"]) == 0
+        for name in ("measurements.csv", "calibration.csv"):
+            assert (run / name).read_bytes() == (reports / name).read_bytes()
+
+    @pytest.mark.parametrize("flag, value", [("--wavelength", "0.5"), ("--focal", "60000")])
+    @pytest.mark.parametrize("target, flags", [("frame_0000.pgm", []), (".", ["--calibrate"])],
+                             ids=["image", "run-calibrate"])
+    def test_optics_are_not_options(self, ladder_run, tmp_path, monkeypatch, capsys,
+                                    target, flags, flag, value):
+        # analyze reads no wavelength or focal length: the manifest's
+        # analytic spacings are its only lam*f/D
+        monkeypatch.setattr(runfiles, "read_pgm",
+                            lambda path: pytest.fail(f"{path} read by a refused command"))
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(ladder_run / target), *flags, flag, value,
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_uniform_image_fails_with_no_fringe(self, tmp_path, capsys):
         write_pgm(tmp_path / "flat.pgm", np.full((64, 256), 40, np.uint8))
@@ -904,25 +982,28 @@ class TestAnalyzeCommand:
         assert not (tmp_path / "reports").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_nonfinite_manifest_separation_fails_calibration(self, ladder_run, tmp_path,
-                                                             capsys, value):
+    def test_nonfinite_manifest_spacing_rejects_its_frame(self, ladder_run, tmp_path,
+                                                          capsys, value):
+        # the referee rejects frame 1 by its manifest period; the fit takes
+        # the other frames' spacings
         run = tmp_path / "run"
         shutil.copytree(ladder_run, run, ignore=shutil.ignore_patterns("*.csv"))
         shutil.copy(ladder_run / "manifest.csv", run)
         manifest = run / "manifest.csv"
         lines = manifest.read_text().splitlines()
-        column = lines[0].split(",").index("separation_um")
+        column = lines[0].split(",").index("analytic_spacing_um")
         cells = lines[2].split(",")
         cells[column] = value
         lines[2] = ",".join(cells)
         manifest.write_text("\n".join(lines) + "\n")
         assert main(["analyze", str(run), "--calibrate"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == ("calibration: separations and periods must be "
-                                "positive and finite\n")
-        assert "pixel scale" not in captured.out
-        assert (run / "measurements.csv").exists()
-        assert not (run / "calibration.csv").exists()
+        assert captured.err == (f"frame_0001.pgm: period must be positive and finite, "
+                                f"got {value}\n")
+        assert "pixel scale" in captured.out
+        rows = (run / "calibration.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(read_manifest(manifest)) - 1 == 5
+        assert not any(row.split(",")[2] == "17000.0" for row in rows)
 
     def test_window_rows_is_not_an_option(self, ladder_run, tmp_path, capsys):
         # every profile is the central quarter of the rows
@@ -933,19 +1014,17 @@ class TestAnalyzeCommand:
         assert not (tmp_path / "measurements.csv").exists()
 
     @pytest.mark.parametrize("flags, config_line, named", [
-        (["--calibrate", "--wavelength", "nan"], None, "--wavelength"),
-        (["--calibrate", "--focal", "inf"], None, "--focal"),
-        (["--calibrate"], "wavelength=nan", "config key 'wavelength'"),
         (["--pixel-scale", "0"], None, "--pixel-scale"),
         (["--pixel-scale", "-0.0853"], None, "--pixel-scale"),
         (["--pixel-scale", "nan"], None, "--pixel-scale"),
-        (["--calibrate", "--wavelength", "1e200", "--focal", "1e200"], None, "lam*f/D"),
-        (["--calibrate", "--wavelength", "1e-200", "--focal", "1e-200"], None, "lam*f/D"),
-        (["--calibrate", "--focal", "1e200"], "wavelength=1e200", "lam*f/D"),
-    ], ids=["wavelength-nan", "focal-inf", "config-wavelength-nan", "pixel-scale-0",
-            "pixel-scale-negative", "pixel-scale-nan", "lens-law-overflow",
-            "lens-law-underflow", "config-lens-law-overflow"])
-    def test_nonpositive_or_nonfinite_optics_is_usage_error(
+        (["--calibrate"], "pixel_scale=inf", "config key 'pixel_scale'"),
+        ([], "pixel_scale=0", "config key 'pixel_scale'"),
+        ([], "pixel_scale=-0.0853", "config key 'pixel_scale'"),
+        ([], "pixel_scale=nan", "config key 'pixel_scale'"),
+    ], ids=["pixel-scale-0", "pixel-scale-negative", "pixel-scale-nan",
+            "config-pixel-scale-inf", "config-pixel-scale-0", "config-pixel-scale-negative",
+            "config-pixel-scale-nan"])
+    def test_nonpositive_or_nonfinite_pixel_scale_is_usage_error(
             self, ladder_run, tmp_path, monkeypatch, capsys, flags, config_line, named):
         target = ladder_run
         if config_line is not None:
