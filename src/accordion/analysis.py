@@ -213,7 +213,9 @@ def calibrate_pixel_scale(points) -> CalibrationFit:
     units of 2**e, the power of two just above the largest spacing, and
     scaled back: exact, with no square of a spacing that under- or
     overflows where the spacings are finite.  Needs at least 3 points whose
-    spacings span at least a factor of 2.
+    spacings span at least a factor of 2.  A fit whose scale or standard
+    error is no positive finite float, as with periods near either end of
+    the float range, is an AnalysisError.
 
     Returns the scale in um/pixel, its standard error, and the per-point
     relative residuals of the fit.
@@ -229,12 +231,21 @@ def calibrate_pixel_scale(points) -> CalibrationFit:
                             f"{spacings.max() / spacings.min():.2f}x; need at least 2x")
     e = math.frexp(spacings.max())[1]
     u = np.ldexp(spacings, -e)  # in [1/2, 1) at the largest: sum(u*u) >= 1/4
-    b = float((u * periods).sum() / (u * u).sum())
-    predicted = u * b
-    residuals = (periods - predicted) / predicted
-    var_period = float(((periods - predicted) ** 2).sum() / (len(pts) - 1))
-    sigma_b = math.sqrt(var_period / float((u * u).sum()))
-    return CalibrationFit(math.ldexp(1.0 / b, e), math.ldexp(sigma_b / b**2, e), residuals)
+    # periods near either end of the float range can overflow b, its
+    # variance or the scale: the fit runs in NumPy scalars, which give inf or
+    # nan there, and such a fit is refused below
+    with np.errstate(all="ignore"):
+        b = (u * periods).sum() / (u * u).sum()
+        predicted = u * b
+        residuals = (periods - predicted) / predicted
+        var_period = ((periods - predicted) ** 2).sum() / (len(pts) - 1)
+        sigma_b = np.sqrt(var_period / (u * u).sum())
+        scale = float(np.ldexp(1.0 / b, e))
+        sigma = float(np.ldexp(sigma_b / b**2, e))
+    if not (0 < scale < math.inf and sigma < math.inf):
+        raise AnalysisError(f"the fitted scale {scale!r} um/px and its sigma "
+                            f"{sigma!r} must be positive and finite")
+    return CalibrationFit(scale, sigma, residuals)
 
 
 KNIFE_EDGE_MAX_ITERATIONS = 100

@@ -20,6 +20,7 @@ numeric layers when they run, so a process that ran either holds them all.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -357,6 +358,9 @@ def cmd_sensitivity(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+# built once per process: parsing reads the parser and never changes it, so
+# every main() call of a library or benchmark parses with the same one
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="accordion",

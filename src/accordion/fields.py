@@ -189,8 +189,10 @@ def fringes_into(out: np.ndarray, envelope: np.ndarray, cross_y: np.ndarray,
     plus the outer product of their cross-term y factors cross_y with a
     sample's cross_row, in place.  The steps are elementwise, so any split
     of the rows gives the same bytes."""
-    # cross_y[i] * row[j], as np.multiply.outer forms it, without the 124 KB
-    # iterator buffer that takes on a 32 x 1280 block
+    # cross_y[i] * row[j], as np.multiply.outer forms it, in half of the
+    # 124 KB of NumPy iterator buffers that takes on a 32 x 1280 block: out
+    # *= row still takes one of about 62 KB for its broadcast row, and so
+    # does out += envelope on a descending view (tracemalloc, NumPy 2.4)
     out[...] = cross_y[:, None]
     out *= row
     out += envelope

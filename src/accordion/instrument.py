@@ -44,8 +44,9 @@ Memory: beyond the float64 envelope (120 of the 240 rows of a 1280-pixel-
 wide sensor with both beams centred in y, 1.2 MB), a frame being rendered
 holds its integer frame and two float64 blocks of at most 320 KB (a
 block's fringes and its read noise, or the next block's fringes), never a
-float64 array of the whole frame, and a big-endian frame one native-order
-block of its samples, at most 80 KB.  The integer frame is allocated by
+float64 array of the whole frame, and a NumPy iterator buffer of about
+62 KB while it fills a block; each digitized block is stored straight into
+the frame, in the frame's own dtype.  The integer frame is allocated by
 the thread that consumes the frames, render_frame's caller or the
 iterator's, and handed to the renderer, so that the frames of a pooled
 sweep come from that thread's heap, which the consumer's own buffers
@@ -53,8 +54,8 @@ reuse, and a worker thread holds only its blocks.  A sweep holds at most
 one frame per worker, and each yielded frame is dropped by the iterator
 before it pulls the next, so a consumer that drops it too, as write_run
 does, adds only the frame it works on while a pool renders: on a noisy
-1280 x 240 16-bit sensor, a sweep written by write_run peaks at about 2.3
-integer frames above the envelope on 1 worker and 5.5 on 2.
+1280 x 240 16-bit sensor, a sweep written by write_run peaks at about 2.2
+integer frames above the envelope on 1 worker and 5.3 on 2.
 
 Without read noise the digitizer does not read the frame index, so equal
 inputs give equal bytes: a sample whose (D, dL) equals the previous
@@ -343,24 +344,13 @@ def _frame_renderer(base_cfg: LatticeConfig, cam: CameraModel
         mirror = mirrored and np.array_equal(cross, cross[::-1])
         width = (px.size + 1) // 2 if mirror else px.size
         rng = np.random.default_rng([cam.seed, frame_index]) if noisy else None
-        # NumPy casts float64 into byte-swapped samples through a small
-        # buffer it allocates on every store, and in a worker thread that
-        # grew glibc's heap by about a block (0.3 MB of the ladder's peak
-        # RSS; NumPy 2.4, glibc 2.36): a big-endian frame takes its samples
-        # from one native-order block instead, by a byte-swapping copy
-        native = (None if frame.dtype.isnative else
-                  np.empty((min(rows, max(1, _BLOCK_ELEMENTS // width)), width),
-                           frame.dtype.newbyteorder("=")))
         for frame_rows, src in _row_blocks(rows, half, width):
             # rebound before it is filled: the last block is freed by then
             block = np.empty((frame_rows.stop - frame_rows.start, width))
             fringes_into(block, envelope[src, :width], cross_y[src], cross[:width])
-            # the values are whole numbers within the bit depth: the casts are exact
-            counts = _digitize(block, cam, rng)
-            if native is not None:
-                native[:len(counts)] = counts
-                counts = native[:len(counts)]
-            frame[frame_rows, :width] = counts
+            # the values are whole numbers within the bit depth, so the cast
+            # into the frame's dtype is exact
+            frame[frame_rows, :width] = _digitize(block, cam, rng)
         # column j past the rendered ones mirrors column len(px) - 1 - j, and
         # row r past them row len(py) - 1 - r
         frame[:rows, width:] = frame[:rows, :px.size - width][:, ::-1]
@@ -431,9 +421,8 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
     of the consumer, and the output is identical to the serial render.
     Each frame renders by the module's mirror rule: without read noise,
     rows and columns that mirror others are copied, not rendered.  Beyond
-    the envelope, each sample being rendered holds its integer frame, two
-    float64 blocks of rows of at most 320 KB and, for a big-endian frame,
-    a native-order block of at most 80 KB, and the iterator drops
+    the envelope, each sample being rendered holds its integer frame and
+    two float64 blocks of rows of at most 320 KB, and the iterator drops
     each frame before it pulls the next: a consumer that does too holds at
     most workers + 1 integer frames, whatever the sweep's length and
     however fine its fringes, and on 1 worker one frame.  Every integer

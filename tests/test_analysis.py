@@ -271,6 +271,17 @@ class TestCalibratePixelScale:
                                match="spacings and periods must be positive and finite"):
                 calibrate_pixel_scale(points)
 
+    @pytest.mark.parametrize("points", [
+        [(1e308, 0.01), (5e307, 0.005), (2e307, 0.002)],  # the scale overflows
+        [(30, 1e300), (15, 5e299), (10, 3.4e299)],  # the periods' variance overflows
+    ], ids=["scale", "variance"])
+    def test_rejects_a_fit_beyond_the_float_range(self, points):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AnalysisError,
+                               match="fitted scale .* must be positive and finite"):
+                calibrate_pixel_scale(points)
+
     def test_requires_two_fold_span(self):
         points = [(u, 10.0) for u in (1.0, 1.2, 1.5)]
         with pytest.raises(AnalysisError, match="spacings span only 1.50x"):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from accordion import analysis, instrument, render_sequence, runfiles, static_sweep
-from accordion.cli import PRESETS, main
+from accordion.cli import PRESETS, build_parser, main
 from accordion.runfiles import read_config, read_manifest, read_pgm, write_pgm, write_run
 from conftest import PIXEL_SCALE, make_camera, make_config, run_fresh
 
@@ -170,6 +170,18 @@ class TestSweepCommand:
         cfgvals = read_config(out / "config.txt")
         assert cfgvals["focal"] == "30000.0"
         assert cfgvals["waist2"] == "40.0"
+
+    def test_calls_in_one_process_share_no_parsed_value(self, tmp_path, capsys):
+        # every main() call of a process parses with the one cached parser
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--preset", "nope"])
+        assert exc.value.code == 2
+        assert main(["sweep", "--preset", "fig4a", "--seed", "3",
+                     "--out", str(tmp_path / "a")]) == 0
+        assert read_config(tmp_path / "a" / "config.txt")["seed"] == "3"
+        assert main(["sweep", "--preset", "fig4a", "--out", str(tmp_path / "b")]) == 0
+        assert read_config(tmp_path / "b" / "config.txt")["seed"] == "0"
 
     def test_ladder_preset_writes_composite(self, tmp_path):
         out = tmp_path / "fig4b"

@@ -729,10 +729,9 @@ class TestBlockedRender:
     def test_a_written_noisy_sweep_holds_the_frames_in_flight(
             self, tmp_path, workers, frames_held):
         # beyond the envelope of its 120 rows up to the center, a sweep that
-        # write_run consumes holds per worker the frame being rendered, two
-        # float64 blocks of 0.53 frames each and the 80 KB native-order block
-        # of its samples, and with a pool the frame being written: about 2.3
-        # integer frames on 1 worker and 5.5 on 2
+        # write_run consumes holds per worker the frame being rendered and
+        # two float64 blocks of 0.53 frames each, and with a pool the frame
+        # being written: about 2.2 integer frames on 1 worker and 5.3 on 2
         cfg = make_config(focal=30000.0, separation=19250.0, amp2=0.8)
         cam = make_camera(read_noise=40.0, sensor=(1280, 240), bit_depth=16)
         traj = static_sweep(np.linspace(19250.0, 5000.0, 6))
