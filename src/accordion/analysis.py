@@ -23,12 +23,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import fold_to_period
+from .fields import MIN_SAMPLES_PER_FRINGE, fold_to_period
 from .geometry import require_positive
+from .instrument import centred_pixels
 
 PEAK_GATE_DB = 6.0
 MIN_PERIODS = 3
-MIN_SAMPLES_PER_PERIOD = 4
 # measure_run rejects a frame whose measured period is farther than this,
 # relatively, from its manifest period
 PERIOD_TOLERANCE = 0.05
@@ -103,22 +103,14 @@ class _Spectrum(NamedTuple):
     spec: np.ndarray      # |rfft(windowed)|
 
 
-# the frames of a run share one width: their window and pixel grid are
-# computed once per width, read-only
+# the frames of a run share one width: their window is computed once per
+# width, read-only
 @functools.lru_cache(maxsize=8)
 def _hann(n: int) -> tuple[np.ndarray, float]:
     """Hann window of n samples and its sum."""
     h = np.hanning(n)
     h.flags.writeable = False
     return h, h.sum()
-
-
-@functools.lru_cache(maxsize=8)
-def _centred_pixels(n: int) -> np.ndarray:
-    """Pixel positions of n samples about the sensor center."""
-    x = np.arange(n) - (n - 1) / 2
-    x.flags.writeable = False
-    return x
 
 
 def _spectrum(image) -> _Spectrum:
@@ -155,9 +147,9 @@ def _period(s: _Spectrum) -> tuple[float, float]:
     if k < MIN_PERIODS:
         raise AnalysisError(f"dominant peak at bin {k}: fewer than {MIN_PERIODS} "
                             f"fringe periods fit in the window")
-    if k > n // MIN_SAMPLES_PER_PERIOD:
+    if k > n // MIN_SAMPLES_PER_FRINGE:
         raise AnalysisError(f"dominant peak at bin {k} of {n}: fewer than "
-                            f"{MIN_SAMPLES_PER_PERIOD} samples per fringe period")
+                            f"{MIN_SAMPLES_PER_FRINGE} samples per fringe period")
     lm, l0, lp = np.log(np.maximum(spec[k - 1:k + 2], peak * 1e-15))
     curvature = lm - 2 * l0 + lp
     delta = 0.5 * (lm - lp) / curvature
@@ -177,7 +169,7 @@ def _project(s: _Spectrum, period_px: float) -> tuple[float, float, float]:
     (-period/2, period/2] and fundamental amplitude, from the quadratures of
     the windowed profile at 1/period_px, pixel origin at the sensor center."""
     _positive_period(period_px)
-    x = _centred_pixels(s.windowed.size)
+    x = centred_pixels(s.windowed.size)
     projection = np.sum(s.windowed * np.exp(-2j * math.pi * x / period_px))
     phase = float(np.angle(projection))
     center = fold_to_period(-phase * period_px / (2 * math.pi), period_px)
@@ -209,13 +201,14 @@ def calibrate_pixel_scale(points) -> CalibrationFit:
     records it.
 
     The model period_px = spacing / s has the single parameter s, so the
-    least-squares solution is closed-form in b = 1/s.  It is solved in
-    units of 2**e, the power of two just above the largest spacing, and
-    scaled back: exact, with no square of a spacing that under- or
-    overflows where the spacings are finite.  Needs at least 3 points whose
+    least-squares solution is closed-form in b = 1/s.  It is solved with
+    the spacings in units of 2**e and the periods in units of 2**f, the
+    powers of two just above the largest of each, and scaled back by
+    2**(e - f): exact, with no square of a spacing or a period that under-
+    or overflows where they are finite.  Needs at least 3 points whose
     spacings span at least a factor of 2.  A fit whose scale or standard
-    error is no positive finite float, as with periods near either end of
-    the float range, is an AnalysisError.
+    error is no positive finite float, as where a spacing over a period
+    leaves the float range, is an AnalysisError.
 
     Returns the scale in um/pixel, its standard error, and the per-point
     relative residuals of the fit.
@@ -230,18 +223,20 @@ def calibrate_pixel_scale(points) -> CalibrationFit:
         raise AnalysisError(f"ill-conditioned: spacings span only "
                             f"{spacings.max() / spacings.min():.2f}x; need at least 2x")
     e = math.frexp(spacings.max())[1]
+    f = math.frexp(periods.max())[1]
     u = np.ldexp(spacings, -e)  # in [1/2, 1) at the largest: sum(u*u) >= 1/4
-    # periods near either end of the float range can overflow b, its
-    # variance or the scale: the fit runs in NumPy scalars, which give inf or
-    # nan there, and such a fit is refused below
+    q = np.ldexp(periods, -f)
+    # a scale beyond the float range overflows 1/b, its sigma or their
+    # scaling back: the fit runs in NumPy scalars, which give inf or nan
+    # there, and such a fit is refused below
     with np.errstate(all="ignore"):
-        b = (u * periods).sum() / (u * u).sum()
+        b = (u * q).sum() / (u * u).sum()
         predicted = u * b
-        residuals = (periods - predicted) / predicted
-        var_period = ((periods - predicted) ** 2).sum() / (len(pts) - 1)
+        residuals = (q - predicted) / predicted
+        var_period = ((q - predicted) ** 2).sum() / (len(pts) - 1)
         sigma_b = np.sqrt(var_period / (u * u).sum())
-        scale = float(np.ldexp(1.0 / b, e))
-        sigma = float(np.ldexp(sigma_b / b**2, e))
+        scale = float(np.ldexp(1.0 / b, e - f))
+        sigma = float(np.ldexp(sigma_b / b**2, e - f))
     if not (0 < scale < math.inf and sigma < math.inf):
         raise AnalysisError(f"the fitted scale {scale!r} um/px and its sigma "
                             f"{sigma!r} must be positive and finite")

@@ -27,24 +27,13 @@ def require_positive(name: str, value: float) -> float:
     return value
 
 
-def lens_law_spacing(wavelength: float, focal_length: float, separation: float) -> float:
-    """The fringe period lam*f/D in micrometers, if it is positive and
-    finite; otherwise a ValueError naming the three values.  lam*f is taken
-    first, so it can overflow or underflow where the period alone would not."""
-    spacing = wavelength * focal_length / separation
-    if not (math.isfinite(spacing) and spacing > 0):
-        raise ValueError(f"the fringe period lam*f/D must be positive and finite, got "
-                         f"{wavelength!r} * {focal_length!r} / {separation!r} = {spacing!r} um")
-    return spacing
-
-
 @dataclass(frozen=True)
 class OpticalParams:
     """Wavelength, lens focal length and beam separation, all in micrometers.
 
     separation must stay below 2*focal_length; beyond that the beams
     geometrically miss the lens and the crossing angle is undefined.  The
-    fringe period lam*f/D must be positive and finite (lens_law_spacing).
+    fringe period lam*f/D must be positive and finite (spacing_fourier).
     Out-of-range values raise instead of being clamped so that a bad
     configuration cannot pass silently.
     """
@@ -61,12 +50,20 @@ class OpticalParams:
                 f"separation {self.separation} um must be below twice the focal "
                 f"length ({2 * self.focal_length} um); the beams miss the lens"
             )
-        lens_law_spacing(self.wavelength, self.focal_length, self.separation)
+        spacing_fourier(self)
 
 
 def spacing_fourier(p: OpticalParams) -> float:
-    """Fringe period lam*f/D in micrometers (exact Fourier-plane result)."""
-    return lens_law_spacing(p.wavelength, p.focal_length, p.separation)
+    """Fringe period lam*f/D in micrometers (exact Fourier-plane result), if
+    it is positive and finite; otherwise a ValueError naming the three
+    values.  lam*f is taken first, so it can overflow or underflow where the
+    period alone would not."""
+    spacing = p.wavelength * p.focal_length / p.separation
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValueError(f"the fringe period lam*f/D must be positive and finite, got "
+                         f"{p.wavelength!r} * {p.focal_length!r} / {p.separation!r} "
+                         f"= {spacing!r} um")
+    return spacing
 
 
 def spacing_thin_lens(p: OpticalParams) -> float:

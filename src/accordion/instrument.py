@@ -65,6 +65,7 @@ end of a sweep.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from collections.abc import Callable, Iterator
@@ -200,6 +201,18 @@ def static_sweep(separations, frame_rate: float = 30.0) -> Trajectory:
     return Trajectory(frame_rate, (sep[0] - sep) / 2.0, sep, np.zeros(sep.size))
 
 
+# the frames of a sweep or a run share one sensor: its grids are built once
+# per length, read-only
+@functools.lru_cache(maxsize=8)
+def centred_pixels(n: int) -> np.ndarray:
+    """Positions of n pixels in pixels, origin at the sensor center: the one
+    pixel grid of the renderer and the analyzer, and antisymmetric bit for
+    bit."""
+    x = np.arange(n) - (n - 1) / 2
+    x.flags.writeable = False
+    return x
+
+
 @dataclass(frozen=True)
 class CameraModel:
     """Pixel scale (focal-plane um per pixel, objective magnification folded
@@ -237,12 +250,12 @@ class CameraModel:
         return np.dtype(np.uint8 if self.bit_depth == 8 else ">u2")
 
     def pixel_x(self) -> np.ndarray:
-        nx = self.sensor[0]
-        return (np.arange(nx) - (nx - 1) / 2) * self.pixel_scale
+        """The pixel centres across the sensor in um, about its center."""
+        return centred_pixels(self.sensor[0]) * self.pixel_scale
 
     def pixel_y(self) -> np.ndarray:
-        ny = self.sensor[1]
-        return (np.arange(ny) - (ny - 1) / 2) * self.pixel_scale
+        """The pixel centres down the sensor in um, about its center."""
+        return centred_pixels(self.sensor[1]) * self.pixel_scale
 
 
 # float64 elements in one row block of a frame being rendered: 320 KB, small

@@ -102,18 +102,20 @@ def fraunhofer_row(cfg, x):
     return np.abs(kernel @ lens * step) ** 2
 
 
-def autocorr_period(image, window_rows=None):
+def autocorr_period(image):
     """Fringe period in pixels from the autocorrelation peak.
 
-    The profile is Hann-tapered so the correlation of a few-cycle fringe
-    is not polluted by partial-period edge leakage, and the correlation is
-    divided by the taper's own pair weight so the peak is not dragged
-    toward shorter lags by the taper decay.  The discrete peak is refined
-    with a three-point parabola on the correlation values.
+    The profile is the mean of the central max(1, ny // 4) of the image's
+    ny rows, the band the analysis profiles.  It is Hann-tapered so the
+    correlation of a few-cycle fringe is not polluted by partial-period edge
+    leakage, and the correlation is divided by the taper's own pair weight
+    so the peak is not dragged toward shorter lags by the taper decay.  The
+    discrete peak is refined with a three-point parabola on the correlation
+    values.
     """
     img = np.atleast_2d(np.asarray(image, dtype=float))
     ny = img.shape[0]
-    rows = window_rows if window_rows is not None else max(1, ny // 4)
+    rows = max(1, ny // 4)
     start = ny // 2 - rows // 2
     s = img[start:start + rows].mean(axis=0)
     n = s.size

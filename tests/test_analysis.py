@@ -224,6 +224,19 @@ class TestMeasureFrame:
         m = measure_frame(img)
         assert m.period_px > 0
 
+    def test_a_profile_under_8_samples_is_too_short(self):
+        with pytest.raises(AnalysisError,
+                           match="^profile of 7 samples is too short to analyze$"):
+            measure_frame(np.ones((3, 7)))
+
+    def test_a_frame_whose_weighted_total_is_not_positive_has_no_fringe(self):
+        # -img has img's spectrum bit for bit, which passes the period's
+        # gates, and a negative Hann-weighted total
+        img = render_simple(8000.0).astype(float)
+        measure_frame(img)
+        with pytest.raises(NoFringeError, match="^no fringe found$"):
+            measure_frame(-img)
+
 
 class TestCalibratePixelScale:
     FOCAL = 30000.0
@@ -273,8 +286,8 @@ class TestCalibratePixelScale:
 
     @pytest.mark.parametrize("points", [
         [(1e308, 0.01), (5e307, 0.005), (2e307, 0.002)],  # the scale overflows
-        [(30, 1e300), (15, 5e299), (10, 3.4e299)],  # the periods' variance overflows
-    ], ids=["scale", "variance"])
+        [(1e-300, 1e30), (5e-301, 5e29), (2e-301, 2e29)],  # the scale underflows
+    ], ids=["scale", "underflow"])
     def test_rejects_a_fit_beyond_the_float_range(self, points):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -300,6 +313,30 @@ class TestCalibratePixelScale:
                                                             exponent)
         assert fit.pixel_scale_uncertainty > 0
         assert np.array_equal(scaled.residuals, fit.residuals)
+
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_periods_scaled_by_a_power_of_two_scale_the_fit_exactly(self, exponent):
+        # a period residual squared underflows to 0 at 2**-600 and overflows
+        # at 2**600: the periods are solved in units of a power of two too
+        points = [(u, measure_frame(render_simple(sep, focal=self.FOCAL)).period_px)
+                  for sep, u in zip(self.SEPS, self.SPACINGS)]
+        fit = calibrate_pixel_scale(points)
+        scaled = calibrate_pixel_scale([(u, math.ldexp(p, exponent)) for u, p in points])
+        assert scaled.pixel_scale == math.ldexp(fit.pixel_scale, -exponent)
+        assert scaled.pixel_scale_uncertainty == math.ldexp(fit.pixel_scale_uncertainty,
+                                                            -exponent)
+        assert np.array_equal(scaled.residuals, fit.residuals)
+
+    @pytest.mark.parametrize("points, scale", [
+        ([(30, 1e200), (15, 5e199), (10, 1e200 / 3)], 3e-199),
+        ([(30, 1e300), (15, 5e299), (10, 3.4e299)], 2.9958e-299),
+    ], ids=["1e200", "1e300"])
+    def test_huge_periods_recover_a_representable_scale(self, points, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = calibrate_pixel_scale(points)
+        assert fit.pixel_scale == pytest.approx(scale, rel=1e-4)
+        assert 0 <= fit.pixel_scale_uncertainty < 0.01 * fit.pixel_scale
 
     @pytest.mark.parametrize("factor", [1e-170, 1e170])
     def test_spacings_far_from_one_recover_the_scale(self, factor):
@@ -353,6 +390,11 @@ class TestKnifeEdge:
         positions, powers = self._profile(36.0, n_points=6)
         with pytest.raises(AnalysisError, match="8"):
             fit_knife_edge(positions, powers).waist
+
+    @pytest.mark.parametrize("power", [0.0, -1.0])
+    def test_no_positive_power_fails(self, power):
+        with pytest.raises(AnalysisError, match="^fit failed: powers are not positive$"):
+            fit_knife_edge(np.arange(8.0), np.full(8, power))
 
     def test_garbage_fails_cleanly(self, rng):
         positions = np.linspace(-50, 50, 15)

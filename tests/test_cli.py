@@ -337,6 +337,13 @@ class TestSweepCommand:
         assert peak_rss_kb < 100 * 1024
         assert not out.exists()
 
+    def test_no_separation_source_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["sweep", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: need --initial-separation "
+                                           "(or --separations / a preset)\n")
+        assert not out.exists()
+
     def test_grid_options_are_gone(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("focal=30000\nseparations=19250\ngrid_nx=2048\n")
@@ -842,6 +849,15 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(bare), "--calibrate", "--pixel-scale", "0.0853"]) == 0
         for name in ("measurements.csv", "calibration.csv"):
             assert (bare / name).read_bytes() == (out / name).read_bytes()
+
+    def test_a_run_without_config_needs_a_pixel_scale(self, ladder_run, tmp_path, capsys):
+        bare = tmp_path / "bare"
+        shutil.copytree(ladder_run, bare,
+                        ignore=shutil.ignore_patterns("config.txt", "measurements.csv"))
+        assert main(["analyze", str(bare)]) == 2
+        assert capsys.readouterr().err == ("error: no pixel scale: pass --pixel-scale "
+                                           "or provide config.txt\n")
+        assert not (bare / "measurements.csv").exists()
 
     def test_single_image(self, ladder_run, capsys):
         assert main(["analyze", str(ladder_run / "frame_0000.pgm"),

@@ -191,6 +191,12 @@ class TestBuildTrajectory:
         with pytest.raises(ValueError, match=message):
             Trajectory(**arrays)
 
+    @pytest.mark.parametrize("separations", [[], [[1e4, 2e4]]], ids=["empty", "2-D"])
+    def test_static_sweep_needs_a_non_empty_1d_sequence(self, separations):
+        with pytest.raises(ValueError,
+                           match="^separations must be a non-empty 1-D sequence$"):
+            static_sweep(separations)
+
     @pytest.mark.parametrize("frame_rate", [0.0, -30.0, float("nan"), float("inf")])
     def test_static_sweep_needs_positive_finite_frame_rate(self, frame_rate):
         with pytest.raises(ValueError, match="frame_rate must be positive"):

@@ -303,6 +303,43 @@ def test_config_key_given_twice_rejected(tmp_path):
         read_config(path)
 
 
+def test_config_skips_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("\n# waist in um\n   \nfocal = 30000\n  # indented\n")
+    assert read_config(path) == {"focal": "30000"}
+
+
+def test_config_line_without_equals_rejected(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("focal=30000\n separations 19250 \n")
+    with pytest.raises(ValueError) as raised:
+        read_config(path)
+    assert str(raised.value) == f"{path}: malformed config line 'separations 19250'"
+
+
+def test_a_manifest_missing_a_column_is_named(tmp_path):
+    path = tmp_path / "manifest.csv"
+    write_manifest(path, [FrameRecord("frame_0000.pgm", 0.0, 0.0, 8000.0, 5.32, 0.0)])
+    path.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                            for line in path.read_text().splitlines()))
+    with pytest.raises(ValueError) as raised:
+        read_manifest(path)
+    assert str(raised.value) == f"{path}: manifest is missing columns ['path_difference_um']"
+
+
+@pytest.mark.parametrize("image, message", [
+    (np.zeros(4, np.uint8), "expected a non-empty 2-D image, got shape (4,)"),
+    (np.zeros((0, 3), np.uint8), "expected a non-empty 2-D image, got shape (0, 3)"),
+    (np.zeros((2, 2)), "unsupported dtype float64; use uint8 or uint16"),
+], ids=["1-D", "empty", "float"])
+def test_write_pgm_refuses_what_no_graymap_holds(tmp_path, image, message):
+    path = tmp_path / "frame.pgm"
+    with pytest.raises(ValueError) as raised:
+        write_pgm(path, image)
+    assert str(raised.value) == message
+    assert not path.exists()
+
+
 def _run(n, value):
     frames = [np.full((3, 4), value + i, np.uint8) for i in range(n)]
     rows = [FrameRecord(f"frame_{i:04d}.pgm", 0.1 * i, 0.0, 1000.0, 1.0, 0.0)
