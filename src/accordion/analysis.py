@@ -74,9 +74,10 @@ class KnifeEdgeFit:
 
 class FrameResult(NamedTuple):
     """Per frame of a run: the measurement or the AnalysisError rejecting it,
-    the tracked center fringe (um; None when rejected): center_px times the
+    kept without its traceback, which would hold the rejected image; the
+    tracked center fringe (um; None when rejected): center_px times the
     pixel scale, moved by the frame's fringe order times its manifest
-    spacing, and the unwrap flag, set when the phase stepped more than
+    spacing; and the unwrap flag, set when the phase stepped more than
     pi/2 from the previous accepted frame."""
 
     measurement: FringeMeasurement | AnalysisError
@@ -125,6 +126,16 @@ def _spectrum(image) -> _Spectrum:
     return _Spectrum(float(total), windowed, np.abs(np.fft.rfft(windowed)))
 
 
+def _floor(spec: np.ndarray) -> float:
+    """The spectral floor, np.median(spec[1:]) bit for bit, as np.median
+    computes it: the middle one or two of the partitioned non-DC
+    magnitudes, averaged, or the NaN that partitioning puts last.  With no
+    np.median, no masked-array module is imported for its NaN check."""
+    m = spec.size - 1
+    part = np.partition(spec[1:], [(m - 1) // 2, m // 2, -1])
+    return float(part[-1] if math.isnan(part[-1]) else part[(m - 1) // 2:m // 2 + 1].mean())
+
+
 def _period(s: _Spectrum) -> tuple[float, float]:
     """Period in pixels, refined by a parabola through the log magnitudes of
     the peak bin and its neighbours, and a heuristic 1-sigma uncertainty
@@ -135,7 +146,7 @@ def _period(s: _Spectrum) -> tuple[float, float]:
     # the dominant non-DC bin, 6 dB-gated vs the median; a peak whose implied
     # modulation depth is below 1e-9 of the windowed sum is rounding dust
     k = 1 + int(np.argmax(spec[1:-1]))
-    floor = float(np.median(spec[1:]))
+    floor = _floor(spec)
     peak = float(spec[k])
     if peak <= 0 or floor <= 0 or peak < 1e-9 * abs(s.total) \
             or 20 * math.log10(peak / floor) < PEAK_GATE_DB:
@@ -387,6 +398,10 @@ def measure_run(frames, spacings_um, pixel_scale: float) -> list[FrameResult]:
 
     frames is any iterable of 2-D arrays, read once and in order (a generator
     that loads each frame will do), each measured blind, as one image is.
+    One frame is held at a time: each is dropped before the next is read,
+    and a rejection is kept as its error, without its traceback.  No
+    masked-array module is loaded: the spectral floor is taken without
+    np.median.
     spacings_um, each frame's analytic spacing from the run manifest,
     referees each frame and gives the width of one fringe order; it chooses
     no order.  pixel_scale is in um per pixel, checked positive and finite
@@ -416,12 +431,18 @@ def measure_run(frames, spacings_um, pixel_scale: float) -> list[FrameResult]:
         raise AnalysisError("nothing to track")
     measured: list[FringeMeasurement | AnalysisError] = []
     frames = iter(frames)
-    # spacings first: zip stops at the last spacing without reading a frame more
-    for d_um, image in zip(spacings, frames):
+    # one frame per spacing, and not one more read
+    for d_um in spacings:
+        image = next(frames, None)
+        if image is None:
+            break
         try:
             measured.append(_referee(measure_frame(image), d_um, pixel_scale))
         except AnalysisError as err:
-            measured.append(err)
+            # its traceback would keep measure_frame's frame, and the image
+            measured.append(err.with_traceback(None))
+        # dropped before the next frame is read
+        del image
     if len(measured) != len(spacings) or next(frames, None) is not None:
         raise AnalysisError("frames and spacings differ in length")
     # each accepted center's own phase, in [-pi, pi): at fringe_phase pi

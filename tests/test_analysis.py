@@ -108,6 +108,17 @@ class TestPeriod:
             assert period == pytest.approx(autocorr_period(img), rel=5e-3)
 
 
+@settings(max_examples=500, deadline=None)
+@given(spec=st.lists(st.floats(1e-300, 1e300) | st.sampled_from([0.0, math.inf, math.nan]),
+                     min_size=5, max_size=64))
+def test_spectral_floor_is_the_median_bit_for_bit(spec):
+    # np.median(spec[1:]) is the reference: odd and even tails of 4 or more,
+    # and a NaN anywhere makes both NaN
+    spec = np.array(spec)
+    floor = analysis._floor(spec)
+    assert np.float64(floor).tobytes() == np.float64(np.median(spec[1:])).tobytes()
+
+
 class TestPhaseAtKnownPeriod:
     d_um = spacing_fourier(make_config(separation=8000.0).optics)
 

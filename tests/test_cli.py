@@ -651,6 +651,62 @@ class TestStreamingSweep:
         assert long - short < frames_held * self.FRAME_BYTES
 
 
+class TestStreamingAnalyze:
+    """An analyze reads, measures and drops one frame at a time, and keeps a
+    rejection as its error without its traceback, so it holds one frame,
+    however many frames it has or rejects."""
+
+    SENSOR = (1280, 240)
+    FRAME_BYTES = SENSOR[0] * SENSOR[1] * 2  # 16-bit samples
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """Noisy 16-bit runs of 2 and 12 frames, "accepted2" and "accepted12",
+        and copies whose every frame is flat, "flat2" and "flat12"."""
+        base = tmp_path_factory.mktemp("analyze-memory")
+        for n in (2, 12):
+            run = base / f"accepted{n}"
+            separations = ",".join(repr(float(d)) for d in np.linspace(19250.0, 5000.0, n))
+            assert main(["sweep", "--separations", separations, "--focal", "30000",
+                         "--sensor", "%dx%d" % self.SENSOR, "--bit-depth", "16",
+                         "--read-noise", "40", "--seed", "3", "--out", str(run)]) == 0
+            shutil.copytree(run, base / f"flat{n}")
+            for pgm in (base / f"flat{n}").glob("frame_*.pgm"):
+                write_pgm(pgm, np.full(self.SENSOR[::-1], 1000, dtype=">u2"))
+        return base
+
+    def _traced_peak(self, run, reports, status):
+        """The traced peak of one analyze of run, and that peak above the
+        memory traced when it began."""
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(["analyze", str(run), "--out", str(reports)]) == status
+        peak = tracemalloc.get_traced_memory()[1]
+        return peak, peak - start
+
+    @pytest.mark.parametrize("kind, status", [("accepted", 0), ("flat", 1)])
+    def test_peak_memory_does_not_grow_with_the_run(self, runs, tmp_path, kind, status):
+        tracemalloc.start()
+        try:
+            # a first analyze takes the one-time allocations
+            self._traced_peak(runs / f"{kind}2", tmp_path / "warm", status)
+            short, _ = self._traced_peak(runs / f"{kind}2", tmp_path / "short", status)
+            long, held = self._traced_peak(runs / f"{kind}12", tmp_path / "long", status)
+        finally:
+            tracemalloc.stop()
+        assert long - short < 1.5 * self.FRAME_BYTES
+        assert held < 1.5 * self.FRAME_BYTES
+
+    def test_a_rejection_keeps_no_traceback(self, runs):
+        run = runs / "flat2"
+        records = read_manifest(run / "manifest.csv")
+        results = analysis.measure_run((read_pgm(run / rec.frame) for rec in records),
+                                       [rec.analytic_spacing_um for rec in records],
+                                       PIXEL_SCALE)
+        assert [type(r.measurement) for r in results] == [analysis.NoFringeError] * 2
+        assert all(r.measurement.__traceback__ is None for r in results)
+
+
 def scale_manifest(run, out, scale):
     """A copy of run at out, its reports left out, with scale applied to
     each manifest analytic_spacing_um, written as its repr."""
@@ -1207,7 +1263,8 @@ def test_cli_start_up_does_not_import_scipy():
 def test_a_sweep_or_analyze_process_holds_every_traced_layer(tmp_path, command):
     """bench/tracer.py patches the five layers it finds in sys.modules, after
     warming up on sweeps alone in one workload: either command loads them
-    all, in a process that ran nothing else."""
+    all, in a process that ran nothing else, and neither loads NumPy's
+    masked arrays."""
     run = tmp_path / "fig4a"
     if command == "analyze":
         assert main(["sweep", "--preset", "fig4a", "--out", str(run)]) == 0
@@ -1223,3 +1280,4 @@ def test_a_sweep_or_analyze_process_holds_every_traced_layer(tmp_path, command):
     held = run_fresh(code, *argv).split()
     assert {f"accordion.{layer}" for layer in
             ("fields", "instrument", "runfiles", "analysis", "cli")} <= set(held)
+    assert "numpy.ma" not in held
