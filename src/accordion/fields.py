@@ -47,6 +47,15 @@ class BeamSpec:
         if not (self.amplitude >= 0 and math.isfinite(self.amplitude * self.amplitude)):
             raise ValueError("amplitude must be >= 0 and its square finite, "
                              f"got {self.amplitude!r}")
+        # a NaN offset renders garbage and an infinite one no beam
+        try:
+            x, y = self.center_offset
+            finite = math.isfinite(x) and math.isfinite(y)
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise ValueError("center_offset must be two finite numbers (x, y), "
+                             f"got {self.center_offset!r}")
 
 
 @dataclass(frozen=True)

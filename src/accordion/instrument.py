@@ -42,20 +42,22 @@ mirror rows reading the envelope backwards.
 
 Memory: beyond the float64 envelope (120 of the 240 rows of a 1280-pixel-
 wide sensor with both beams centred in y, 1.2 MB), a frame being rendered
-holds its integer frame and two float64 blocks of at most 320 KB (a
-block's fringes and its read noise, or the next block's fringes), never a
-float64 array of the whole frame, and a NumPy iterator buffer of about
-62 KB while it fills a block; each digitized block is stored straight into
-the frame, in the frame's own dtype.  The integer frame is allocated by
-the thread that consumes the frames, render_frame's caller or the
-iterator's, and handed to the renderer, so that the frames of a pooled
+holds its integer frame and one float64 block buffer of at most 320 KB,
+which all its row blocks reuse, never a float64 array of the whole frame;
+while it fills a block, a NumPy iterator buffer of about 62 KB, and while
+it digitizes a noisy block, a half-block buffer that its read noise is
+drawn into half a block at a time: 1.5 blocks in all (a noisy 1280 x 240
+frame's traced scratch is 1.54 blocks).  Each digitized block is stored
+straight into the frame, in the frame's own dtype.  The integer frame is
+allocated by the thread that consumes the frames, render_frame's caller or
+the iterator's, and handed to the renderer, so that the frames of a pooled
 sweep come from that thread's heap, which the consumer's own buffers
 reuse, and a worker thread holds only its blocks.  A sweep holds at most
 one frame per worker, and each yielded frame is dropped by the iterator
 before it pulls the next, so a consumer that drops it too, as write_run
 does, adds only the frame it works on while a pool renders: on a noisy
-1280 x 240 16-bit sensor, a sweep written by write_run peaks at about 2.2
-integer frames above the envelope on 1 worker and 5.3 on 2.
+1280 x 240 16-bit sensor, a sweep written by write_run peaks at about 1.9
+integer frames above the envelope on 1 worker and 4.7 on 2.
 
 Without read noise the digitizer does not read the frame index, so equal
 inputs give equal bytes: a sample whose (D, dL) equals the previous
@@ -258,6 +260,15 @@ class CameraModel:
         return centred_pixels(self.sensor[1]) * self.pixel_scale
 
 
+# the largest |z| NumPy's ziggurat normal draw can return (Marsaglia & Tsang,
+# J. Stat. Softw. 5(8), 2000): its layers return |z| < r, the tail start
+# r = 3.6541528853610088, and its tail r + x with x = -ln(1 - u) / r, where u,
+# 53 random bits over 2^53, is at most 1 - 2^-53, so x <= 53 ln 2 / r (a
+# bound: the tail's acceptance test rejects the largest x)
+_R_ZIGGURAT = 3.6541528853610088
+_Z_MAX = _R_ZIGGURAT + 53 * math.log(2) / _R_ZIGGURAT  # about 13.71
+
+
 # float64 elements in one row block of a frame being rendered: 320 KB, small
 # next to the frames of a fine-fringed sensor, yet one block holds the 60
 # rows up to the center of a noise-free frame of the default 640 x 120
@@ -269,20 +280,29 @@ _BLOCK_ELEMENTS = 5 << 13
 def _digitize(counts: np.ndarray, cam: CameraModel,
               rng: np.random.Generator | None) -> np.ndarray:
     """clip(rint(gain * counts + read_noise * z)) of one block of rows, in
-    place on `counts`, a fresh intensity block the caller hands over.  z
-    comes from rng, the frame's noise stream (None without read noise),
-    drawn next for this block: blocks digitized in row order draw what one
-    draw of the whole frame would."""
+    place on `counts`, a C-contiguous intensity block the caller hands over.
+    z comes from rng, the frame's noise stream (None without read noise),
+    drawn next for this block in two chunks of half the block into one
+    half-block buffer: chunks in row order draw what one draw of the block
+    would, and blocks in row order what one draw of the whole frame would."""
     counts *= cam.exposure_gain
     if rng is not None:
-        # sigma * z bit for bit equals rng.normal(0.0, sigma)'s 0.0 + sigma * z
-        noise = rng.standard_normal(counts.shape)
-        noise *= cam.read_noise
-        counts += noise
+        flat = counts.reshape(-1)  # a view: the block is contiguous
+        noise = np.empty((flat.size + 1) // 2)
+        for part in (flat[:noise.size], flat[noise.size:]):
+            # sigma * z bit for bit equals rng.normal(0.0, sigma)'s 0.0 + sigma * z
+            z = rng.standard_normal(out=noise[:part.size])
+            z *= cam.read_noise
+            part += z
     np.rint(counts, out=counts)
     # bounds of the block's dtype: int ones are converted on every call
     np.clip(counts, 0.0, float(cam.full_scale), out=counts)
     return counts
+
+
+def _block_rows(width: int) -> int:
+    """The rows of a full row block of a frame rendered `width` columns wide."""
+    return max(1, _BLOCK_ELEMENTS // width)
 
 
 def _row_blocks(rows: int, half: int, width: int) -> Iterator[tuple[slice, slice]]:
@@ -292,7 +312,7 @@ def _row_blocks(rows: int, half: int, width: int) -> Iterator[tuple[slice, slice
     envelope rows), each of at most _BLOCK_ELEMENTS // width rows: ascending
     below half and descending past it, so a block reads the envelope
     through a view, never a copy."""
-    step = max(1, _BLOCK_ELEMENTS // width)
+    step = _block_rows(width)
     for a in range(0, half, step):
         b = min(a + step, half)
         yield slice(a, b), slice(a, b)
@@ -330,6 +350,10 @@ def _frame_renderer(base_cfg: LatticeConfig, cam: CameraModel
     if not math.isfinite(cam.exposure_gain * a * a):
         raise ValueError(f"gain {cam.exposure_gain!r} leaves the peak counts "
                          "gain * (a1 + a2)^2 no finite value")
+    # and with read noise at no more than read_noise * _Z_MAX
+    if not math.isfinite(cam.exposure_gain * a * a + cam.read_noise * _Z_MAX):
+        raise ValueError(f"read noise {cam.read_noise!r} leaves the counts gain * "
+                         f"(a1 + a2)^2 + read_noise * {_Z_MAX:.4g} no finite value")
     # row r then equals row len(py) - 1 - r exactly, so it is not checked:
     # pixel_y is antisymmetric bit for bit, and exp(-v*v/w2) is even
     centred = (base_cfg.beam_plus.center_offset[1] == 0
@@ -357,9 +381,11 @@ def _frame_renderer(base_cfg: LatticeConfig, cam: CameraModel
         mirror = mirrored and np.array_equal(cross, cross[::-1])
         width = (px.size + 1) // 2 if mirror else px.size
         rng = np.random.default_rng([cam.seed, frame_index]) if noisy else None
+        # one buffer for every row block of the frame, sized to the first,
+        # its largest: no block past half has more rows than half
+        buffer = np.empty(min(half, _block_rows(width)) * width)
         for frame_rows, src in _row_blocks(rows, half, width):
-            # rebound before it is filled: the last block is freed by then
-            block = np.empty((frame_rows.stop - frame_rows.start, width))
+            block = buffer[:(frame_rows.stop - frame_rows.start) * width].reshape(-1, width)
             fringes_into(block, envelope[src, :width], cross_y[src], cross[:width])
             # the values are whole numbers within the bit depth, so the cast
             # into the frame's dtype is exact
@@ -391,8 +417,9 @@ def render_frame(cfg: LatticeConfig, cam: CameraModel,
         from intensity_at; byte for byte frame frame_index of a
         render_sequence sample with cfg's separation and path difference.
         Raises ValueError if a fringe spans fewer than 4 pixels, if the
-        peak counts gain * (a1 + a2)^2 are not finite, or if the sensor's
-        pixel centres or envelope cannot be allocated.
+        peak counts gain * (a1 + a2)^2, or those plus read_noise times the
+        largest normal deviate NumPy draws (about 13.71), are not finite,
+        or if the sensor's pixel centres or envelope cannot be allocated.
     """
     render, px = _frame_renderer(cfg, cam)
     require_resolved(cfg.optics, px)
@@ -435,7 +462,8 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
     Each frame renders by the module's mirror rule: without read noise,
     rows and columns that mirror others are copied, not rendered.  Beyond
     the envelope, each sample being rendered holds its integer frame and
-    two float64 blocks of rows of at most 320 KB, and the iterator drops
+    1.5 float64 blocks of rows of at most 320 KB (one block buffer and,
+    with read noise, half a block of noise), and the iterator drops
     each frame before it pulls the next: a consumer that does too holds at
     most workers + 1 integer frames, whatever the sweep's length and
     however fine its fringes, and on 1 worker one frame.  Every integer

@@ -416,6 +416,56 @@ class TestKnifeEdge:
                 fit_knife_edge(positions, powers).waist
         assert caught == []
 
+    def test_a_trial_edge_beyond_the_scan_is_a_worse_step(self, monkeypatch):
+        # one bright point at the end of the scan: early trial steps put the
+        # edge so far past the scan that it is 0 at every point, a model with
+        # no total power, which the iteration takes as a worse step
+        beyond = []
+
+        def projection(x, p, center, waist):
+            fit = edge_projection(x, p, center, waist)
+            beyond.append(fit is None)
+            return fit
+
+        edge_projection = analysis._edge_projection
+        monkeypatch.setattr(analysis, "_edge_projection", projection)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(AnalysisError, match="does not resolve the waist"):
+                fit_knife_edge(np.arange(8.0), [0, 0, 0, 0, 0, 0, 0, 1.0])
+        assert any(beyond)
+        assert caught == []
+
+    def test_an_edge_with_no_slope_off_its_center_is_refused(self):
+        # the half-power point is the first position and the waist starts at
+        # 1/20 of the span, so every other position lies 19 waists or more
+        # past it, where the edge's slope underflows to 0: nothing moves with
+        # the waist, and the normal matrix is singular
+        positions = [0.0, 100.0, 100.5, 101.0, 101.5, 102.0, 102.5, 103.0]
+        powers = [0.85, 1, 1, 1, 1, 1, 1, 1]
+        with pytest.raises(AnalysisError,
+                           match="does not constrain the center and waist"):
+            fit_knife_edge(positions, powers)
+
+    def test_a_step_that_overflows_is_refused(self):
+        # powers of 1e-138 over positions of 1e21: the normal matrix, of the
+        # order of (total / waist)^2, sinks into subnormals as the iteration
+        # runs, and the step solved from it overflows
+        positions = np.array([-6.0, -5, -4, -3, 0, 3, 7, 8]) * 1e21
+        powers = np.array([-3.0, 0, 0, 0, 3, 3, 3, 3]) * 1e-138
+        with pytest.raises(AnalysisError, match="a fitted parameter is not finite"):
+            fit_knife_edge(positions, powers)
+
+    def test_a_falling_edge_is_refused_by_its_total(self):
+        # a rising edge fits a falling one best with a negative total power
+        with pytest.raises(AnalysisError, match="fitted total power -1 is not positive"):
+            fit_knife_edge(np.arange(8.0), [1, 1, 1, 1, -1, -1, -1, -1])
+
+    def test_a_spike_is_refused_by_its_residual(self):
+        # no edge fits a lone bright point to within 5% of its total power
+        with pytest.raises(AnalysisError, match="residual rms 0.316 exceeds 5% of total"):
+            fit_knife_edge(np.arange(8.0), [0, 0, 0, 1, 0, 0, 0, 0])
+
     # (waist, center, total_power, rms_residual) from scipy.optimize.curve_fit
     # on these profiles, pinned at version 0.2.0 before the fit moved to numpy
     CURVE_FIT = {

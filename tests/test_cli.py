@@ -564,6 +564,8 @@ class TestSweepCommand:
          "peak intensity (a1 + a2)^2 no finite value"),
         (["--amplitude", "1e150", "--gain", "1e300"],
          "peak counts gain * (a1 + a2)^2 no finite value"),
+        (["--read-noise", "1e308"],
+         "leaves the counts gain * (a1 + a2)^2 + read_noise * 13.71 no finite value"),
         (["--waist", "1e-160"], "and its reciprocal finite"),
         (["--wavelength", "1e200", "--focal", "1e200"],
          "the fringe period lam*f/D must be positive and finite"),
@@ -571,12 +573,14 @@ class TestSweepCommand:
          "rendering failed at sample 1: the fringe period lam*f/D must be positive"),
     ], ids=["huge-waist", "tiny-waist", "huge-amplitude", "overflowing-gain",
             "infinite-gain", "overflowing-peak", "overflowing-counts",
-            "overflowing-reciprocal", "overflowing-lens-law", "overflowing-lens-law-mid-sweep"])
+            "overflowing-read-noise", "overflowing-reciprocal", "overflowing-lens-law",
+            "overflowing-lens-law-mid-sweep"])
     def test_extreme_beam_is_usage_error_and_leaves_the_earlier_run(
             self, tmp_path, capsys, flags, message):
         # a waist squared that overflows or underflows, or whose reciprocal
         # overflows; an amplitude squared, a peak intensity (a1 + a2)^2 or
-        # peak counts gain * (a1 + a2)^2 that overflow; an auto gain
+        # peak counts gain * (a1 + a2)^2 that overflow, or do with read noise
+        # at the largest normal deviate NumPy draws; an auto gain
         # 255 / (a1 + a2)^2 that does; and a fringe period lam*f/D that
         # overflows, at the first sample or mid-sweep
         out = tmp_path / "run"

@@ -48,6 +48,16 @@ class TestTypes:
                            match="focal_waist squared must be positive and finite"):
             BeamSpec(focal_waist=waist)
 
+    @pytest.mark.parametrize("offset", [
+        (float("nan"), 0.0), (0.0, float("inf")), (-float("inf"), 0.0), (1.0,),
+        (1.0, 2.0, 3.0), 5.0, ("a", 0.0)],
+        ids=["nan", "inf", "-inf", "one", "three", "scalar", "text"])
+    def test_beam_spec_rejects_an_offset_that_is_not_two_finite_numbers(self, offset):
+        # a NaN offset would cast NaN into the frame, an infinite one remove
+        # the beam, and a 1-tuple fail inside the render
+        with pytest.raises(ValueError, match="center_offset must be two finite numbers"):
+            BeamSpec(36.0, 1.0, offset)
+
     def test_a_pinpoint_beam_is_dark_off_its_center(self):
         # u*u / w2 overflows a pixel away: the profile is its limit 0, and no
         # overflow warning (an error under the test settings) is raised

@@ -260,6 +260,17 @@ class TestRenderFrame:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_read_noise_whose_largest_draw_overflows_is_refused(self):
+        # NumPy's normal draw returns no |z| above instrument._Z_MAX, about
+        # 13.71: a read noise that keeps read_noise * 13.71 finite renders
+        # with no overflow, and one that does not is refused
+        cfg = make_config(separation=20000.0)
+        limit = sys.float_info.max / instrument._Z_MAX
+        image = render_frame(cfg, make_camera(read_noise=limit / 2, sensor=(64, 8)))
+        assert set(np.unique(image)) <= {0, 255}
+        with pytest.raises(ValueError, match=r"read noise .* no finite value"):
+            render_frame(cfg, make_camera(read_noise=limit * 2, sensor=(64, 8)))
+
     def test_sixteen_bit_output(self):
         cam = make_camera(bit_depth=16, gain=65535 / 4.0)
         img = render_simple(20000.0)  # 8-bit default for contrast
@@ -731,13 +742,32 @@ class TestBlockedRender:
             tracemalloc.stop()
         assert peak - envelope < float_frame
 
+    def test_a_noisy_frame_renders_in_one_and_a_half_blocks(self):
+        # the ladder's frame: its row blocks reuse one block buffer, and its
+        # read noise is drawn half a block at a time, so beyond the envelope
+        # and the frame its scratch is 1.5 blocks and a cross row
+        cfg = make_config(focal=30000.0, separation=19250.0, amp2=0.8)
+        cam = make_camera(read_noise=40.0, sensor=(1280, 240), bit_depth=16)
+        render, _ = instrument._frame_renderer(cfg, cam)
+        frame = instrument._new_frame(cam)
+        # a first frame imports and caches whatever the render path needs
+        render(19250.0, 0.0, 0, frame)
+        tracemalloc.start()
+        try:
+            render(19250.0, 0.0, 1, frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * instrument._BLOCK_ELEMENTS * 8
+
     @pytest.mark.parametrize("workers, frames_held", [(1, 3), (2, 6)])
     def test_a_written_noisy_sweep_holds_the_frames_in_flight(
             self, tmp_path, workers, frames_held):
         # beyond the envelope of its 120 rows up to the center, a sweep that
         # write_run consumes holds per worker the frame being rendered and
-        # two float64 blocks of 0.53 frames each, and with a pool the frame
-        # being written: about 2.2 integer frames on 1 worker and 5.3 on 2
+        # 1.5 float64 blocks of 0.53 frames each (a block buffer and half a
+        # block of read noise), and with a pool the frame being written:
+        # about 1.9 integer frames on 1 worker and 4.7 on 2
         cfg = make_config(focal=30000.0, separation=19250.0, amp2=0.8)
         cam = make_camera(read_noise=40.0, sensor=(1280, 240), bit_depth=16)
         traj = static_sweep(np.linspace(19250.0, 5000.0, 6))
