@@ -42,17 +42,17 @@ mirror rows reading the envelope backwards.
 
 Memory: beyond the float64 envelope (120 of the 240 rows of a 1280-pixel-
 wide sensor with both beams centred in y, 1.2 MB), a frame being rendered
-holds its integer frame and one float64 block buffer of at most 320 KB,
-which all its row blocks reuse, never a float64 array of the whole frame;
-while it fills a block, a NumPy iterator buffer of about 62 KB, and while
-it digitizes a noisy block, a half-block buffer that its read noise is
-drawn into half a block at a time: 1.5 blocks in all (a noisy 1280 x 240
-frame's traced scratch is 1.54 blocks).  Each digitized block is stored
-straight into the frame, in the frame's own dtype.  The integer frame is
-allocated by the thread that consumes the frames, render_frame's caller or
-the iterator's, and handed to the renderer, so that the frames of a pooled
-sweep come from that thread's heap, which the consumer's own buffers
-reuse, and a worker thread holds only its blocks.  A sweep holds at most
+holds its integer frame and one float64 block of at most 320 KB at a
+time, freed before the next is allocated, never a float64 array of the
+whole frame; while it fills a block, a NumPy iterator buffer of about
+62 KB, and while it digitizes a noisy block, a half-block buffer that its
+read noise is drawn into half a block at a time: 1.5 blocks in all (a
+noisy 1280 x 240 frame's traced scratch is 1.54 blocks).  Each digitized
+block is stored straight into the frame, in the frame's own dtype.  The
+integer frame is allocated by the thread that consumes the frames,
+render_frame's caller or the iterator's, and handed to the renderer, so
+that the frames of a pooled sweep come from that thread's heap, which the
+consumer's own buffers reuse, and a worker thread holds only its blocks.  A sweep holds at most
 one frame per worker, and each yielded frame is dropped by the iterator
 before it pulls the next, so a consumer that drops it too, as write_run
 does, adds only the frame it works on while a pool renders: on a noisy
@@ -300,11 +300,6 @@ def _digitize(counts: np.ndarray, cam: CameraModel,
     return counts
 
 
-def _block_rows(width: int) -> int:
-    """The rows of a full row block of a frame rendered `width` columns wide."""
-    return max(1, _BLOCK_ELEMENTS // width)
-
-
 def _row_blocks(rows: int, half: int, width: int) -> Iterator[tuple[slice, slice]]:
     """The row blocks of the first `rows` rows of a frame whose first `half`
     rows are rendered from the envelope's rows and whose row r past them
@@ -312,7 +307,7 @@ def _row_blocks(rows: int, half: int, width: int) -> Iterator[tuple[slice, slice
     envelope rows), each of at most _BLOCK_ELEMENTS // width rows: ascending
     below half and descending past it, so a block reads the envelope
     through a view, never a copy."""
-    step = _block_rows(width)
+    step = max(1, _BLOCK_ELEMENTS // width)
     for a in range(0, half, step):
         b = min(a + step, half)
         yield slice(a, b), slice(a, b)
@@ -381,15 +376,14 @@ def _frame_renderer(base_cfg: LatticeConfig, cam: CameraModel
         mirror = mirrored and np.array_equal(cross, cross[::-1])
         width = (px.size + 1) // 2 if mirror else px.size
         rng = np.random.default_rng([cam.seed, frame_index]) if noisy else None
-        # one buffer for every row block of the frame, sized to the first,
-        # its largest: no block past half has more rows than half
-        buffer = np.empty(min(half, _block_rows(width)) * width)
         for frame_rows, src in _row_blocks(rows, half, width):
-            block = buffer[:(frame_rows.stop - frame_rows.start) * width].reshape(-1, width)
+            block = np.empty((frame_rows.stop - frame_rows.start, width))
             fringes_into(block, envelope[src, :width], cross_y[src], cross[:width])
             # the values are whole numbers within the bit depth, so the cast
             # into the frame's dtype is exact
             frame[frame_rows, :width] = _digitize(block, cam, rng)
+            # freed before the next block is allocated
+            del block
         # column j past the rendered ones mirrors column len(px) - 1 - j, and
         # row r past them row len(py) - 1 - r
         frame[:rows, width:] = frame[:rows, :px.size - width][:, ::-1]
@@ -462,7 +456,7 @@ def render_sequence(trajectory: Trajectory, base_cfg: LatticeConfig,
     Each frame renders by the module's mirror rule: without read noise,
     rows and columns that mirror others are copied, not rendered.  Beyond
     the envelope, each sample being rendered holds its integer frame and
-    1.5 float64 blocks of rows of at most 320 KB (one block buffer and,
+    1.5 float64 blocks of rows of at most 320 KB (one block at a time and,
     with read noise, half a block of noise), and the iterator drops
     each frame before it pulls the next: a consumer that does too holds at
     most workers + 1 integer frames, whatever the sweep's length and

@@ -447,14 +447,13 @@ class TestKnifeEdge:
                            match="does not constrain the center and waist"):
             fit_knife_edge(positions, powers)
 
-    def test_a_step_that_overflows_is_refused(self):
-        # powers of 1e-138 over positions of 1e21: the normal matrix, of the
-        # order of (total / waist)^2, sinks into subnormals as the iteration
-        # runs, and the step solved from it overflows
-        positions = np.array([-6.0, -5, -4, -3, 0, 3, 7, 8]) * 1e21
-        powers = np.array([-3.0, 0, 0, 0, 3, 3, 3, 3]) * 1e-138
+    def test_a_step_that_overflows_is_refused(self, monkeypatch):
+        # a normal matrix near enough to singular solves to a step that
+        # overflows; which scans reach one depends on how the host's LAPACK
+        # treats subnormals, so the solve is stood in for
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.inf))
         with pytest.raises(AnalysisError, match="a fitted parameter is not finite"):
-            fit_knife_edge(positions, powers)
+            fit_knife_edge(np.arange(8.0), [0, 0, 0, 0.5, 1, 1, 1, 1])
 
     def test_a_falling_edge_is_refused_by_its_total(self):
         # a rising edge fits a falling one best with a negative total power

@@ -743,9 +743,10 @@ class TestBlockedRender:
         assert peak - envelope < float_frame
 
     def test_a_noisy_frame_renders_in_one_and_a_half_blocks(self):
-        # the ladder's frame: its row blocks reuse one block buffer, and its
-        # read noise is drawn half a block at a time, so beyond the envelope
-        # and the frame its scratch is 1.5 blocks and a cross row
+        # the ladder's frame: each row block is freed before the next is
+        # allocated, and its read noise is drawn half a block at a time, so
+        # beyond the envelope and the frame its scratch is 1.5 blocks and a
+        # cross row
         cfg = make_config(focal=30000.0, separation=19250.0, amp2=0.8)
         cam = make_camera(read_noise=40.0, sensor=(1280, 240), bit_depth=16)
         render, _ = instrument._frame_renderer(cfg, cam)
@@ -765,7 +766,7 @@ class TestBlockedRender:
             self, tmp_path, workers, frames_held):
         # beyond the envelope of its 120 rows up to the center, a sweep that
         # write_run consumes holds per worker the frame being rendered and
-        # 1.5 float64 blocks of 0.53 frames each (a block buffer and half a
+        # 1.5 float64 blocks of 0.53 frames each (a row block and half a
         # block of read noise), and with a pool the frame being written:
         # about 1.9 integer frames on 1 worker and 4.7 on 2
         cfg = make_config(focal=30000.0, separation=19250.0, amp2=0.8)
